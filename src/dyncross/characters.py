@@ -80,6 +80,13 @@ class CircleGrid:
     def half_spacing(self) -> float:
         return math.pi / self.resolution
 
+    def powers(self, k: int) -> np.ndarray:
+        """The k-th powers of the samples, exp(2 pi i ((j k) mod G) / G),
+        by exact index arithmetic: raising the rounded samples to the k-th
+        power would amplify their rounding k-fold."""
+        g = self.resolution
+        return np.exp(2j * np.pi * ((np.arange(g) * (k % g)) % g) / g)
+
 
 def classify_point(sys: DynSys, x: Point) -> Character:
     """The character template attached to a point: a point character, or a
@@ -207,16 +214,14 @@ def gelfand_norm(sys: DynSys, x_elem: Element, grid: CircleGrid, *,
     ks = x_elem.support()
     if not ks:
         return NormEstimate(0.0, 0.0)
-    zs = np.array(grid.samples, dtype=complex)
+    pows = {k: grid.powers(k) for k in ks}
     h = grid.half_spacing
     best_val = 0.0
     best_coeffs = None
     upper = 0.0
     for p in sys.space.representative_points():
         coeffs = {k: x_elem.coeffs[k](p) for k in ks}
-        vals = np.zeros_like(zs)
-        for k, a in coeffs.items():
-            vals = vals + a * zs ** k
+        vals = sum(a * pows[k] for k, a in coeffs.items())
         grid_max = float(np.max(np.abs(vals)))
         lip = sum(abs(k) * abs(a) for k, a in coeffs.items())
         curv = sum(k * k * abs(a) for k, a in coeffs.items())
@@ -224,6 +229,8 @@ def gelfand_norm(sys: DynSys, x_elem: Element, grid: CircleGrid, *,
         if grid_max >= best_val:
             best_val = grid_max
             best_coeffs = coeffs
+    # every character is contractive for the series norm
+    upper = min(upper, x_elem.ell1_norm())
     value = best_val
     if refine and best_coeffs is not None:
         def fn(t: float) -> float:

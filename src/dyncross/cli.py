@@ -35,7 +35,7 @@ from .dynamics import (
     projection_witness,
     reduced_indices,
 )
-from .errors import DyncrossError, NotInCommutant, ProjectionUnavailable
+from .errors import DyncrossError, NotInCommutant, ParseError, ProjectionUnavailable
 from .fixtures import FIXTURES
 from .gns import cstar_norm, default_truncation
 from .serialize import (
@@ -149,8 +149,6 @@ def main(argv=None) -> int:
         p.add_argument("--trunc", type=int, default=None,
                        help="truncation radius for shift-model norms")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--tol", type=float, default=1e-13,
-                       help="relative tolerance of the iterative norm solver")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     common(sub.add_parser("describe", help="system summary"))
@@ -172,6 +170,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.grid < 4:
+        raise ParseError(f"--grid must be at least 4, got {args.grid}")
     sys = _load_system(args.space)
     grid = CircleGrid(args.grid)
 
@@ -208,7 +208,7 @@ def _dispatch(args) -> int:
             doc["gelfand"] = {"value": g.value, "error_bound": g.error_bound}
         except NotInCommutant:
             doc["gelfand"] = None
-        c = cstar_norm(sys, elem, grid, args.trunc, power_tol=args.tol)
+        c = cstar_norm(sys, elem, grid, args.trunc)
         doc["cstar"] = {"value": c.value, "error_bound": c.error_bound}
         doc["trunc"] = (args.trunc if args.trunc is not None
                         else default_truncation(sys, elem))

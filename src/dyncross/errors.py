@@ -57,9 +57,5 @@ class TruncationTooSmall(DyncrossError):
     """Truncation radius too small for the element's degree."""
 
 
-class NoConvergence(DyncrossError):
-    """An iterative numerical routine hit its iteration cap."""
-
-
 class ParseError(DyncrossError):
-    """Malformed JSON input for a space or element."""
+    """Malformed input: a space or element description, or a CLI value."""

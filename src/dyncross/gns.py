@@ -11,6 +11,9 @@ diagonal function action; the artifact compresses it to the window
 [-M, M], which is exact for states and matrix products away from the
 edges and yields certified lower bounds for norms.
 
+Every spectral norm is the largest singular value from LAPACK; every
+cyclic model is assembled from one torus-independent entry plan.
+
 The C*-norm of an element is the sup of the representation norms over
 orbit representatives and the torus parameter; the torus sweep carries
 the same certified grid bound as the character module, and everything is
@@ -20,6 +23,7 @@ dominated by the series norm.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
@@ -37,12 +41,7 @@ from .characters import (
 )
 from .commutant import is_in_commutant, project_to_commutant
 from .dynamics import DynSys, minimal_interior_order, period_of
-from .errors import (
-    ForeignPoint,
-    NoConvergence,
-    NotInCommutant,
-    TruncationTooSmall,
-)
+from .errors import ForeignPoint, NotInCommutant, TruncationTooSmall
 from .numerics import NormEstimate, golden_max, grid_excess
 from .space import ATail, BTail, IntPoint, IntShiftSpace, FiniteSpace, Point
 
@@ -91,16 +90,8 @@ def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
                 f"{rep.x} has exact period {actual}, not {p}")
         if abs(abs(rep.lam) - 1.0) > UNIT_MODULUS_TOL:
             raise ValueError("wrap-around parameter must be unimodular")
-        orbit_vals = {}
-        mat = np.zeros((p, p), dtype=complex)
-        for k, f in x_elem.coeffs.items():
-            for n in range(p):
-                row = (n + k) % p
-                wrap = (n + k - row) // p
-                if row not in orbit_vals:
-                    orbit_vals[row] = sp.sigma_apply(rep.x, row)
-                mat[row, n] += f(orbit_vals[row]) * rep.lam ** wrap
-        return RepMatrix(mat, 0)
+        plan = _rep_entry_plan(sys, rep.x, p, x_elem)
+        return RepMatrix(_cyclic_matrices([plan], p, lambda w: rep.lam ** w)[0], 0)
     m = rep.radius
     if m < 1 or m < x_elem.degree:
         raise TruncationTooSmall(
@@ -126,38 +117,18 @@ def state_eval(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Spectral norm by power iteration
+# Spectral norms
 # ---------------------------------------------------------------------------
 
 
-def _start_vector(n: int) -> np.ndarray:
-    idx = np.arange(1, n + 1, dtype=float)
-    v = 1.0 / idx + 1j / (idx + 1.0)
-    return v / np.linalg.norm(v)
-
-
-def operator_norm(mat, tol: float = 1e-12, max_iter: int = 20000) -> float:
-    """Largest singular value via power iteration on the Gram matrix with
-    a deterministic start and a Rayleigh-quotient convergence test."""
+def operator_norm(mat) -> float:
+    """Largest singular value of one matrix (or :class:`RepMatrix`)."""
     if isinstance(mat, RepMatrix):
         mat = mat.matrix
     a = np.asarray(mat, dtype=complex)
     if a.size == 0:
         return 0.0
-    gram = a.conj().T @ a
-    v = _start_vector(gram.shape[0])
-    lam_old = None
-    for _ in range(max_iter):
-        w = gram @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w < 1e-300:
-            return 0.0
-        v = w / norm_w
-        lam = float(np.real(np.vdot(v, gram @ v)))
-        if lam_old is not None and abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
-            return math.sqrt(max(lam, 0.0))
-        lam_old = lam
-    raise NoConvergence("power iteration hit its iteration cap")
+    return float(_batched_norms(a[np.newaxis])[0])
 
 
 def _batched_norms(mats: np.ndarray) -> np.ndarray:
@@ -165,12 +136,9 @@ def _batched_norms(mats: np.ndarray) -> np.ndarray:
 
     Backed by LAPACK through numpy (a closed 2x2 formula loses half the
     mantissa to cancellation near degenerate singular values, which is
-    exactly the common case for the cyclic models).  The single-matrix
-    :func:`operator_norm` stays on power iteration and the two routes are
-    cross-checked in the tests.
+    exactly the common case for the cyclic models).
     """
-    n = mats.shape[-1]
-    if n == 1:
+    if mats.shape[-2:] == (1, 1):
         return np.abs(mats[:, 0, 0])
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
@@ -216,7 +184,7 @@ def default_truncation(sys: DynSys, x_elem: Element) -> int:
 
 def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
                radius: Optional[int] = None,
-               power_tol: float = 1e-13, refine: bool = True) -> NormEstimate:
+               refine: bool = True) -> NormEstimate:
     """Sup of representation norms over orbit representatives and the
     torus parameter.
 
@@ -229,22 +197,17 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     if not x_elem.coeffs:
         return NormEstimate(0.0, 0.0)
     h = grid.half_spacing
-    lam_grid = np.array(grid.samples, dtype=complex)
+    grid_powers = functools.lru_cache(maxsize=None)(grid.powers)
     value = 0.0
     upper = 0.0
-    best = None  # (grid max, point, period, best angle)
+    best = None  # (grid max, entry plan, period, best angle)
     by_period = {}
     for x, p in periodic_orbit_reps(sys):
         by_period.setdefault(p, []).append(x)
     for p, points in by_period.items():
         g = grid.resolution
-        pows = {}
-        mats = np.zeros((len(points), g, p, p), dtype=complex)
-        for i, x in enumerate(points):
-            for row, col, val, w in _rep_entry_plan(sys, x, p, x_elem):
-                if w not in pows:
-                    pows[w] = lam_grid ** w
-                mats[i, :, row, col] += val * pows[w]
+        plans = [_rep_entry_plan(sys, x, p, x_elem) for x in points]
+        mats = _cyclic_matrices(plans, p, grid_powers)
         norms = _batched_norms(mats.reshape(-1, p, p)).reshape(len(points), g)
         grid_max = float(np.max(norms))
         lip = sum(math.ceil(abs(k) / p) * f.sup_norm()
@@ -255,30 +218,30 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
         value = max(value, grid_max)
         if best is None or grid_max > best[0]:
             i, best_j = np.unravel_index(int(np.argmax(norms)), norms.shape)
-            best = (grid_max, points[i], p, 2 * math.pi * best_j / g)
+            best = (grid_max, plans[i], p, 2 * math.pi * best_j / g)
     if best is not None and refine:
-        _, x, p, angle = best
+        _, plan, p, angle = best
 
         def fn(t: float) -> float:
-            return operator_norm(
-                rep_matrix(sys, PeriodicRep(x, p, cmath.exp(1j * t)), x_elem),
-                tol=power_tol)
+            mats = _cyclic_matrices([plan], p, lambda w: cmath.exp(1j * t * w))
+            return operator_norm(mats[0])
 
         value = max(value, golden_max(fn, angle - 2 * h, angle + 2 * h,
                                       iters=40))
     loose = False
     for x in aperiodic_reps(sys):
         m = radius if radius is not None else default_truncation(sys, x_elem)
-        norm = operator_norm(rep_matrix(sys, TruncatedRep(x, m), x_elem),
-                             tol=power_tol)
+        norm = operator_norm(rep_matrix(sys, TruncatedRep(x, m), x_elem))
         value = max(value, norm)
         if x_elem.degree > 0:
             loose = True
         else:
             upper = max(upper, norm)
-    if loose:
-        upper = max(upper, x_elem.ell1_norm())
-    # headroom for the iterative norm evaluations themselves
+    # the series norm dominates the C*-norm: the certificate where the
+    # truncated models give lower bounds only, and a cap everywhere else
+    ell1 = x_elem.ell1_norm()
+    upper = ell1 if loose else min(upper, ell1)
+    # headroom for the rounding in the LAPACK norms and the torus phases
     slop = 1e-10 * (1.0 + value)
     return NormEstimate(value, max(0.0, upper - value) + slop)
 
@@ -295,6 +258,17 @@ def _rep_entry_plan(sys: DynSys, x: Point, p: int, x_elem: Element) -> List[tupl
             wrap = (n + k - row) // p
             out.append((row, n, f(orbit[row]), wrap))
     return out
+
+
+def _cyclic_matrices(plans: Sequence[List[tuple]], p: int, power) -> np.ndarray:
+    """Cyclic models from entry plans; ``power(w)`` is the torus parameter
+    to the w-th power, a scalar (one matrix per plan) or an array over
+    torus parameters (a stack per plan)."""
+    mats = np.zeros((len(plans),) + np.shape(power(0)) + (p, p), dtype=complex)
+    for i, plan in enumerate(plans):
+        for row, col, val, w in plan:
+            mats[i, ..., row, col] += val * power(w)
+    return mats
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ in a separate "limits" object; they default to zero.
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Mapping
 
@@ -97,11 +98,23 @@ def point_from_str(space: Space, s: str) -> Point:
 
 def _decode_complex(v) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, (list, tuple)) and len(v) == 2
+        z = complex(v)
+    elif (isinstance(v, (list, tuple)) and len(v) == 2
             and all(isinstance(t, (int, float)) for t in v)):
-        return complex(v[0], v[1])
-    raise ParseError(f"bad complex value {v!r}; use [re, im]")
+        z = complex(v[0], v[1])
+    else:
+        raise ParseError(f"bad complex value {v!r}; use [re, im]")
+    if not cmath.isfinite(z):
+        raise ParseError(f"non-finite value {v!r}")
+    return z
+
+
+def _term_map(term: Mapping, field: str) -> Mapping:
+    raw = term.get(field, {})
+    if not isinstance(raw, Mapping):
+        raise ParseError(f'"{field}" must map point names to values, '
+                         f"not {type(raw).__name__}")
+    return raw
 
 
 def _encode_complex(z: complex):
@@ -125,23 +138,24 @@ def element_to_json(x: Element) -> dict:
 
 
 def element_from_json(space: Space, doc: Mapping) -> Element:
-    if not isinstance(doc, Mapping) or "terms" not in doc:
+    terms = doc.get("terms") if isinstance(doc, Mapping) else None
+    if not isinstance(terms, (list, tuple)):
         raise ParseError('element description must be {"terms": [...]}')
     coeffs = {}
-    for term in doc["terms"]:
+    for term in terms:
         try:
             k = int(term["k"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad term index: {exc}") from exc
         values = {}
         limits = {name: 0.0 for name in space.limit_names}
-        for key, raw in term.get("values", {}).items():
+        for key, raw in _term_map(term, "values").items():
             z = _decode_complex(raw)
             if key in space.limit_names:
                 limits[key] = z
                 continue
             values[point_from_str(space, key)] = z
-        for key, raw in term.get("limits", {}).items():
+        for key, raw in _term_map(term, "limits").items():
             if key not in space.limit_names:
                 raise ParseError(f"unknown limit name {key!r}")
             limits[key] = _decode_complex(raw)

@@ -168,3 +168,46 @@ class TestCli:
         assert main(["describe", "--space", str(bad)]) == 2
         assert main(["norms", "--space", "swap2",
                      "--element", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("seed", [21, 25, 28, 29, 32, 1948836727])
+def test_verify_gns_on_int_shift(seed):
+    assert main(["verify", "gns", "--space", "int_shift8",
+                 "--seed", str(seed)]) == 0
+
+
+@pytest.mark.parametrize("space,k,points", [
+    ("swap2", 10 ** 8, ("a", "b")),
+    ("one_point", 10 ** 7, ("pt",)),
+])
+def test_norms_of_high_degree_monomial(space, k, points, tmp_path, capsys):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(
+        {"terms": [{"k": k, "values": {p: [1, 0] for p in points}}]}))
+    assert main(["norms", "--space", space, "--element", str(path),
+                 "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for norm in (doc["gelfand"], doc["cstar"]):
+        assert norm["value"] <= doc["ell1"] + 1e-12
+        assert norm["error_bound"] <= 1e-9
+
+
+@pytest.mark.parametrize("space,term,grid,message", [
+    ("one_point", {"k": 0, "values": {"pt": [1, 0]}}, 3, "--grid"),
+    ("one_point", {"k": 0, "values": [[1, 0]]}, 64, '"values"'),
+    ("int_shift8", {"k": 0, "values": {"0": [1, 0]}, "limits": [[1, 0]]}, 64,
+     '"limits"'),
+    ("one_point", {"k": 0, "values": {"pt": [float("nan"), 0]}}, 64,
+     "non-finite"),
+    ("one_point", {"k": 0, "values": {"pt": float("inf")}}, 64, "non-finite"),
+    ("one_point", {"k": 0, "values": {"pt": [0, float("-inf")]}}, 64,
+     "non-finite"),
+], ids=["grid-3", "values-list", "limits-list", "nan", "inf", "minus-inf"])
+def test_input_contract(space, term, grid, message, tmp_path, capsys):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"terms": [term]}))
+    assert main(["norms", "--space", space, "--element", str(path),
+                 "--grid", str(grid)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

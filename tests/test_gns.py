@@ -17,7 +17,7 @@ from dyncross.characters import (
     separating_family,
 )
 from dyncross.commutant import random_commutant_element
-from dyncross.errors import NoConvergence, TruncationTooSmall
+from dyncross.errors import TruncationTooSmall
 from dyncross.gns import (
     PeriodicRep,
     TruncatedRep,
@@ -161,10 +161,6 @@ class TestOperatorNorm:
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             want = float(np.linalg.svd(m, compute_uv=False)[0])
             assert operator_norm(m) == pytest.approx(want, rel=1e-9)
-
-    def test_iteration_cap(self):
-        with pytest.raises(NoConvergence):
-            operator_norm(np.diag([1.0, 0.999]), tol=0.0, max_iter=5)
 
 
 class TestCstarNorm:
