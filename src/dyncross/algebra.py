@@ -22,7 +22,7 @@ import random
 from typing import Dict, Mapping
 
 from .errors import SpaceMismatch, WindowOverflow
-from .space import CtsFun, IntShiftSpace, Space
+from .space import CtsFun, Space
 
 EPS_ZERO = 1e-14
 EPS_SUPP = 1e-12
@@ -140,13 +140,14 @@ def linear_combine(a: complex, x: Element, b: complex, y: Element) -> Element:
 def multiply(x: Element, y: Element) -> Element:
     """Twisted convolution product."""
     space = _check_same_space(x, y)
-    if isinstance(space, IntShiftSpace) and x.coeffs and y.coeffs:
+    window = space.room(0)
+    if window is not None and x.coeffs and y.coeffs:
         # fail up front: translating the right factor's exceptional data by
         # the left degree must stay inside the window
         need = x.degree + y.data_radius()
-        if need > space.window:
+        if need > window:
             raise WindowOverflow(
-                f"product needs data radius {need} > window {space.window}")
+                f"product needs data radius {need} > window {window}")
     out: Dict[int, CtsFun] = {}
     for k, f in x.coeffs.items():
         for m, g in y.coeffs.items():

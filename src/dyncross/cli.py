@@ -32,6 +32,7 @@ from .dynamics import (
     minimal_interior_order,
     per_set,
     period_of,
+    periodic_orbit_reps,
     projection_witness,
     reduced_indices,
 )
@@ -45,7 +46,6 @@ from .serialize import (
     point_to_str,
     space_from_spec,
 )
-from .space import FiniteSpace
 from .verify import SUITES, run_suites
 
 DEFAULT_SEED = 20260809
@@ -67,15 +67,17 @@ def _set_to_names(space, s) -> list:
 
 def _describe(sys: DynSys) -> dict:
     space = sys.space
+    spec = space.spec()
     doc = {
         "kind": space.kind,
         "lcm_period": sys.lcm_period,
-        "window": getattr(space, "window", None),
+        "window": spec.get("window"),
     }
-    if isinstance(space, FiniteSpace):
-        doc["points"] = list(space.labels)
-        doc["orbits"] = [[space.labels[i] for i in orbit]
-                         for orbit in space.orbits()]
+    if "points" in spec:  # a space that lists its points lists its orbits
+        doc["points"] = spec["points"]
+        doc["orbits"] = [[space.point_name(space.sigma_apply(x, j))
+                          for j in range(p)]
+                         for x, p in periodic_orbit_reps(sys)]
     idx = (0,) + reduced_indices(sys)
     doc["fix_sets"] = {str(k): _set_to_names(space, fix_set(sys, k)) for k in idx}
     doc["per_sets"] = {str(k): _set_to_names(space, per_set(sys, k))

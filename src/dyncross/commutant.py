@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .errors import ProjectionUnavailable
 from .sampling import random_ctsfun, random_value
-from .space import ATail, CtsFun, FiniteSpace, IntShiftSpace
+from .space import CtsFun
 
 
 def is_in_commutant(sys: DynSys, x: Element, eps: float = EPS_SUPP) -> bool:
@@ -54,28 +54,18 @@ def is_in_commutant(sys: DynSys, x: Element, eps: float = EPS_SUPP) -> bool:
 def _oracle_functions(sys: DynSys, degree: int, trials: int,
                       rng: random.Random) -> List[CtsFun]:
     """A separating family of continuous functions for the commutator
-    test.  On a finite space the constancy-class indicators span the whole
-    function algebra; on the tail backends, single-point bumps (kept far
-    enough inside the window for the commutators to be representable) plus
-    the constant separate all window-realized coefficient data."""
+    test: the constant, the indicator of every atom within ``room(degree)``
+    (so that the commutators stay representable), and ``trials`` random
+    functions.  On a finite space the atom indicators span the whole
+    function algebra; on the tail backends they and the constant separate
+    all window-realized coefficient data."""
     space = sys.space
+    room = space.room(degree)
     out = [CtsFun.constant(space, 1.0)]
-    if isinstance(space, FiniteSpace):
-        for cls in space.constancy_classes():
-            out.append(CtsFun.indicator(space, space.set_of(
-                space.window_points[i] for i in cls)))
-    elif isinstance(space, IntShiftSpace):
-        reach = space.window - degree
-        for p in space.window_points:
-            if abs(p.value) <= reach:
-                out.append(CtsFun.bump(space, p))
-    else:
-        out.extend(CtsFun.bump(space, p) for p in space.window_points)
-    radius = None
-    if isinstance(space, IntShiftSpace):
-        radius = max(0, space.window - degree)
-    for _ in range(trials):
-        out.append(random_ctsfun(space, rng, radius=radius))
+    out.extend(CtsFun.indicator(space, space.set_of(atom))
+               for atom in space.atoms(room))
+    radius = None if room is None else max(0, room)
+    out.extend(random_ctsfun(space, rng, radius=radius) for _ in range(trials))
     return out
 
 
@@ -133,8 +123,8 @@ def project_to_commutant(sys: DynSys, x: Element) -> Element:
 def commutant_basis(sys: DynSys, degree_bound: int,
                     data_radius: Optional[int] = None) -> List[Element]:
     """A spanning family g d^k with supp(g) inside the k-th fixed-point
-    set, |k| <= degree_bound, over a backend-specific function basis."""
-    space = sys.space
+    set, |k| <= degree_bound, over the functions of
+    :func:`_functions_supported_in`."""
     out: List[Element] = []
     for k in range(-degree_bound, degree_bound + 1):
         for g in _functions_supported_in(sys, k, data_radius):
@@ -144,33 +134,20 @@ def commutant_basis(sys: DynSys, degree_bound: int,
 
 def _functions_supported_in(sys: DynSys, k: int,
                             data_radius: Optional[int]) -> List[CtsFun]:
+    """The constant, when the k-th fixed-point set holds every tail and
+    limit point of a space that has them, then the indicators of the atoms
+    inside that set.  Where a tail is missing, continuity forces the limit
+    value of a function supported in the set to zero."""
     space = sys.space
     target = fix_set(sys, k)
-    if isinstance(space, FiniteSpace):
-        out = []
-        for cls in space.constancy_classes():
-            pts = [space.window_points[i] for i in cls]
-            if all(target.contains(p) for p in pts):
-                out.append(CtsFun.indicator(space, space.set_of(pts)))
-        return out
-    if isinstance(space, IntShiftSpace):
-        if k != 0:
-            # a continuous function supported in the single limit point
-            # must vanish everywhere
-            return []
-        r = space.window if data_radius is None else min(data_radius, space.window)
-        out = [CtsFun.constant(space, 1.0)]
-        out.extend(CtsFun.bump(space, p) for p in space.window_points
-                   if abs(p.value) <= r)
-        return out
-    if target == space.full_set():
-        out = [CtsFun.constant(space, 1.0)]
-        out.extend(CtsFun.bump(space, p) for p in space.window_points)
-        return out
-    # odd powers fix only the boundary point and the first ray; continuity
-    # forces the boundary value to zero, leaving the ray bumps
-    return [CtsFun.bump(space, p) for p in space.window_points
-            if isinstance(p, ATail)]
+    out = []
+    beyond = space.set_of(tails=space.tail_names, limits=space.limit_names)
+    if space.limit_names and beyond.is_subset(target):
+        out.append(CtsFun.constant(space, 1.0))
+    out.extend(CtsFun.indicator(space, space.set_of(atom))
+               for atom in space.atoms(data_radius)
+               if all(target.contains(p) for p in atom))
+    return out
 
 
 def random_commutant_element(sys: DynSys, rng: random.Random,
@@ -181,8 +158,9 @@ def random_commutant_element(sys: DynSys, rng: random.Random,
     On the integer-shift backend the default data radius leaves room for
     two subsequent products with elements of the same degree bound.
     """
-    if data_radius is None and isinstance(sys.space, IntShiftSpace):
-        data_radius = max(0, sys.space.window - 2 * degree_bound)
+    room = sys.space.room(2 * degree_bound)
+    if data_radius is None and room is not None:
+        data_radius = max(0, room)
     basis = commutant_basis(sys, degree_bound, data_radius)
     out = Element(sys.space, {})
     count = rng.randint(1, min(6, len(basis)))

@@ -13,19 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import List, Optional
 
 from .errors import ForeignPoint
-from .space import (
-    ATail,
-    BTail,
-    FiniteSpace,
-    IntShiftSpace,
-    PairSwapTailsSpace,
-    Point,
-    SetRep,
-    Space,
-)
+from .space import Point, SetRep, Space
 
 
 @dataclass(frozen=True)
@@ -40,17 +31,22 @@ class DynSys:
     lcm_period: Optional[int]
 
 
+def _walk(space: Space) -> list:
+    """Limit points, window points, then one probe per tail: between them
+    they realize every period of the space."""
+    return ([space.limit_point(n) for n in space.limit_names]
+            + list(space.window_points)
+            + [space.tail_probe(t) for t in space.tail_names])
+
+
 def make_dynsys(space: Space) -> DynSys:
-    if isinstance(space, FiniteSpace):
-        lcm = 1
-        for orbit in space.orbits():
-            lcm = math.lcm(lcm, len(orbit))
-        return DynSys(space, lcm)
-    if isinstance(space, PairSwapTailsSpace):
-        return DynSys(space, 2)
-    if isinstance(space, IntShiftSpace):
-        return DynSys(space, None)
-    raise TypeError(f"unsupported space {space!r}")
+    lcm = 1
+    for x in _walk(space):
+        p = space.period(x)
+        if p is None:
+            return DynSys(space, None)
+        lcm = math.lcm(lcm, p)
+    return DynSys(space, lcm)
 
 
 def divisors(n: int) -> tuple:
@@ -66,43 +62,41 @@ def reduced_indices(sys: DynSys) -> tuple:
 
 def period_of(sys: DynSys, x: Point) -> Optional[int]:
     """Exact period of a point, or None for an aperiodic point."""
-    sp = sys.space
-    if not sp.contains(x):
+    if not sys.space.contains(x):
         raise ForeignPoint(f"{x} not in this space")
-    if isinstance(sp, FiniteSpace):
-        p = 1
-        y = sp.sigma_apply(x)
-        while y != x:
-            y = sp.sigma_apply(y)
-            p += 1
-        return p
-    if isinstance(sp, IntShiftSpace):
-        return 1 if sp.limit_name_of(x) is not None else None
-    if isinstance(x, BTail):
-        return 2
-    return 1  # Origin and the fixed ray
+    return sys.space.period(x)
+
+
+def periodic_orbit_reps(sys: DynSys) -> List[tuple]:
+    """One (point, period) pair per periodic orbit with distinct function
+    data: the first point of each orbit met by the walk over limit points,
+    window points and tail probes.  On the tail backends the probes stand
+    for the beyond-window orbits, which realize the limit values."""
+    sp = sys.space
+    reps, seen = [], set()
+    for x in _walk(sp):
+        p = sp.period(x)
+        if p is not None and x not in seen:
+            seen.update(sp.sigma_apply(x, j) for j in range(p))
+            reps.append((x, p))
+    return reps
 
 
 @lru_cache(maxsize=None)
 def fix_set(sys: DynSys, k: int) -> SetRep:
-    """The set of points fixed by the k-th power of the homeomorphism."""
+    """The set of points fixed by the k-th power of the homeomorphism: the
+    window points, tails and limit points whose period divides k."""
     sp = sys.space
     if k == 0:
         return sp.full_set()
-    k = abs(k)
-    if sys.lcm_period is not None:
-        k = math.gcd(k, sys.lcm_period)
-    if isinstance(sp, FiniteSpace):
-        pts = [p for p in sp.window_points
-               if period_of(sys, p) is not None and k % period_of(sys, p) == 0]
-        return sp.set_of(pts)
-    if isinstance(sp, IntShiftSpace):
-        # the shift moves every integer; only the limit point is fixed
-        return sp.set_of([], [], ["inf"])
-    if k % 2 == 0:
-        return sp.full_set()
-    pts = [p for p in sp.window_points if isinstance(p, ATail)]
-    return sp.set_of(pts, ["a"], ["origin"])
+
+    def fixed(x: Point) -> bool:
+        p = sp.period(x)
+        return p is not None and k % p == 0
+
+    return sp.set_of(filter(fixed, sp.window_points),
+                     [t for t in sp.tail_names if fixed(sp.tail_probe(t))],
+                     [n for n in sp.limit_names if fixed(sp.limit_point(n))])
 
 
 @lru_cache(maxsize=None)

@@ -40,10 +40,15 @@ from .characters import (
     gelfand_norm,
 )
 from .commutant import is_in_commutant, project_to_commutant
-from .dynamics import DynSys, minimal_interior_order, period_of
+from .dynamics import (
+    DynSys,
+    minimal_interior_order,
+    period_of,
+    periodic_orbit_reps,
+)
 from .errors import ForeignPoint, NotInCommutant, TruncationTooSmall
 from .numerics import NormEstimate, golden_max, grid_excess
-from .space import ATail, BTail, IntPoint, IntShiftSpace, FiniteSpace, Point
+from .space import Point
 
 UNIT_MODULUS_TOL = 1e-12
 
@@ -148,33 +153,12 @@ def _batched_norms(mats: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def periodic_orbit_reps(sys: DynSys) -> List[tuple]:
-    """One (point, period) pair per periodic orbit with distinct function
-    data; the tail backends add one beyond-window representative whose
-    orbit realizes the limit values."""
-    sp = sys.space
-    if isinstance(sp, FiniteSpace):
-        return [(sp.window_points[orbit[0]], len(orbit)) for orbit in sp.orbits()]
-    if isinstance(sp, IntShiftSpace):
-        return [(sp.limit_point("inf"), 1)]
-    w = sp.window
-    reps = [(sp.limit_point("origin"), 1)]
-    reps.extend((ATail(n), 1) for n in range(1, w + 2))
-    reps.extend((BTail(n), 2) for n in range(1, w, 2))
-    reps.append((BTail(w + 1), 2))
-    return reps
-
-
 def aperiodic_reps(sys: DynSys) -> List[Point]:
-    if isinstance(sys.space, IntShiftSpace):
-        return [IntPoint(0)]
-    return []
+    return list(sys.space.aperiodic_reps())
 
 
 def default_truncation(sys: DynSys, x_elem: Element) -> int:
-    if isinstance(sys.space, IntShiftSpace):
-        return sys.space.window + x_elem.degree + 1
-    return max(1, x_elem.degree)
+    return sys.space.default_truncation(x_elem.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import random
 from typing import Optional
 
 from .algebra import Element
-from .space import CtsFun, FiniteSpace, IntShiftSpace, IntPoint, Space
+from .space import CtsFun, Space
 
 
 def random_value(rng: random.Random) -> complex:
@@ -26,34 +26,21 @@ def random_value(rng: random.Random) -> complex:
 
 def random_ctsfun(space: Space, rng: random.Random, *,
                   radius: Optional[int] = None, sparse: bool = False) -> CtsFun:
-    """A random continuous function.
+    """A random continuous function: one random value per atom of the
+    space within ``radius``, then one for the limit point.
 
-    Dense mode fills every eligible window point and the limit value;
-    sparse mode sets the limit to zero and populates a few points.  On a
-    finite space the function is random per constancy class.
+    Sparse mode, which applies only where a limit point exists, sets the
+    limit to zero and fills a few atoms.
     """
-    if isinstance(space, FiniteSpace):
-        values = {}
-        for cls in space.constancy_classes():
-            v = random_value(rng)
-            for i in cls:
-                values[space.window_points[i]] = v
-        return CtsFun(space, values)
-
-    if isinstance(space, IntShiftSpace):
-        r = space.window if radius is None else min(radius, space.window)
-        eligible = [IntPoint(v) for v in range(-r, r + 1)]
-    else:
-        eligible = list(space.window_points)
-
-    limit_name = space.limit_names[0]
+    atoms = space.atoms(radius)
+    sparse = sparse and bool(space.limit_names)
     if sparse:
-        count = rng.randint(1, max(1, len(eligible) // 3))
-        points = rng.sample(eligible, count)
-        values = {p: random_value(rng) for p in points}
-        return CtsFun(space, values, {limit_name: 0.0})
-    values = {p: random_value(rng) for p in eligible}
-    return CtsFun(space, values, {limit_name: random_value(rng)})
+        atoms = rng.sample(atoms, rng.randint(1, max(1, len(atoms) // 3)))
+    values = {}
+    for atom in atoms:
+        values.update(dict.fromkeys(atom, random_value(rng)))
+    limits = {n: 0.0 if sparse else random_value(rng) for n in space.limit_names}
+    return CtsFun(space, values, limits)
 
 
 def random_element(space: Space, rng: random.Random, degree_bound: int, *,
@@ -64,8 +51,9 @@ def random_element(space: Space, rng: random.Random, degree_bound: int, *,
     ``multiply_slack`` reserves room for that many subsequent products
     with elements of the same degree bound (integer-shift backend only).
     """
-    if radius is None and isinstance(space, IntShiftSpace):
-        radius = max(0, space.window - multiply_slack * degree_bound)
+    room = space.room(multiply_slack * degree_bound)
+    if radius is None and room is not None:
+        radius = max(0, room)
     ks = list(range(-degree_bound, degree_bound + 1))
     chosen = [k for k in ks if rng.random() < 0.6]
     if not chosen:

@@ -27,33 +27,11 @@ from typing import Mapping
 
 from .algebra import Element
 from .errors import ParseError
-from .space import (
-    ATail,
-    BTail,
-    CtsFun,
-    FiniteSpace,
-    IntPoint,
-    IntShiftSpace,
-    Point,
-    Space,
-    build_space,
-    point_key,
-)
+from .space import CtsFun, Point, Space, build_space, json_int, point_key
 
 
 def space_to_spec(space: Space) -> dict:
-    if isinstance(space, FiniteSpace):
-        return {
-            "kind": "finite",
-            "points": list(space.labels),
-            "min_open_nbhd": {
-                space.labels[i]: sorted(space.labels[j] for j in space.nbhd[i])
-                for i in range(len(space.labels))
-            },
-            "sigma": {space.labels[i]: space.labels[space.perm[i]]
-                      for i in range(len(space.labels))},
-        }
-    return {"kind": space.kind, "window": space.window}
+    return space.spec()
 
 
 def space_from_spec(spec: Mapping) -> Space:
@@ -64,36 +42,14 @@ def space_from_spec(spec: Mapping) -> Space:
 
 
 def point_to_str(space: Space, p: Point) -> str:
-    if isinstance(space, FiniteSpace):
-        return space.label(p)
-    if isinstance(p, IntPoint):
-        return str(p.value)
-    if isinstance(p, ATail):
-        return f"a{p.n}"
-    if isinstance(p, BTail):
-        return f"b{p.n}"
-    if space.limit_name_of(p) is not None:
-        return space.limit_name_of(p)
-    raise ParseError(f"cannot encode point {p!r}")
+    return space.point_name(p)
 
 
 def point_from_str(space: Space, s: str) -> Point:
     try:
-        if isinstance(space, FiniteSpace):
-            return space.point(s)
-        if isinstance(space, IntShiftSpace):
-            if s == "inf":
-                return space.limit_point("inf")
-            return IntPoint(int(s))
-        if s == "origin":
-            return space.limit_point("origin")
-        if s and s[0] == "a":
-            return ATail(int(s[1:]))
-        if s and s[0] == "b":
-            return BTail(int(s[1:]))
-    except (ValueError, KeyError) as exc:
+        return space.parse_point(s)
+    except ValueError as exc:
         raise ParseError(f"bad point name {s!r}: {exc}") from exc
-    raise ParseError(f"bad point name {s!r}")
 
 
 def _decode_complex(v) -> complex:
@@ -144,7 +100,7 @@ def element_from_json(space: Space, doc: Mapping) -> Element:
     coeffs = {}
     for term in terms:
         try:
-            k = int(term["k"])
+            k = json_int(term["k"], "k")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad term index: {exc}") from exc
         values = {}
@@ -159,11 +115,9 @@ def element_from_json(space: Space, doc: Mapping) -> Element:
             if key not in space.limit_names:
                 raise ParseError(f"unknown limit name {key!r}")
             limits[key] = _decode_complex(raw)
-        if isinstance(space, FiniteSpace):
-            full = {p: values.get(p, 0.0) for p in space.window_points}
-            coeffs[k] = CtsFun(space, full)
-        else:
-            coeffs[k] = CtsFun(space, values, limits)
+        # a point left out reads its limit's value, or 0 where no limit is
+        fill = {} if space.limit_names else dict.fromkeys(space.window_points, 0.0)
+        coeffs[k] = CtsFun(space, {**fill, **values}, limits)
     return Element(space, coeffs)
 
 

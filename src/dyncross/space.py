@@ -20,6 +20,19 @@ Sets (``SetRep``) and functions (``CtsFun``) are window-representable:
 finitely many explicit values plus tail/limit flags.  All topology
 operations are exact within this class; scalars are complex doubles but
 the set calculus itself involves no floating point.
+
+This module is the only place that knows the backends apart.  The rest
+of the package reaches them through one protocol: the point structure
+(``window_points``, ``tail_names``/``tail_probe``/``tail_of``,
+``limit_names``/``limit_point``/``limit_name_of``, ``contains``), the
+dynamics (``sigma_apply``, ``sigma_set`` and ``period``, where every point
+of a tail shares the period of its probe), the topology (``interior``,
+``closure``, ``is_continuous``), the free data of a continuous function
+(``atoms``), the room an operand leaves inside the window (``room``), the
+aperiodic orbit representatives with their model radius
+(``aperiodic_reps``, ``default_truncation``), and the JSON spelling
+(``point_name``, ``parse_point``, ``spec``, read back by
+:func:`build_space`).
 """
 
 from __future__ import annotations
@@ -229,7 +242,40 @@ class _SpaceOps:
         return None
 
     def tail_limit_name(self, tail: str) -> str:
-        raise ForeignPoint(f"no tail {tail!r}")
+        """The limit point a tail accumulates at (the tail backends have
+        exactly one)."""
+        if tail not in self.tail_names:
+            raise ForeignPoint(f"unknown tail {tail!r}")
+        return self.limit_names[0]
+
+    def interior(self, s: SetRep) -> SetRep:
+        # Window and tail points are isolated; the limit point is interior
+        # only when the set contains every tail entirely.
+        limits = s.limits if s.tails == frozenset(self.tail_names) else frozenset()
+        return SetRep(self, s.members, s.tails, limits)
+
+    def atoms(self, radius: Optional[int] = None) -> list:
+        """Groups of window points on which a continuous function takes one
+        free value each; ``radius`` bounds the data radius where the space
+        has one (see :meth:`room`)."""
+        return [(p,) for p in self.window_points]
+
+    def room(self, margin: int) -> Optional[int]:
+        """The data radius that leaves room for ``margin`` translations, or
+        None where the homeomorphism keeps the window invariant."""
+        return None
+
+    def aperiodic_reps(self) -> tuple:
+        """One point per class of aperiodic orbits with distinct data."""
+        return ()
+
+    def default_truncation(self, degree: int) -> int:
+        """Shift-model radius for an element of the given degree."""
+        return max(1, degree)
+
+    def spec(self) -> dict:
+        """The JSON description that :func:`build_space` reads back."""
+        return {"kind": self.kind, "window": self.window}
 
     def representative_points(self) -> tuple:
         """Window points plus limit points; every representable function is
@@ -277,6 +323,17 @@ class FiniteSpace(_SpaceOps):
             if image != self.nbhd[self.perm[i]]:
                 raise NotHomeomorphism(
                     f"sigma does not map U({self.labels[i]}) onto U(sigma(x))")
+        # orbit table: each index's cycle, in sigma order, and its place in it
+        place = [None] * n
+        for i in range(n):
+            if place[i] is None:
+                cycle = [i]
+                while self.perm[cycle[-1]] != i:
+                    cycle.append(self.perm[cycle[-1]])
+                cycle = tuple(cycle)
+                for pos, j in enumerate(cycle):
+                    place[j] = (cycle, pos)
+        object.__setattr__(self, "_place", tuple(place))
 
     # -- points --
 
@@ -293,6 +350,19 @@ class FiniteSpace(_SpaceOps):
     def label(self, p: FinitePoint) -> str:
         return self.labels[p.index]
 
+    point_name = label
+    parse_point = point
+
+    def spec(self) -> dict:
+        labels = self.labels
+        return {
+            "kind": "finite",
+            "points": list(labels),
+            "min_open_nbhd": {labels[i]: sorted(labels[j] for j in u)
+                              for i, u in enumerate(self.nbhd)},
+            "sigma": {labels[i]: labels[j] for i, j in enumerate(self.perm)},
+        }
+
     def limit_point(self, name):
         raise ForeignPoint("finite spaces have no limit points")
 
@@ -304,20 +374,11 @@ class FiniteSpace(_SpaceOps):
     def sigma_apply(self, p: Point, m: int = 1) -> Point:
         if not self.contains(p):
             raise ForeignPoint(f"{p} not in this space")
-        i = p.index
-        if m == 0:
-            return p
-        # reduce modulo the orbit length of the point
-        length = 1
-        j = self.perm[i]
-        while j != i:
-            j = self.perm[j]
-            length += 1
-        steps = m % length
-        j = i
-        for _ in range(steps):
-            j = self.perm[j]
-        return FinitePoint(j)
+        cycle, pos = self._place[p.index]
+        return FinitePoint(cycle[(pos + m) % len(cycle)])
+
+    def period(self, p: FinitePoint) -> int:
+        return len(self._place[p.index][0])
 
     def is_hausdorff(self) -> bool:
         """A finite space is Hausdorff exactly when it is discrete."""
@@ -325,20 +386,7 @@ class FiniteSpace(_SpaceOps):
 
     def orbits(self):
         """Cycle decomposition of the permutation, as lists of indices."""
-        seen = [False] * len(self.labels)
-        out = []
-        for i in range(len(self.labels)):
-            if seen[i]:
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.perm[i]
-            while j != i:
-                cyc.append(j)
-                seen[j] = True
-                j = self.perm[j]
-            out.append(cyc)
-        return out
+        return [list(cycle) for cycle, pos in self._place if pos == 0]
 
     # -- topology --
 
@@ -368,6 +416,10 @@ class FiniteSpace(_SpaceOps):
         for i in range(n):
             classes.setdefault(find(i), []).append(i)
         return [frozenset(v) for _, v in sorted(classes.items())]
+
+    def atoms(self, radius: Optional[int] = None) -> list:
+        return [tuple(FinitePoint(i) for i in cls)
+                for cls in self.constancy_classes()]
 
     def is_continuous(self, values: Mapping[Point, complex],
                       limits: Mapping[str, complex] = {}) -> bool:
@@ -427,11 +479,6 @@ class IntShiftSpace(_SpaceOps):
             return IntPoint(-self.window - 1)
         raise ForeignPoint(f"unknown tail {tail!r}")
 
-    def tail_limit_name(self, tail: str) -> str:
-        if tail in ("pos", "neg"):
-            return "inf"
-        raise ForeignPoint(f"unknown tail {tail!r}")
-
     def sigma_apply(self, p: Point, m: int = 1) -> Point:
         if isinstance(p, Infinity):
             return p
@@ -439,11 +486,27 @@ class IntShiftSpace(_SpaceOps):
             return IntPoint(p.value + m)
         raise ForeignPoint(f"{p} not in this space")
 
-    def interior(self, s: SetRep) -> SetRep:
-        # Integers are isolated.  The limit point is interior only when the
-        # set contains a cofinite neighbourhood, i.e. both tails entirely.
-        limits = s.limits if s.tails == frozenset(self.tail_names) else frozenset()
-        return SetRep(self, s.members, s.tails, limits)
+    def period(self, p: Point) -> Optional[int]:
+        return 1 if isinstance(p, Infinity) else None
+
+    def point_name(self, p: Point) -> str:
+        return "inf" if isinstance(p, Infinity) else str(p.value)
+
+    def parse_point(self, name: str) -> Point:
+        return INFINITY if name == "inf" else IntPoint(int(name))
+
+    def atoms(self, radius: Optional[int] = None) -> list:
+        r = self.window if radius is None else radius
+        return [(p,) for p in self.window_points if abs(p.value) <= r]
+
+    def room(self, margin: int) -> int:
+        return self.window - margin
+
+    def aperiodic_reps(self) -> tuple:
+        return (IntPoint(0),)
+
+    def default_truncation(self, degree: int) -> int:
+        return self.window + degree + 1
 
     def sigma_set(self, s: SetRep, m: int = 1) -> SetRep:
         """Exact image under the m-th shift power.
@@ -529,11 +592,6 @@ class PairSwapTailsSpace(_SpaceOps):
             return BTail(self.window + 1)
         raise ForeignPoint(f"unknown tail {tail!r}")
 
-    def tail_limit_name(self, tail: str) -> str:
-        if tail in ("a", "b"):
-            return "origin"
-        raise ForeignPoint(f"unknown tail {tail!r}")
-
     def sigma_apply(self, p: Point, m: int = 1) -> Point:
         if isinstance(p, (Origin, ATail)):
             if not self.contains(p):
@@ -546,11 +604,21 @@ class PairSwapTailsSpace(_SpaceOps):
             return BTail(partner)
         raise ForeignPoint(f"{p} not in this space")
 
-    def interior(self, s: SetRep) -> SetRep:
-        # Ray points are isolated; the boundary point is interior only when
-        # both rays are contained cofinally.
-        limits = s.limits if s.tails == frozenset(self.tail_names) else frozenset()
-        return SetRep(self, s.members, s.tails, limits)
+    def period(self, p: Point) -> int:
+        return 2 if isinstance(p, BTail) else 1
+
+    def point_name(self, p: Point) -> str:
+        if isinstance(p, Origin):
+            return "origin"
+        return f"{'a' if isinstance(p, ATail) else 'b'}{p.n}"
+
+    def parse_point(self, name: str) -> Point:
+        if name == "origin":
+            return ORIGIN
+        ray = {"a": ATail, "b": BTail}.get(name[:1])
+        if ray is None:
+            raise ValueError("expected a<n>, b<n> or origin")
+        return ray(int(name[1:]))
 
     def is_continuous(self, values: Mapping[Point, complex],
                       limits: Mapping[str, complex] = {}) -> bool:
@@ -588,10 +656,20 @@ def build_space(spec: Mapping) -> Space:
     if kind == "finite":
         return finite_space(spec["points"], spec["min_open_nbhd"], spec["sigma"])
     if kind == "int_shift":
-        return IntShiftSpace(int(spec["window"]))
+        return IntShiftSpace(json_int(spec["window"], "window"))
     if kind == "pair_swap_tails":
-        return PairSwapTailsSpace(int(spec["window"]))
+        return PairSwapTailsSpace(json_int(spec["window"], "window"))
     raise InvalidTopology(f"unknown space kind {kind!r}")
+
+
+def json_int(value, field: str) -> int:
+    """A JSON integer field; an integral float such as 2.0 is accepted, a
+    fraction, a boolean or a string is a ValueError."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f'"{field}" must be an integer, not {value!r}')
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +701,9 @@ class CtsFun:
                 raise NotContinuous(
                     f"assignment is not a continuous function on {space.kind}")
         if space.limit_names:
-            # prune exceptional entries that agree exactly with their limit
-            values = {p: v for p, v in values.items()
-                      if v != limits[_window_limit_name(space, p)]}
+            # prune exceptional entries that agree exactly with the limit
+            limit = limits[space.limit_names[0]]
+            values = {p: v for p, v in values.items() if v != limit}
         self.space = space
         self.values = values
         self.limits = limits
@@ -685,7 +763,7 @@ class CtsFun:
             return self.limits[sp.tail_limit_name(tail)]
         if not sp.contains(p):
             raise ForeignPoint(f"{p} not in this space")
-        return self.values.get(p, self.limits[_window_limit_name(sp, p)])
+        return self.values.get(p, self.limits[sp.limit_names[0]])
 
     def sup_norm(self) -> float:
         vals = [abs(v) for v in self.values.values()]
@@ -744,10 +822,7 @@ class CtsFun:
             return CtsFun(sp, vals, {}, _checked=True)
         vals = {}
         for p, v in self.values.items():
-            if isinstance(sp, IntShiftSpace):
-                q = IntPoint(p.value - m)
-            else:
-                q = sp.sigma_apply(p, -m)
+            q = sp.sigma_apply(p, -m)
             if sp.tail_of(q) is not None:
                 raise WindowOverflow(
                     f"composing with sigma^{m} pushes data at {p} outside the window")
@@ -776,17 +851,3 @@ class CtsFun:
         shown = {repr(p): v for p, v in
                  sorted(self.values.items(), key=lambda kv: point_key(kv[0]))}
         return f"CtsFun({self.space.kind}, {shown}, limits={self.limits})"
-
-
-def _window_limit_name(space: Space, p: Point) -> str:
-    """Limit-point name governing a window point's default value."""
-    if isinstance(space, IntShiftSpace):
-        return "inf"
-    return "origin"
-
-
-def is_continuous(space: Space, values: Mapping[Point, complex],
-                  limits: Mapping[str, complex] = {}) -> bool:
-    """Constructor gate for :class:`CtsFun`: does the raw assignment define
-    a continuous function?"""
-    return space.is_continuous(values, limits)

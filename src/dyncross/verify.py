@@ -60,7 +60,7 @@ from .dynamics import (
 )
 from .errors import ProjectionUnavailable
 from .sampling import random_ctsfun, random_element
-from .space import CtsFun, IntShiftSpace
+from .space import CtsFun
 
 
 @dataclass
@@ -136,10 +136,7 @@ def algebra_suite(sys: DynSys, seed: int = 0, trials: int = 40) -> List[CheckRec
     dev_l = dev_r = 0.0
     for _ in range(trials // 2 or 1):
         x = _elements(sys, rng, 1, 2, slack=2)[0]
-        radius = None
-        if isinstance(sys.space, IntShiftSpace):
-            radius = sys.space.window - x.degree
-        g = random_ctsfun(sys.space, rng, radius=radius)
+        g = random_ctsfun(sys.space, rng, radius=sys.space.room(x.degree))
         ge = embed(g)
         for k in x.support():
             left = coefficient(ge * x, k)

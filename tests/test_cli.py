@@ -202,7 +202,11 @@ def test_norms_of_high_degree_monomial(space, k, points, tmp_path, capsys):
     ("one_point", {"k": 0, "values": {"pt": float("inf")}}, 64, "non-finite"),
     ("one_point", {"k": 0, "values": {"pt": [0, float("-inf")]}}, 64,
      "non-finite"),
-], ids=["grid-3", "values-list", "limits-list", "nan", "inf", "minus-inf"])
+    ("one_point", {"k": 1.7, "values": {"pt": [1, 0]}}, 64, '"k"'),
+    ("one_point", {"k": True, "values": {"pt": [1, 0]}}, 64, '"k"'),
+    ("one_point", {"k": "2", "values": {"pt": [1, 0]}}, 64, '"k"'),
+], ids=["grid-3", "values-list", "limits-list", "nan", "inf", "minus-inf",
+        "k-fraction", "k-bool", "k-string"])
 def test_input_contract(space, term, grid, message, tmp_path, capsys):
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"terms": [term]}))
@@ -211,3 +215,23 @@ def test_input_contract(space, term, grid, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_integral_float_index_is_accepted(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"terms": [{"k": 2.0, "values": {"pt": [1, 0]}}]}))
+    assert main(["norms", "--space", "one_point", "--element", str(path),
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ell1"] == 1.0
+
+
+@pytest.mark.parametrize("kind", ["int_shift", "pair_swap_tails"])
+@pytest.mark.parametrize("window", [8.9, True, "8"],
+                         ids=["fraction", "bool", "string"])
+def test_window_must_be_an_integer(kind, window, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"kind": kind, "window": window}))
+    assert main(["describe", "--space", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert '"window"' in err

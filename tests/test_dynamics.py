@@ -11,6 +11,7 @@ from dyncross.dynamics import (
     fix_set,
     freeness_report,
     interior_closure_report,
+    make_dynsys,
     minimal_interior_order,
     per_set,
     period_of,
@@ -18,7 +19,7 @@ from dyncross.dynamics import (
     projection_witness,
     reduced_indices,
 )
-from dyncross.space import ATail, BTail, INFINITY, IntPoint, ORIGIN
+from dyncross.space import ATail, BTail, INFINITY, IntPoint, ORIGIN, finite_space
 
 
 def a_ray(sp, with_origin=False, cofinal=True):
@@ -94,6 +95,24 @@ class TestPerSets:
         assert period_of(tails8, BTail(2)) == 2
         assert period_of(int_shift8, INFINITY) == 1
         assert period_of(int_shift8, IntPoint(4)) is None
+
+        # cycles of lengths 1, 2, 3, 5 and 7, against a walk along sigma
+        labels = [f"x{i}" for i in range(18)]
+        sigma, start = {}, 0
+        for n in (1, 2, 3, 5, 7):
+            for j in range(n):
+                sigma[labels[start + j]] = labels[start + (j + 1) % n]
+            start += n
+        cycles = make_dynsys(finite_space(labels, {x: [x] for x in labels}, sigma))
+        sp = cycles.space
+        for x in labels:
+            orbit = [x]
+            while sigma[orbit[-1]] != x:
+                orbit.append(sigma[orbit[-1]])
+            assert period_of(cycles, sp.point(x)) == len(orbit)
+            for m in (10 ** 15, -10 ** 15, 10 ** 15 + 1, -10 ** 15 - 1):
+                assert sp.sigma_apply(sp.point(x), m) == sp.point(
+                    orbit[m % len(orbit)])
 
 
 class TestMinimalInteriorOrder:

@@ -8,10 +8,13 @@ oracle applies.
 """
 
 import itertools
+import pathlib
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from dyncross import space as space_module
 from dyncross.errors import (
     BadWindow,
     ForeignPoint,
@@ -451,3 +454,28 @@ class TestSetRep:
         assert s.intersect(t).is_subset(s)
         assert s.complement().complement() == s
         assert s.union(s.complement()) == sp.full_set()
+
+
+# ---------------------------------------------------------------------------
+# the backend boundary
+# ---------------------------------------------------------------------------
+
+BACKEND_CLASSES = ("FiniteSpace", "IntShiftSpace", "PairSwapTailsSpace",
+                   "FinitePoint", "IntPoint", "Infinity", "ATail", "BTail",
+                   "Origin")
+BACKEND_BRANCH = re.compile(
+    r"isinstance\([^)]*\b(" + "|".join(BACKEND_CLASSES) + r")\b|\.window\b")
+
+
+def test_backends_differ_only_in_space_module():
+    """Outside ``space.py`` no module tests a backend or point class or
+    reads a window radius; constructing a backend stays allowed."""
+    package = pathlib.Path(space_module.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "space.py":
+            continue
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if BACKEND_BRANCH.search(line):
+                found.append(f"{path.name}:{number}: {line.strip()}")
+    assert not found, "backend dispatch outside space.py:\n" + "\n".join(found)
