@@ -88,9 +88,6 @@ class Element:
     def ell1_norm(self) -> float:
         return sum(f.sup_norm() for f in self.coeffs.values())
 
-    def cesaro(self, n_terms: int) -> "Element":
-        return cesaro_mean(self, n_terms)
-
     def __repr__(self):
         return f"Element({self.space.kind}, support={self.support()})"
 
@@ -161,10 +158,6 @@ def adjoint(x: Element) -> Element:
     return x.adjoint()
 
 
-def ell1_norm(x: Element) -> float:
-    return x.ell1_norm()
-
-
 def coefficient(x: Element, k: int) -> CtsFun:
     """The k-th coefficient; k = 0 is the canonical expectation onto the
     function algebra."""
@@ -180,12 +173,6 @@ def cesaro_mean(x: Element, n_terms: int) -> Element:
         if abs(k) <= n_terms:
             out[k] = f.scale(1.0 - abs(k) / (n_terms + 1))
     return Element(x.space, out)
-
-
-def evaluate_state(x: Element, point) -> complex:
-    """The norm-one positive form reading off the zero coefficient at a
-    point."""
-    return x.coefficient(0)(point)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ from .numerics import NormEstimate, golden_max, grid_excess
 from .space import Point
 
 UNIT_MODULUS_TOL = 1e-12
+# matrix entries (16 bytes each) of one batch of cyclic models in cstar_norm
+BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,17 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     by_period = {}
     for x, p in periodic_orbit_reps(sys):
         by_period.setdefault(p, []).append(x)
+    g = grid.resolution
     for p, points in by_period.items():
-        g = grid.resolution
         plans = [_rep_entry_plan(sys, x, p, x_elem) for x in points]
-        mats = _cyclic_matrices(plans, p, grid_powers)
-        norms = _batched_norms(mats.reshape(-1, p, p)).reshape(len(points), g)
+        # the models of one period, a slice of torus parameters at a time
+        step = max(1, BATCH_ENTRIES // (len(points) * p * p))
+        chunks = []
+        for lo in range(0, g, step):
+            mats = _cyclic_matrices(plans, p, lambda w: grid_powers(w)[lo:lo + step])
+            chunks.append(_batched_norms(mats.reshape(-1, p, p))
+                          .reshape(len(points), -1))
+        norms = np.concatenate(chunks, axis=1)
         grid_max = float(np.max(norms))
         lip = sum(math.ceil(abs(k) / p) * f.sup_norm()
                   for k, f in x_elem.coeffs.items())
@@ -288,6 +296,8 @@ def restriction_report(sys: DynSys, x: Point, lams: Sequence[complex],
     * periodic point outside every such interior: every lam-state
       restricts to the point character.
     """
+    if not all(is_in_commutant(sys, e) for e in elems):
+        raise NotInCommutant("characters are defined on the commutant only")
     p = period_of(sys, x)
     n = minimal_interior_order(sys, x)
     dev = 0.0
@@ -295,7 +305,7 @@ def restriction_report(sys: DynSys, x: Point, lams: Sequence[complex],
         case = "aperiodic"
         for e in elems:
             got = state_eval(sys, TruncatedRep(x, max(1, e.degree)), e)
-            want = eval_character(sys, PointCharacter(x), e)
+            want = eval_character(sys, PointCharacter(x), e, check=False)
             dev = max(dev, abs(got - want))
     elif n is not None:
         case = "periodic-interior"
@@ -303,14 +313,15 @@ def restriction_report(sys: DynSys, x: Point, lams: Sequence[complex],
         for lam in lams:
             for e in elems:
                 got = state_eval(sys, PeriodicRep(x, p, lam), e)
-                want = eval_character(sys, TorusCharacter(x, n, lam ** ratio), e)
+                want = eval_character(sys, TorusCharacter(x, n, lam ** ratio), e,
+                                      check=False)
                 dev = max(dev, abs(got - want))
     else:
         case = "periodic-boundary"
         for lam in lams:
             for e in elems:
                 got = state_eval(sys, PeriodicRep(x, p, lam), e)
-                want = eval_character(sys, PointCharacter(x), e)
+                want = eval_character(sys, PointCharacter(x), e, check=False)
                 dev = max(dev, abs(got - want))
     return RestrictionReport(x, case, p, n, dev)
 

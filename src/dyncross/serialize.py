@@ -35,6 +35,9 @@ def space_to_spec(space: Space) -> dict:
 
 
 def space_from_spec(spec: Mapping) -> Space:
+    if not isinstance(spec, Mapping):
+        raise ParseError("malformed space description: expected a JSON object, "
+                         f"not {type(spec).__name__}")
     try:
         return build_space(spec)
     except (KeyError, TypeError, ValueError) as exc:
@@ -53,13 +56,14 @@ def point_from_str(space: Space, s: str) -> Point:
 
 
 def _decode_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        z = complex(v)
-    elif (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(t, (int, float)) for t in v)):
-        z = complex(v[0], v[1])
-    else:
+    parts = v if isinstance(v, (list, tuple)) else (v, 0)
+    if len(parts) != 2 or not all(isinstance(t, (int, float))
+                                  and not isinstance(t, bool) for t in parts):
         raise ParseError(f"bad complex value {v!r}; use [re, im]")
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        raise ParseError("complex value out of the floating-point range") from None
     if not cmath.isfinite(z):
         raise ParseError(f"non-finite value {v!r}")
     return z
@@ -103,6 +107,8 @@ def element_from_json(space: Space, doc: Mapping) -> Element:
             k = json_int(term["k"], "k")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad term index: {exc}") from exc
+        if k in coeffs:
+            raise ParseError(f'bad term index: "k" = {k} appears twice')
         values = {}
         limits = {name: 0.0 for name in space.limit_names}
         for key, raw in _term_map(term, "values").items():

@@ -654,7 +654,12 @@ def build_space(spec: Mapping) -> Space:
     """Build and validate a space from its JSON-level description."""
     kind = spec.get("kind")
     if kind == "finite":
-        return finite_space(spec["points"], spec["min_open_nbhd"], spec["sigma"])
+        points, nbhd, sigma = spec["points"], spec["min_open_nbhd"], spec["sigma"]
+        if not (isinstance(points, list) and all(isinstance(p, str) for p in points)):
+            raise ValueError('"points" must be a list of label strings')
+        if not (isinstance(nbhd, Mapping) and isinstance(sigma, Mapping)):
+            raise ValueError('"min_open_nbhd" and "sigma" must be objects')
+        return finite_space(points, nbhd, sigma)
     if kind == "int_shift":
         return IntShiftSpace(json_int(spec["window"], "window"))
     if kind == "pair_swap_tails":
@@ -664,11 +669,15 @@ def build_space(spec: Mapping) -> Space:
 
 def json_int(value, field: str) -> int:
     """A JSON integer field; an integral float such as 2.0 is accepted, a
-    fraction, a boolean or a string is a ValueError."""
+    fraction, a boolean or a string is a ValueError, and so is a magnitude
+    above 2**53, beyond which floating-point arithmetic on the integer is
+    no longer exact."""
     if isinstance(value, bool) or not (
             isinstance(value, int)
             or isinstance(value, float) and value.is_integer()):
         raise ValueError(f'"{field}" must be an integer, not {value!r}')
+    if abs(value) > 2 ** 53:
+        raise ValueError(f'"{field}" must be at most 2**53 in magnitude')
     return int(value)
 
 
@@ -740,11 +749,6 @@ class CtsFun:
         values = {p: (1.0 if s.contains(p) else 0.0) for p in space.window_points}
         return cls(space, values, limits)
 
-    @classmethod
-    def bump(cls, space: Space, p: Point) -> "CtsFun":
-        """Indicator of a single point (the point must be isolated)."""
-        return cls.indicator(space, space.set_of([p]))
-
     # -- evaluation --
 
     def __call__(self, p: Point) -> complex:
@@ -786,8 +790,11 @@ class CtsFun:
             vals = {p: op(self.values[p], other.values[p]) for p in sp.window_points}
             return CtsFun(sp, vals, {}, _checked=True)
         limits = {n: op(self.limits[n], other.limits[n]) for n in sp.limit_names}
-        keys = set(self.values) | set(other.values)
-        vals = {p: op(self(p), other(p)) for p in keys}
+        # the data sits at window points; elsewhere each side reads its limit
+        limit = sp.limit_names[0]
+        a0, b0 = self.limits[limit], other.limits[limit]
+        vals = {p: op(self.values.get(p, a0), other.values.get(p, b0))
+                for p in set(self.values) | set(other.values)}
         return CtsFun(sp, vals, limits, _checked=True)
 
     def add(self, other: "CtsFun") -> "CtsFun":
@@ -842,10 +849,6 @@ class CtsFun:
                  if abs(self.limits[sp.tail_limit_name(t)]) > eps]
         limits = [n for n in sp.limit_names if abs(self.limits[n]) > eps]
         return sp.closure(sp.set_of(members, tails, limits))
-
-    def is_close(self, other: "CtsFun", tol: float) -> bool:
-        diff = self._merge(other, lambda a, b: a - b)
-        return diff.sup_norm() <= tol
 
     def __repr__(self):
         shown = {repr(p): v for p, v in

@@ -1,384 +1,183 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Every criterion runs on the bundled fixtures at the stated sample counts
-and tolerances.  Run with ``pytest tests/test_acceptance.py -v -s`` to see
-the per-criterion lines as they complete.
+Every criterion runs the statement function of ``dyncross.verify`` on the
+bundled fixtures at the gate's own seeds, sample counts and tolerances,
+and asserts on the records it returns.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines
+as they complete.
 """
 
 import random
 
-from dyncross.algebra import (
-    cesaro_mean,
-    coefficient,
-    delta,
-    embed,
-    identity,
-    random_positive_element,
-)
-from dyncross.characters import (
-    CircleGrid,
-    TorusCharacter,
-    character_grid,
-    circle_character,
-    classify_point,
-    eval_character,
-    eval_on_circle,
-    reconstruction_sup,
-    separating_family,
-)
-from dyncross.commutant import (
-    _functions_supported_in,
-    commutes_oracle,
-    indicator_family,
-    is_in_commutant,
-    project_to_commutant,
-    random_commutant_element,
-)
-from dyncross.dynamics import minimal_interior_order, projection_witness
-from dyncross.errors import ProjectionUnavailable
+from dyncross import verify
+from dyncross.characters import CircleGrid
+from dyncross.dynamics import freeness_report
 from dyncross.fixtures import all_fixtures, fixture
-from dyncross.gns import (
-    cstar_norm,
-    envelope_report,
-    restriction_report,
-)
-from dyncross.sampling import random_element
-from dyncross.space import CtsFun, INFINITY, IntPoint, ORIGIN
+from dyncross.serialize import element_from_json
+from dyncross.space import INFINITY, IntPoint, ORIGIN
 
 SEED = 20260809
 
 
-def report(num: int, name: str, ok: bool, detail: str = ""):
+def report(num: int, name: str, records, detail: str = "", ok: bool = True):
+    """Print the criterion line; it fails when ``ok`` is false or any
+    record failed, and then names the failed records."""
+    failed = [f"{r.suite}.{r.name} {r.detail}" for r in records if not r.passed]
+    ok = ok and not failed
     line = f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} {name}"
     if detail:
         line += f"  ({detail})"
+    if failed:
+        line += f"; failed: {failed}"
     print(line)
     assert ok, line
 
 
+def worst(records, name: str) -> float:
+    return max(r.data["measured"] for r in records
+               if r.name == name and "measured" in r.data)
+
+
 def test_criterion_01_algebra_axioms():
-    worst = {"assoc": 0.0, "submult": 0.0, "isometry": 0.0, "antimult": 0.0}
-    for name, sys in all_fixtures():
-        rng = random.Random(SEED + 1)
-        for _ in range(200):
-            x = random_element(sys.space, rng, 2, multiply_slack=3)
-            y = random_element(sys.space, rng, 2, multiply_slack=3)
-            z = random_element(sys.space, rng, 2, multiply_slack=3)
-            worst["assoc"] = max(worst["assoc"],
-                                 ((x * y) * z - x * (y * z)).ell1_norm())
-            worst["submult"] = max(worst["submult"], (x * y).ell1_norm()
-                                   - x.ell1_norm() * y.ell1_norm())
-            worst["isometry"] = max(worst["isometry"],
-                                    abs(x.adjoint().ell1_norm() - x.ell1_norm()))
-            worst["antimult"] = max(worst["antimult"],
-                                    ((x * y).adjoint()
-                                     - y.adjoint() * x.adjoint()).ell1_norm())
-    ok = all(v <= 1e-9 for v in worst.values())
-    report(1, "algebra axioms on 200 random triples per fixture", ok,
-           ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
+    records = [r for _, sys in all_fixtures()
+               for r in verify.algebra_axioms(sys, random.Random(SEED + 1), 200)]
+    report(1, "algebra axioms on 200 random triples per fixture", records,
+           ", ".join(f"{name} {worst(records, name):.2e}" for name in (
+               "associativity", "norm-submultiplicative", "involution-isometric",
+               "involution-antimultiplicative", "involution-involutive")))
 
 
 def test_criterion_02_commutant_oracle_equivalence():
-    disagreements = 0
-    for name, sys in all_fixtures():
-        rng = random.Random(SEED + 2)
-        for i in range(200):
-            if i % 2 == 0:
-                x = random_element(sys.space, rng, 2, multiply_slack=1)
-            else:
-                x = random_commutant_element(sys, rng, 2)
-            if is_in_commutant(sys, x) != commutes_oracle(sys, x, trials=2):
-                disagreements += 1
+    records = [r for _, sys in all_fixtures()
+               for r in verify.membership_vs_oracle(
+                   sys, random.Random(SEED + 2), 200, oracle_trials=2)]
+    # every fixture is Hausdorff, so the statement is the equivalence
     report(2, "membership test vs commutator oracle, 200 elements per fixture",
-           disagreements == 0, f"{disagreements} disagreements")
+           records, f"{sum(r.data['measured'] for r in records)} disagreements",
+           ok=all(r.name == "membership-oracle-agreement" for r in records))
 
 
 def test_criterion_03_character_suite():
-    dev_mult = dev_unit = dev_herm = dev_contr = 0.0
-    growth_dev = 0.0
-    growth_fixtures = 0
-    for name, sys in all_fixtures():
-        rng = random.Random(SEED + 3)
-        fam = separating_family(sys, CircleGrid(16))
-        one = identity(sys.space)
-        for ch in fam:
-            dev_unit = max(dev_unit,
-                           abs(eval_character(sys, ch, one, check=False) - 1))
-        for _ in range(100):
-            x = random_commutant_element(sys, rng, 2)
-            y = random_commutant_element(sys, rng, 2)
-            xy = x * y
-            xs = x.adjoint()
-            nx = x.ell1_norm()
-            for ch in fam:
-                vx = eval_character(sys, ch, x, check=False)
-                vy = eval_character(sys, ch, y, check=False)
-                dev_mult = max(dev_mult,
-                               abs(eval_character(sys, ch, xy, check=False)
-                                   - vx * vy))
-                dev_herm = max(dev_herm,
-                               abs(eval_character(sys, ch, xs, check=False)
-                                   - vx.conjugate()))
-                dev_contr = max(dev_contr, abs(vx) - nx)
-        # growth of the formula beyond the unit circle, wherever torus
-        # characters exist
-        probe = next((classify_point(sys, p)
-                      for p in sys.space.representative_points()
-                      if isinstance(classify_point(sys, p), TorusCharacter)),
-                     None)
-        if probe is not None:
-            growth_fixtures += 1
-            f0 = next(f for f in
-                      _functions_supported_in(sys, probe.order, None)
-                      if abs(f(probe.x)) > 0.5)
-            base = abs(f0(probe.x))
-            prev = base
-            for j in range(1, 21):
-                val = abs(eval_character(
-                    sys, TorusCharacter(probe.x, probe.order, 2.0),
-                    embed(f0, j * probe.order), check=False))
-                growth_dev = max(growth_dev, abs(val / prev - 2.0))
-                prev = val
-    ok = (dev_mult <= 1e-9 and dev_unit <= 1e-12 and dev_herm <= 1e-12
-          and dev_contr <= 1e-12 and growth_dev <= 1e-9 and growth_fixtures >= 4)
+    records = []
+    for _, sys in all_fixtures():
+        records += verify.character_laws(sys, random.Random(SEED + 3), 100,
+                                         CircleGrid(16))
+        records += verify.nonunimodular_growth(sys)
+    probed = sum(r.data.get("probed", 0) for r in records)
     report(3, "characters multiplicative/unital/hermitian/contractive; "
-              "doubling growth at modulus two", ok,
-           f"mult {dev_mult:.2e}, herm {dev_herm:.2e}, "
-           f"growth {growth_dev:.2e} on {growth_fixtures} fixtures")
+              "doubling growth at modulus two", records,
+           f"mult {worst(records, 'multiplicative'):.2e}, "
+           f"herm {worst(records, 'hermitian'):.2e}, "
+           f"growth {worst(records, 'nonunimodular-growth'):.2e} on {probed} fixtures",
+           ok=probed >= 4)
 
 
 def test_criterion_04_semisimplicity():
-    false_zero = 0
-    missed = 0
-    tiny_dev = 0.0
-    for name, sys in all_fixtures():
-        rng = random.Random(SEED + 4)
-        grid_res = 64
-        for _ in range(100):
-            x = random_commutant_element(sys, rng, 3)
-            if x.is_zero(1e-6):
-                continue
-            # character values on the fine grid must see the element
-            sup = max(abs(eval_character(sys, ch, x, check=False))
-                      for ch in character_grid(sys, CircleGrid(grid_res)))
-            if sup <= 1e-12:
-                false_zero += 1
-            # and the recovered coefficient data reconstructs it
-            if reconstruction_sup(sys, x, grid_res) <= 1e-8:
-                missed += 1
-            # an element with uniformly tiny character values is tiny
-            tiny = x.scale(1e-13 / max(x.ell1_norm(), 1e-13))
-            sup = reconstruction_sup(sys, tiny, grid_res)
-            ncoeff = len(tiny.coeffs) or 1
-            if tiny.ell1_norm() > 2 * ncoeff * len(
-                    sys.space.representative_points()) * max(sup, 1e-300):
-                tiny_dev = max(tiny_dev, tiny.ell1_norm())
-    ok = false_zero == 0 and missed == 0 and tiny_dev == 0.0
+    records = [r for _, sys in all_fixtures()
+               for r in verify.semisimplicity(sys, random.Random(SEED + 4), 100, 64)]
+    zero = [r.data for r in records if r.name == "zero-detection"]
     report(4, "zero is the only element killed by every character "
-              "(inverse-transform reconstruction, 100 trials per fixture)", ok,
-           f"{false_zero} false zeros, {missed} reconstruction misses")
+              "(inverse-transform reconstruction, 100 trials per fixture)", records,
+           f"{sum(d['false_zeros'] for d in zero)} false zeros, "
+           f"{sum(d['reconstruction_misses'] for d in zero)} reconstruction misses")
 
 
 def test_criterion_05_circle_quotient():
-    dev = 0.0
-    for name, sys in all_fixtures():
-        rng = random.Random(SEED + 5)
-        zs = CircleGrid(64).samples
-        for _ in range(5):
-            x = random_commutant_element(sys, rng, 3)
-            for p in sys.space.representative_points():
-                for z in zs:
-                    got = eval_on_circle(sys, p, z, x, check=False)
-                    want = eval_character(sys, circle_character(sys, p, z), x,
-                                          check=False)
-                    dev = max(dev, abs(got - want))
+    records = [r for _, sys in all_fixtures()
+               for r in verify.circle_quotient(
+                   sys, verify.commutant_elements(sys, random.Random(SEED + 5), 5, 3),
+                   CircleGrid(64).samples)]
     report(5, "circle functionals factor through the character space "
-              "(full point x 64-sample sweep)", dev <= 1e-10,
-           f"max deviation {dev:.2e}")
+              "(full point x 64-sample sweep)", records,
+           f"max deviation {worst(records, 'circle-quotient-agreement'):.2e}")
 
 
 def test_criterion_06_commutant_projection():
+    records = []
     witness_ok = True
     for name, sys in all_fixtures():
-        w = projection_witness(sys)
+        recs = verify.commutant_projection(
+            sys, random.Random(SEED + 6), 100, CircleGrid(16), squares=100,
+            samples=CircleGrid(8).samples, positive_seeds=range(SEED, SEED + 100))
+        names = {r.name: r for r in recs}
         if name == "tails8":
-            witness_ok = witness_ok and w == (1, ORIGIN)
-            try:
-                indicator_family(sys)
-                witness_ok = False
-            except ProjectionUnavailable as exc:
-                witness_ok = witness_ok and (exc.k, exc.point) == (1, ORIGIN)
+            w = names["projection-unavailable-witness"].data
+            witness_ok = witness_ok and (
+                w["k"], sys.space.parse_point(w["point"])) == (1, ORIGIN)
         else:
-            witness_ok = witness_ok and w is None
-
-    dev_idem = dev_inv = dev_contr = dev_bi = 0.0
-    dev_faithful = 0.0
-    neg = 0.0
-    dev_coeff_form = dev_char_form = 0.0
-    for name, sys in all_fixtures():
-        if name == "tails8":
-            continue
-        rng = random.Random(SEED + 6)
-        sp = sys.space
-        fam = indicator_family(sys)
-        chars = character_grid(sys, CircleGrid(16))
-        for _ in range(100):
-            x = random_element(sp, rng, 2, multiply_slack=2)
-            px = project_to_commutant(sys, x)
-            dev_idem = max(dev_idem,
-                           (project_to_commutant(sys, px) - px).ell1_norm())
-            dev_inv = max(dev_inv, (project_to_commutant(sys, x.adjoint())
-                                    - px.adjoint()).ell1_norm())
-            dev_contr = max(dev_contr, px.ell1_norm() - x.ell1_norm())
-            g = random_commutant_element(sys, rng, 2)
-            dev_bi = max(dev_bi,
-                         (project_to_commutant(sys, g * x) - g * px).ell1_norm())
-            dev_bi = max(dev_bi,
-                         (project_to_commutant(sys, x * g) - px * g).ell1_norm())
-            # faithfulness on squares
-            sq = project_to_commutant(sys, x.adjoint() * x)
-            peak = max(f.sup_norm() for f in x.coeffs.values())
-            dev_faithful = max(dev_faithful,
-                               peak ** 2 - coefficient(sq, 0).sup_norm())
-            # coefficient-level closed form of the projected square
-            for m in sq.support():
-                acc = CtsFun.zero(sp)
-                for k, f in x.coeffs.items():
-                    if k + m in x.coeffs:
-                        acc = acc.add(
-                            f.conj().mul(x.coeffs[k + m]).compose_sigma(k))
-                acc = acc.mul(fam.get(m))
-                dev_coeff_form = max(dev_coeff_form, acc.add(
-                    coefficient(sq, m).scale(-1)).sup_norm())
-        # positivity of projected positive elements across the character grid
-        for i in range(100):
-            pos = random_positive_element(sp, SEED + i, 2, 2)
-            ppos = project_to_commutant(sys, pos)
-            for ch in chars:
-                v = eval_character(sys, ch, ppos, check=False)
-                neg = min(neg, v.real)
-                neg = min(neg, -abs(v.imag))
-        # character-level closed form at interior points
-        rng2 = random.Random(SEED + 66)
-        for _ in range(10):
-            x = random_element(sp, rng2, 2, multiply_slack=2)
-            sq = project_to_commutant(sys, x.adjoint() * x)
-            for p in sp.representative_points():
-                n = minimal_interior_order(sys, p)
-                if n is None:
-                    continue
-                for c in CircleGrid(8).samples:
-                    got = eval_character(sys, TorusCharacter(p, n, c), sq,
-                                         check=False)
-                    want = 0.0
-                    for r in range(n):
-                        pr = sp.sigma_apply(p, r)
-                        inner = sum(f(pr) * c ** ((k - r) // n)
-                                    for k, f in x.coeffs.items()
-                                    if (k - r) % n == 0)
-                        want += abs(inner) ** 2
-                    dev_char_form = max(dev_char_form, abs(got - want))
-    ok = (witness_ok and dev_idem <= 1e-9 and dev_inv <= 1e-9
-          and dev_contr <= 1e-9 and dev_bi <= 1e-9 and dev_faithful <= 1e-9
-          and neg >= -1e-9 and dev_coeff_form <= 1e-9 and dev_char_form <= 1e-9)
+            witness_ok = witness_ok and "projection-exists" in names
+        records += recs
     report(6, "projection exists exactly when fixed-set interiors are closed; "
               "idempotent/involutive/contractive/faithful/bimodule/positive",
-           ok,
-           f"witness ok {witness_ok}, bimodule {dev_bi:.2e}, "
-           f"positivity min {neg:.2e}, closed forms {dev_coeff_form:.2e}/"
-           f"{dev_char_form:.2e}")
+           records,
+           f"witness ok {witness_ok}, "
+           f"bimodule {worst(records, 'projection-bimodule'):.2e}, "
+           f"positivity {worst(records, 'projection-positive-on-characters'):.2e}, "
+           f"closed forms {worst(records, 'projected-square-coefficient-form'):.2e}/"
+           f"{worst(records, 'projected-square-character-form'):.2e}",
+           ok=witness_ok)
 
 
 def test_criterion_07_envelope_identity():
     grid = CircleGrid(1024)
-    worst_gap = 0.0
-    worst_bound_ratio = 0.0
-    for name in ("one_point", "swap2", "cycle3"):
-        sys = fixture(name)
-        rng = random.Random(SEED + 7)
-        for _ in range(5):
-            x = random_commutant_element(sys, rng, 8)
-            er = envelope_report(sys, x, grid)
-            worst_gap = max(worst_gap, er.gap - er.budget)
-            worst_bound_ratio = max(worst_bound_ratio,
-                                    er.budget / max(x.ell1_norm(), 1e-300))
+    records = []
+    for sys in map(fixture, ("one_point", "swap2", "cycle3")):
+        elems = verify.commutant_elements(sys, random.Random(SEED + 7), 5, 8)
+        records += verify.envelope_identity(sys, elems, grid)
     sys = fixture("one_point")
-    x = delta(sys.space, 1) + delta(sys.space, -1)
-    er = envelope_report(sys, x, grid)
-    two_ok = (abs(er.gelfand.value - 2.0) <= 1e-6
-              and abs(er.cstar.value - 2.0) <= 1e-6)
-    ok = worst_gap <= 0.0 and worst_bound_ratio <= 1e-3 and two_ok
+    cosine = element_from_json(sys.space, {"terms": [
+        {"k": 1, "values": {"pt": [1, 0]}}, {"k": -1, "values": {"pt": [1, 0]}}]})
+    cos = verify.envelope_identity(sys, [cosine], grid)[0].data
+    ratio = max(r.data["budget_ratio"] for r in records)
+    two_ok = (2.0 - 1e-6 <= cos["gelfand"] <= 2.0 + 1e-6
+              and 2.0 - 1e-6 <= cos["cstar"] <= 2.0 + 1e-6)
     report(7, "Gelfand sup equals C*-norm within the certified budget "
-              "(grid 1024, degree <= 8)", ok,
-           f"max gap excess {worst_gap:.2e}, max bound/series-norm "
-           f"{worst_bound_ratio:.2e}, cosine element {er.gelfand.value:.8f}/"
-           f"{er.cstar.value:.8f}")
+              "(grid 1024, degree <= 8)", records,
+           f"max gap excess {worst(records, 'envelope-identity'):.2e}, max "
+           f"bound/series-norm {ratio:.2e}, cosine element "
+           f"{cos['gelfand']:.8f}/{cos['cstar']:.8f}",
+           ok=ratio <= 1e-3 and two_ok)
 
 
 def test_criterion_08_restriction_diagrams():
     sys = fixture("int_shift8")
-    rng = random.Random(SEED + 8)
-    elems = [random_commutant_element(sys, rng, 2) for _ in range(100)]
+    elems = verify.commutant_elements(sys, random.Random(SEED + 8), 100, 2)
     lams = CircleGrid(16).samples
-    dev_aper = restriction_report(sys, IntPoint(2), lams, elems).max_deviation
-    dev_bdry = restriction_report(sys, INFINITY, lams, elems).max_deviation
+    aper = verify.state_restriction(sys, elems, lams, [IntPoint(2)])
+    bdry = verify.state_restriction(sys, elems, lams, [INFINITY])
 
     tails = fixture("tails8")
-    rng = random.Random(SEED + 88)
-    elems = [random_commutant_element(tails, rng, 3) for _ in range(100)]
-    rep = restriction_report(tails, ORIGIN, lams, elems)
-    ratio_ok = rep.case == "periodic-interior" and rep.interior_order == 2 \
-        and rep.period == 1
-    ok = dev_aper <= 1e-10 and dev_bdry <= 1e-10 and ratio_ok \
-        and rep.max_deviation <= 1e-9
+    elems = verify.commutant_elements(tails, random.Random(SEED + 88), 100, 3)
+    squared = verify.state_restriction(tails, elems, lams, [ORIGIN])
+    row = squared[0].data["points"][0]
+    ratio_ok = (row["case"] == "periodic-interior" and row["interior_order"] == 2
+                and row["period"] == 1)
+    dev_aper, dev_bdry = aper[0].data["measured"], bdry[0].data["measured"]
     report(8, "pure-state restrictions: free orbit and boundary collapse to "
               "point characters; boundary interior point squares the "
-              "parameter", ok,
+              "parameter", aper + bdry + squared,
            f"aperiodic {dev_aper:.2e}, boundary {dev_bdry:.2e}, "
-           f"squared-parameter {rep.max_deviation:.2e}")
+           f"squared-parameter {row['deviation']:.2e}",
+           ok=dev_aper <= 1e-10 and dev_bdry <= 1e-10 and ratio_ok)
 
 
 def test_criterion_09_periodic_point_topology():
-    from dyncross.dynamics import freeness_report, interior_closure_report
-
-    all_hold = True
-    failures = []
-    for name, sys in all_fixtures():
-        for mask in range(1, 1 << 6):
-            seeds = [s for s in range(1, 7) if mask >> (s - 1) & 1]
-            if not interior_closure_report(sys, seeds).all_hold():
-                all_hold = False
-                failures.append((name, seeds))
-    equivalence_ok = True
-    density_ok = True
-    free_pattern = {}
-    for name, sys in all_fixtures():
-        fr = freeness_report(sys)
-        equivalence_ok = equivalence_ok and len(set(fr.freeness_flags())) == 1
-        density_ok = density_ok and all(fr.density_flags())
-        free_pattern[name] = fr.topologically_free()
+    records = [r for _, sys in all_fixtures() for r in verify.appendix_suite(sys)]
+    free_pattern = {name: freeness_report(sys).topologically_free()
+                    for name, sys in all_fixtures()}
     pattern_ok = free_pattern == {"one_point": False, "swap2": False,
                                   "cycle3": False, "int_shift8": True,
                                   "tails8": False}
-    ok = all_hold and equivalence_ok and density_ok and pattern_ok
     report(9, "interior/closure relations for every seed set in {1..6}; "
-              "freeness equivalence; density statements", ok,
-           f"failures {failures[:3]}, free map {free_pattern}")
+              "freeness equivalence; density statements", records,
+           f"free map {free_pattern}", ok=pattern_ok)
 
 
 def test_criterion_10_cesaro_convergence():
-    worst = 0.0
-    grid = CircleGrid(16)
-    for name, sys in all_fixtures():
-        rng = random.Random(SEED + 10)
-        for _ in range(50):
-            x = random_element(sys.space, rng, 3, multiply_slack=0)
-            d = x.degree
-            bound_norm = x.ell1_norm()
-            for n in range(d, 8 * d + 1):
-                gap = cstar_norm(sys, cesaro_mean(x, n) - x, grid,
-                                 refine=False).value
-                worst = max(worst, gap - d / (n + 1) * bound_norm)
+    records = [r for _, sys in all_fixtures()
+               for r in verify.cesaro_convergence(
+                   sys, random.Random(SEED + 10), 50, CircleGrid(16),
+                   lambda d: range(d, 8 * d + 1), refine=False, slack=0)]
     report(10, "weighted truncations converge in the C*-norm at the "
-               "stated rate (50 elements per fixture)", worst <= 1e-9,
-           f"max excess {worst:.2e}")
+               "stated rate (50 elements per fixture)", records,
+           f"max excess {worst(records, 'cesaro-cstar-convergence'):.2e}")

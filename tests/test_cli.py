@@ -1,9 +1,12 @@
 """JSON schemas, round trips, CLI verbs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dyncross.cli import main
 from dyncross.errors import ParseError
@@ -170,6 +173,36 @@ class TestCli:
                      "--element", str(tmp_path / "nope.json")]) == 2
 
 
+# the checks of `verify all` that answer yes or no; every other check
+# records what it measured against which tolerance
+YES_NO_CHECKS = {
+    "cesaro-preserves-commutant", "spanning-family-membership",
+    "projection-unavailable-witness", "projection-exists",
+    "indicator-family-continuous", "projection-into-commutant",
+    "interior-closure-relations", "freeness-equivalence",
+    "aperiodic-union-density", "fixed-sets-gcd-law", "fixed-sets-invariant",
+    "period-partition"}
+
+
+@pytest.mark.parametrize("space", ["one_point", "swap2", "cycle3", "int_shift8",
+                                   "tails8"])
+def test_verify_records_carry_their_measurement(space, capsys):
+    assert main(["verify", "all", "--space", space, "--grid", "16",
+                 "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    measured = 0
+    for c in checks:
+        data = c["data"]
+        if c["name"] in YES_NO_CHECKS or data.get("probed") == 0:
+            assert "measured" not in data, c["name"]
+            continue
+        assert isinstance(data["measured"], (int, float)), c["name"]
+        assert isinstance(data["tolerance"], (int, float)), c["name"]
+        assert c["passed"] == (data["measured"] <= data["tolerance"]), c["name"]
+        measured += 1
+    assert measured >= 25
+
+
 @pytest.mark.parametrize("seed", [21, 25, 28, 29, 32, 1948836727])
 def test_verify_gns_on_int_shift(seed):
     assert main(["verify", "gns", "--space", "int_shift8",
@@ -192,24 +225,35 @@ def test_norms_of_high_degree_monomial(space, k, points, tmp_path, capsys):
         assert norm["error_bound"] <= 1e-9
 
 
-@pytest.mark.parametrize("space,term,grid,message", [
-    ("one_point", {"k": 0, "values": {"pt": [1, 0]}}, 3, "--grid"),
-    ("one_point", {"k": 0, "values": [[1, 0]]}, 64, '"values"'),
-    ("int_shift8", {"k": 0, "values": {"0": [1, 0]}, "limits": [[1, 0]]}, 64,
+@pytest.mark.parametrize("space,terms,grid,message", [
+    ("one_point", [{"k": 0, "values": {"pt": [1, 0]}}], 3, "--grid"),
+    ("one_point", [{"k": 0, "values": [[1, 0]]}], 64, '"values"'),
+    ("int_shift8", [{"k": 0, "values": {"0": [1, 0]}, "limits": [[1, 0]]}], 64,
      '"limits"'),
-    ("one_point", {"k": 0, "values": {"pt": [float("nan"), 0]}}, 64,
+    ("one_point", [{"k": 0, "values": {"pt": [float("nan"), 0]}}], 64,
      "non-finite"),
-    ("one_point", {"k": 0, "values": {"pt": float("inf")}}, 64, "non-finite"),
-    ("one_point", {"k": 0, "values": {"pt": [0, float("-inf")]}}, 64,
+    ("one_point", [{"k": 0, "values": {"pt": float("inf")}}], 64, "non-finite"),
+    ("one_point", [{"k": 0, "values": {"pt": [0, float("-inf")]}}], 64,
      "non-finite"),
-    ("one_point", {"k": 1.7, "values": {"pt": [1, 0]}}, 64, '"k"'),
-    ("one_point", {"k": True, "values": {"pt": [1, 0]}}, 64, '"k"'),
-    ("one_point", {"k": "2", "values": {"pt": [1, 0]}}, 64, '"k"'),
+    ("one_point", [{"k": 1.7, "values": {"pt": [1, 0]}}], 64, '"k"'),
+    ("one_point", [{"k": True, "values": {"pt": [1, 0]}}], 64, '"k"'),
+    ("one_point", [{"k": "2", "values": {"pt": [1, 0]}}], 64, '"k"'),
+    ("one_point", [{"k": 0, "values": {"pt": 10 ** 400}}], 64,
+     "floating-point range"),
+    ("one_point", [{"k": 0, "values": {"pt": [1, -10 ** 400]}}], 64,
+     "floating-point range"),
+    ("one_point", [{"k": 0, "values": {"pt": True}}], 64, "bad complex value"),
+    ("one_point", [{"k": 0, "values": {"pt": [1, False]}}], 64,
+     "bad complex value"),
+    ("one_point", [{"k": 1, "values": {"pt": [1, 0]}},
+                   {"k": 1, "values": {"pt": [2, 0]}}], 64, "appears twice"),
+    ("one_point", [{"k": 10 ** 400, "values": {"pt": [1, 0]}}], 64, "2**53"),
 ], ids=["grid-3", "values-list", "limits-list", "nan", "inf", "minus-inf",
-        "k-fraction", "k-bool", "k-string"])
-def test_input_contract(space, term, grid, message, tmp_path, capsys):
+        "k-fraction", "k-bool", "k-string", "huge-value", "huge-imaginary-part",
+        "value-bool", "part-bool", "k-twice", "k-huge"])
+def test_input_contract(space, terms, grid, message, tmp_path, capsys):
     path = tmp_path / "e.json"
-    path.write_text(json.dumps({"terms": [term]}))
+    path.write_text(json.dumps({"terms": terms}))
     assert main(["norms", "--space", space, "--element", str(path),
                  "--grid", str(grid)]) == 2
     err = capsys.readouterr().err
@@ -235,3 +279,92 @@ def test_window_must_be_an_integer(kind, window, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert '"window"' in err
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "finite", 3, None],
+                         ids=["list", "string", "number", "null"])
+def test_space_must_be_an_object(doc, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["describe", "--space", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "JSON object" in err
+
+
+# -- the exit-code contract under malformed input ----------------------------
+#
+# JSON junk: every JSON type, with numbers beyond the double range and
+# non-finite floats.  "k" and "window" are small integers or values the
+# parser must reject: an int_shift element of degree d builds a dense shift
+# model of size 2(W+d+1)+1, and every verb builds all 2W+1 window points,
+# so a large valid degree or window costs memory before any check fails.
+_HUGE = st.sampled_from([10 ** 400, -10 ** 400, 2 ** 60, 1e308, -1e308])
+_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True).filter(
+        lambda v: not v.is_integer() or abs(v) <= 3), _HUGE)
+_JUNK = st.recursive(_LEAF, lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+                     max_leaves=6)
+
+
+def _not_a_usable_integer(v):
+    return (isinstance(v, bool) or not isinstance(v, (int, float))
+            or abs(v) > 2 ** 53 or not float(v).is_integer())
+
+
+_INDEX = st.one_of(st.integers(-6, 6), _HUGE.filter(_not_a_usable_integer),
+                   _JUNK.filter(_not_a_usable_integer))
+_LABEL = st.sampled_from(["a", "b", "pt", "x0", "0", "-8", "9", "inf", "a1",
+                          "b8", "origin", "c"])
+_VALUE = st.one_of(_HUGE, _JUNK, st.lists(_LEAF, min_size=2, max_size=2))
+_VALUES = st.one_of(st.dictionaries(_LABEL, _VALUE, min_size=1, max_size=4), _JUNK)
+_TERM = st.one_of(
+    st.fixed_dictionaries({"k": _INDEX, "values": _VALUES},
+                          optional={"limits": _VALUES}),
+    st.fixed_dictionaries({}, optional={"k": _JUNK, "values": _JUNK}), _JUNK)
+_ELEMENT = st.one_of(
+    st.fixed_dictionaries({"terms": st.lists(_TERM, min_size=1, max_size=3)}),
+    st.fixed_dictionaries({}, optional={"terms": _JUNK}), _JUNK)
+_SPACE = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("finite")}, optional={
+        "points": st.one_of(st.lists(_LABEL, max_size=3), _JUNK),
+        "min_open_nbhd": st.one_of(st.dictionaries(
+            _LABEL, st.one_of(st.lists(_LABEL, max_size=3), _JUNK), max_size=3),
+            _JUNK),
+        "sigma": st.one_of(st.dictionaries(_LABEL, st.one_of(_LABEL, _JUNK),
+                                           max_size=3), _JUNK)}),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["int_shift", "pair_swap_tails"])},
+        optional={"window": st.one_of(st.integers(-2, 6),
+                                      _JUNK.filter(_not_a_usable_integer))}),
+    _JUNK)
+
+
+def _run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(doc=_SPACE)
+def test_malformed_space_exits_0_or_2(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("space") / "s.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run_quietly(["describe", "--space", str(path), "--json"])
+    assert code in (0, 2)
+    assert code == 0 or err.count("\n") == 1
+
+
+@given(space=st.sampled_from(["one_point", "swap2", "cycle3", "int_shift8",
+                              "tails8"]), doc=_ELEMENT)
+def test_malformed_element_exits_0_or_2(space, doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("element") / "e.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("norms", "project"):
+        code, err = _run_quietly([verb, "--space", space, "--element", str(path),
+                                  "--grid", "8", "--json"])
+        assert code in (0, 2)
+        assert code == 0 or err.count("\n") == 1

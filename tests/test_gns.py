@@ -4,6 +4,7 @@ independent SVD oracle, state restrictions, and the envelope identity."""
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from dyncross.characters import (
     eval_character,
     separating_family,
 )
+from dyncross import gns
 from dyncross.commutant import random_commutant_element
+from dyncross.dynamics import make_dynsys
 from dyncross.errors import TruncationTooSmall
 from dyncross.gns import (
     PeriodicRep,
@@ -32,7 +35,14 @@ from dyncross.gns import (
     unique_extension_gap,
 )
 from dyncross.sampling import random_element
-from dyncross.space import BTail, CtsFun, FinitePoint, IntPoint, ORIGIN
+from dyncross.space import (
+    BTail,
+    CtsFun,
+    FinitePoint,
+    IntPoint,
+    ORIGIN,
+    finite_space,
+)
 
 
 def fun2(space, va, vb):
@@ -189,6 +199,29 @@ class TestCstarNorm:
             x = random_element(system.space, rng, 3, multiply_slack=1)
             est = cstar_norm(system, x, CircleGrid(64))
             assert est.value <= x.ell1_norm() + 1e-9
+
+    def test_batch_memory_is_bounded(self):
+        # built at once, the grid batch of a 60-cycle at G=1024 is a
+        # (1, 1024, 60, 60) complex array: 59 MB
+        labels = [f"x{i}" for i in range(60)]
+        cycle = make_dynsys(finite_space(
+            labels, {lab: [lab] for lab in labels},
+            {lab: labels[(i + 1) % 60] for i, lab in enumerate(labels)}))
+        x = random_element(cycle.space, random.Random(5), 2)
+        tracemalloc.start()
+        try:
+            est = cstar_norm(cycle, x, CircleGrid(1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert est.value <= x.ell1_norm()
+
+    def test_batch_size_does_not_change_the_estimate(self, system, monkeypatch):
+        x = random_element(system.space, random.Random(46), 3, multiply_slack=1)
+        want = cstar_norm(system, x, CircleGrid(64))
+        monkeypatch.setattr(gns, "BATCH_ENTRIES", 1)
+        assert cstar_norm(system, x, CircleGrid(64)) == want
 
     def test_truncation_monotone(self, int_shift8):
         rng = random.Random(43)
