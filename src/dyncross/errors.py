@@ -17,6 +17,10 @@ class BadWindow(DyncrossError):
     """Window radius violates the backend constraints."""
 
 
+class TooLarge(DyncrossError):
+    """An input would build a model beyond its module's size budget."""
+
+
 class ForeignPoint(DyncrossError):
     """A point does not belong to the space it was used with."""
 

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from typing import Mapping
 
 from .algebra import Element
 from .errors import ParseError
-from .space import CtsFun, Point, Space, build_space, json_int, point_key
+from .space import CtsFun, Point, Space, build_space, json_int
 
 
 def space_to_spec(space: Space) -> dict:
@@ -85,14 +86,13 @@ def element_to_json(x: Element) -> dict:
     space = x.space
     terms = []
     for k in x.support():
-        f = x.coeffs[k]
+        values, limits = x.coeffs[k].data()
         term = {"k": k,
                 "values": {point_to_str(space, p): _encode_complex(v)
-                           for p, v in sorted(f.values.items(),
-                                              key=lambda kv: point_key(kv[0]))}}
-        if f.limits:
+                           for p, v in values.items()}}
+        if limits:
             term["limits"] = {name: _encode_complex(v)
-                              for name, v in sorted(f.limits.items())}
+                              for name, v in sorted(limits.items())}
         terms.append(term)
     return {"terms": terms}
 
@@ -124,7 +124,12 @@ def element_from_json(space: Space, doc: Mapping) -> Element:
         # a point left out reads its limit's value, or 0 where no limit is
         fill = {} if space.limit_names else dict.fromkeys(space.window_points, 0.0)
         coeffs[k] = CtsFun(space, {**fill, **values}, limits)
-    return Element(space, coeffs)
+    elem = Element(space, coeffs)
+    # every norm is at most the series norm, so a finite one keeps every
+    # result finite
+    if not math.isfinite(elem.ell1_norm()):
+        raise ParseError("the element's series norm is beyond the floating-point range")
+    return elem
 
 
 def load_json(path: str):

@@ -285,7 +285,7 @@ def commutant_projection(sys: DynSys, rng: random.Random, trials: int,
 
     out = [CheckRecord("commutant", "projection-exists", projection_condition(sys))]
     fam = indicator_family(sys)
-    ok = all(sys.space.is_continuous(fam.get(k).values, fam.get(k).limits)
+    ok = all(sys.space.is_continuous(*fam.get(k).data())
              for k in (0,) + reduced_indices(sys))
     lcm = sys.lcm_period
     if lcm is not None:

@@ -1,13 +1,19 @@
 """JSON schemas, round trips, CLI verbs, exit codes, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import dyncross
 from dyncross.cli import main
 from dyncross.errors import ParseError
 from dyncross.sampling import random_element
@@ -248,9 +254,15 @@ def test_norms_of_high_degree_monomial(space, k, points, tmp_path, capsys):
     ("one_point", [{"k": 1, "values": {"pt": [1, 0]}},
                    {"k": 1, "values": {"pt": [2, 0]}}], 64, "appears twice"),
     ("one_point", [{"k": 10 ** 400, "values": {"pt": [1, 0]}}], 64, "2**53"),
+    ("swap2", [{"k": 0, "values": {"a": [1, 0], "zz": [1, 0]}}], 64,
+     "bad point name 'zz': no such label"),
+    ("one_point", [{"k": 0, "values": {"pt": [1e308, 1e308]}},
+                   {"k": 1, "values": {"pt": [1e308, 1e308]}}], 64,
+     "series norm is beyond the floating-point range"),
 ], ids=["grid-3", "values-list", "limits-list", "nan", "inf", "minus-inf",
         "k-fraction", "k-bool", "k-string", "huge-value", "huge-imaginary-part",
-        "value-bool", "part-bool", "k-twice", "k-huge"])
+        "value-bool", "part-bool", "k-twice", "k-huge", "unknown-label",
+        "ell1-overflow"])
 def test_input_contract(space, terms, grid, message, tmp_path, capsys):
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"terms": terms}))
@@ -259,6 +271,19 @@ def test_input_contract(space, terms, grid, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_norms_near_the_double_maximum_are_finite(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"terms": [{"k": 0, "values": {"pt": [1e308, 1e308]}}]}))
+    assert main(["norms", "--space", "one_point", "--element", str(path),
+                 "--json"]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["ell1"] == abs(complex(1e308, 1e308))
 
 
 def test_integral_float_index_is_accepted(tmp_path, capsys):
@@ -279,6 +304,28 @@ def test_window_must_be_an_integer(kind, window, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert '"window"' in err
+
+
+@pytest.mark.parametrize("kind", ["int_shift", "pair_swap_tails"])
+def test_window_beyond_the_point_budget(kind, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"kind": kind, "window": 10 ** 15}))
+    assert main(["describe", "--space", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "representative points" in err
+
+
+def test_python_dash_m():
+    importlib.import_module("dyncross.__main__")    # runs nothing on import
+    env = dict(os.environ)
+    src = str(pathlib.Path(dyncross.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "dyncross", "describe",
+                           "--space", "one_point"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "projection_exists: True" in done.stdout
 
 
 @pytest.mark.parametrize("doc", [[1, 2], "finite", 3, None],

@@ -9,6 +9,7 @@ oracle applies.
 
 import itertools
 import pathlib
+import random
 import re
 
 import pytest
@@ -21,8 +22,11 @@ from dyncross.errors import (
     InvalidTopology,
     NotContinuous,
     NotHomeomorphism,
+    TooLarge,
     WindowOverflow,
 )
+from dyncross.fixtures import FIXTURES
+from dyncross.sampling import random_ctsfun
 from dyncross.space import (
     ATail,
     BTail,
@@ -173,6 +177,26 @@ class TestBuildSpace:
         with pytest.raises(NotHomeomorphism):
             finite_space(["a", "b"], {"a": ["a"], "b": ["b"]},
                          {"a": "a", "b": "a"})
+
+    @pytest.mark.parametrize("kind,largest,step", [
+        # 2W+1 window points and the point at infinity
+        ("int_shift", (space_module.MAX_POINTS - 2) // 2, 1),
+        # 2W window points and the origin, W even
+        ("pair_swap_tails", (space_module.MAX_POINTS - 1) // 4 * 2, 2),
+    ], ids=["int_shift", "pair_swap_tails"])
+    def test_point_budget(self, kind, largest, step):
+        # the largest admissible window builds no table, the next is refused
+        build_space({"kind": kind, "window": largest})
+        for too_big in (largest + step, 10 ** 15):
+            with pytest.raises(TooLarge):
+                build_space({"kind": kind, "window": too_big})
+
+    def test_point_budget_finite(self, monkeypatch):
+        monkeypatch.setattr(space_module, "MAX_POINTS", 2)
+        finite_space(["a", "b"], {"a": ["a"], "b": ["b"]}, {"a": "a", "b": "b"})
+        with pytest.raises(TooLarge):
+            finite_space(["a", "b", "c"], {"a": ["a"], "b": ["b"], "c": ["c"]},
+                         {"a": "a", "b": "b", "c": "c"})
 
     def test_build_space_dispatch(self):
         assert build_space({"kind": "int_shift", "window": 8}).window == 8
@@ -361,6 +385,19 @@ class TestSigma:
 # ---------------------------------------------------------------------------
 
 
+SPACES = {name: (lambda name=name: FIXTURES[name]().space) for name in FIXTURES}
+SPACES.update(int_shift256=lambda: IntShiftSpace(256),
+              tails256=lambda: PairSwapTailsSpace(256))
+
+
+def leaves_window(sp, f, m):
+    """Whether composing with sigma^m moves a window value that differs
+    from the limit's beyond the window, walking every window point."""
+    limit = f(sp.tail_probe(sp.tail_names[0])) if sp.tail_names else None
+    return any(f(p) != limit and sp.tail_of(sp.sigma_apply(p, -m)) is not None
+               for p in sp.window_points)
+
+
 class TestContinuity:
     def test_sierpinski_gate(self):
         sp = sierpinski()
@@ -393,18 +430,27 @@ class TestContinuity:
         with pytest.raises(NotContinuous):
             CtsFun.indicator(sp, ray)
 
-    def test_compose_sigma_pointwise(self, system):
-        import random
-
-        from dyncross.sampling import random_ctsfun
-
-        sp = system.space
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_compose_sigma_pointwise(self, name):
+        sp = SPACES[name]()
         rng = random.Random(5)
-        radius = sp.window - 3 if sp.kind == "int_shift" else None
+        radius = sp.window * 3 // 4 if sp.kind == "int_shift" else None
         f = random_ctsfun(sp, rng, radius=radius)
         probes = list(sp.representative_points())
         probes.extend(sp.tail_probe(t) for t in sp.tail_names)
-        for m in (-3, -1, 0, 1, 2):
+        ms = [-3, -1, 0, 1, 2]
+        if sp.tail_names:
+            # both sides of the overflow edge: data radius r, |m| = W-r, W-r+1
+            edge = sp.window - f.data_radius()
+            ms += [edge, -edge, edge + 1, -edge - 1]
+            assert not leaves_window(sp, f, edge) and not leaves_window(sp, f, -edge)
+            shifts = sp.kind == "int_shift"
+            assert leaves_window(sp, f, edge + 1) == leaves_window(sp, f, -edge - 1) == shifts
+        for m in ms:
+            if leaves_window(sp, f, m):
+                with pytest.raises(WindowOverflow):
+                    f.compose_sigma(m)
+                continue
             g = f.compose_sigma(m)
             for p in probes:
                 assert g(p) == f(sp.sigma_apply(p, m))
@@ -414,7 +460,7 @@ class TestContinuity:
         f = CtsFun(sp, {IntPoint(2): 1.0}, {"inf": 0.0})
         with pytest.raises(WindowOverflow):
             f.compose_sigma(-1)
-        # exceptional data equal to the limit is pruned, so this is exact
+        # a window value equal to the limit carries no data, so this is exact
         g = CtsFun(sp, {IntPoint(2): 0.0}, {"inf": 0.0})
         g.compose_sigma(-1)
 
@@ -467,15 +513,20 @@ BACKEND_BRANCH = re.compile(
     r"isinstance\([^)]*\b(" + "|".join(BACKEND_CLASSES) + r")\b|\.window\b")
 
 
+FUNCTION_STORAGE = re.compile(r"\.(" + "|".join(
+    slot for slot in CtsFun.__slots__ if slot != "space") + r")\b")
+
+
 def test_backends_differ_only_in_space_module():
-    """Outside ``space.py`` no module tests a backend or point class or
-    reads a window radius; constructing a backend stays allowed."""
+    """Outside ``space.py`` no module tests a backend or point class,
+    reads a window radius or reads the storage of a ``CtsFun``;
+    constructing a backend stays allowed."""
     package = pathlib.Path(space_module.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "space.py":
             continue
         for number, line in enumerate(path.read_text().splitlines(), 1):
-            if BACKEND_BRANCH.search(line):
+            if BACKEND_BRANCH.search(line) or FUNCTION_STORAGE.search(line):
                 found.append(f"{path.name}:{number}: {line.strip()}")
     assert not found, "backend dispatch outside space.py:\n" + "\n".join(found)
