@@ -15,9 +15,21 @@ the commutant.  The whole character space is a quotient of
 ``sum_k f_k(x) z^k`` is onto, with circle fibers over point characters
 and n-th-root fibers over torus characters.
 
+Every evaluation runs through one kernel.  A sequence of characters is
+compiled once into a :class:`CharacterFamily` of three arrays: the
+vector slot of each character's point, its order (0 for a point
+character) and its torus parameter.  Evaluating the family on an element
+is one gather of each coefficient f_k at those slots, times the weights
+c**(k // n) where the order n divides k (k = 0 alone for a point
+character), summed over k; :func:`eval_character` is the family of one.
+The quotient-map functionals at (x, z) are the order-1 formula with
+parameter z (:func:`circle_functionals`).
+
 Sup computations over the circle use a uniform grid plus a certified
 excess bound (derivative and curvature bounds of the sampled
-trigonometric polynomial) and one golden-section refinement pass.
+trigonometric polynomial) and one golden-section refinement pass; the
+Gelfand sweep over all representative points is one product of the
+coefficient values with the grid powers.
 """
 
 from __future__ import annotations
@@ -25,18 +37,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
-from .algebra import Element, coefficient
+from .algebra import Element
 from .commutant import is_in_commutant
 from .dynamics import DynSys, minimal_interior_order, period_of
-from .errors import ForeignPoint, NotInCommutant
+from .errors import NotInCommutant
 from .numerics import NormEstimate, golden_max, grid_excess
 from .space import Point
 
 UNIT_MODULUS_TOL = 1e-12
+# grid values computed at once by the Gelfand sweep (4 MiB of complex)
+SWEEP_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -113,21 +127,73 @@ def character_at(sys: DynSys, x: Point, c: Optional[complex] = None) -> Characte
     return TorusCharacter(x, template.order, c)
 
 
-def eval_character(sys: DynSys, ch: Character, x_elem: Element, *,
-                   check: bool = True) -> complex:
-    """Apply a character to a commutant element."""
+class CharacterFamily:
+    """A sequence of characters compiled for evaluation in one array pass:
+    the vector slot of each character's point (``slots``), its order, 0
+    for a point character (``orders``), and its torus parameter, 1 for a
+    point character (``params``).  The weights of each index are computed
+    once per family."""
+
+    __slots__ = ("slots", "orders", "params", "_step", "_torus", "_weights")
+
+    def __init__(self, slots, orders, params):
+        self.slots = np.asarray(slots, dtype=np.intp)
+        self.orders = np.asarray(orders, dtype=np.int64)
+        self.params = np.asarray(params, dtype=complex)
+        self._torus = self.orders > 0
+        self._step = np.where(self._torus, self.orders, 1)
+        self._weights = {}
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def weights(self, k: int) -> np.ndarray:
+        """What each character multiplies f_k(x) by: c**(k // n) where the
+        order n divides k, else 0; a point character reads k = 0 only."""
+        w = self._weights.get(k)
+        if w is None:
+            hit = (k % self._step == 0) & (self._torus | (k == 0))
+            w = np.where(hit, self.params ** np.where(hit, k // self._step, 0), 0)
+            self._weights[k] = w
+        return w
+
+
+def character_family(sys: DynSys, chars: Iterable[Character]) -> CharacterFamily:
+    """Compile characters, read once from any iterable, into a
+    :class:`CharacterFamily`; a torus template without a parameter cannot
+    be evaluated."""
+    points, orders, params = [], [], []
+    for ch in chars:
+        points.append(ch.x)
+        if isinstance(ch, TorusCharacter):
+            if ch.c is None:
+                raise ValueError("torus character template has no parameter")
+            orders.append(ch.order)
+            params.append(ch.c)
+        else:
+            orders.append(0)
+            params.append(1.0)
+    return CharacterFamily(sys.space.slots_of(points), orders, params)
+
+
+def eval_family(sys: DynSys, fam: CharacterFamily, x_elem: Element, *,
+                check: bool = True) -> np.ndarray:
+    """The value of every character of the family on a commutant element,
+    as one complex array: sum_k f_k(x) * weight_k, one gather per
+    coefficient."""
     if check and not is_in_commutant(sys, x_elem):
         raise NotInCommutant("characters are defined on the commutant only")
-    if isinstance(ch, PointCharacter):
-        return coefficient(x_elem, 0)(ch.x)
-    if ch.c is None:
-        raise ValueError("torus character template has no parameter")
-    total = 0.0 + 0.0j
-    n = ch.order
+    total = np.zeros(len(fam), dtype=complex)
     for k, f in x_elem.coeffs.items():
-        if k % n == 0:
-            total += f(ch.x) * ch.c ** (k // n)
+        total += f.take(fam.slots) * fam.weights(k)
     return total
+
+
+def eval_character(sys: DynSys, ch: Character, x_elem: Element, *,
+                   check: bool = True) -> complex:
+    """Apply a character to a commutant element: the family of one."""
+    fam = character_family(sys, (ch,))
+    return complex(eval_family(sys, fam, x_elem, check=check)[0])
 
 
 def adjoint_character(ch: Character) -> Character:
@@ -139,15 +205,24 @@ def adjoint_character(ch: Character) -> Character:
     return TorusCharacter(ch.x, ch.order, 1.0 / ch.c.conjugate())
 
 
+def circle_functionals(sys: DynSys, pairs: Iterable[tuple]) -> CharacterFamily:
+    """The quotient-map functionals  sum_k f_k(x) z^k  at the pairs (x, z)
+    of space x circle, as a family: each is the order-1 formula with
+    parameter z."""
+    pairs = list(pairs)
+    return CharacterFamily(sys.space.slots_of(x for x, _ in pairs),
+                           np.ones(len(pairs), dtype=np.int64),
+                           [z for _, z in pairs])
+
+
 def eval_on_circle(sys: DynSys, x: Point, z: complex, x_elem: Element, *,
                    check: bool = True) -> complex:
     """The quotient-map functional  sum_k f_k(x) z^k  at (x, z)."""
     if check and not is_in_commutant(sys, x_elem):
         raise NotInCommutant("the circle functionals are characters on the "
                              "commutant only")
-    if not sys.space.contains(x):
-        raise ForeignPoint(f"{x} not in this space")
-    return sum(f(x) * z ** k for k, f in x_elem.coeffs.items())
+    fam = circle_functionals(sys, [(x, z)])
+    return complex(eval_family(sys, fam, x_elem, check=False)[0])
 
 
 def circle_character(sys: DynSys, x: Point, z: complex) -> Character:
@@ -207,40 +282,53 @@ def gelfand_norm(sys: DynSys, x_elem: Element, grid: CircleGrid, *,
     the point coordinate (window and limit points realize every value) and
     on the grid in the circle coordinate, with a rigorous excess bound
     from the coefficient data; one golden-section pass sharpens the
-    attained value at the best point.
+    attained value at the best point.  The grid values of all points are
+    the product of the (indices x points) coefficient values with the
+    (indices x grid) powers, taken ``SWEEP_ENTRIES`` values at a time.
     """
     if not is_in_commutant(sys, x_elem):
         raise NotInCommutant("the Gelfand norm is defined on the commutant")
     ks = x_elem.support()
     if not ks:
         return NormEstimate(0.0, 0.0)
-    pows = {k: grid.powers(k) for k in ks}
+    slots = np.arange(len(sys.space.representative_points()))
+    coeffs = np.array([x_elem.coeffs[k].take(slots) for k in ks])
+    pows = np.array([grid.powers(k) for k in ks])
     h = grid.half_spacing
+    mags = np.abs(coeffs)
+    ks_arr = np.array(ks, dtype=float)
+    with np.errstate(over="ignore"):  # an infinite bound loses to the other
+        excess = grid_excess(np.abs(ks_arr) @ mags, (ks_arr * ks_arr) @ mags, h)
     best_val = 0.0
-    best_coeffs = None
+    best = None  # (point slot, grid magnitudes there)
     upper = 0.0
-    for p in sys.space.representative_points():
-        coeffs = {k: x_elem.coeffs[k](p) for k in ks}
-        vals = sum(a * pows[k] for k, a in coeffs.items())
-        grid_max = float(np.max(np.abs(vals)))
-        lip = sum(abs(k) * abs(a) for k, a in coeffs.items())
-        curv = sum(k * k * abs(a) for k, a in coeffs.items())
-        upper = max(upper, grid_max + grid_excess(lip, curv, h))
-        if grid_max >= best_val:
-            best_val = grid_max
-            best_coeffs = coeffs
+    step = max(1, SWEEP_ENTRIES // grid.resolution)
+    for lo in range(0, len(slots), step):
+        grid_vals = np.abs(coeffs[:, lo:lo + step].T @ pows)
+        grid_max = np.max(grid_vals, axis=1)
+        upper = max(upper, float(np.max(grid_max + excess[lo:lo + step])))
+        # the last point attaining the largest grid value
+        i = len(grid_max) - 1 - int(np.argmax(grid_max[::-1]))
+        if grid_max[i] >= best_val:
+            best_val = float(grid_max[i])
+            best = (lo + i, grid_vals[i])
     # every character is contractive for the series norm
-    upper = min(upper, x_elem.ell1_norm())
+    ell1 = x_elem.ell1_norm()
+    upper = min(upper, ell1)
     value = best_val
-    if refine and best_coeffs is not None:
+    if refine and best is not None:
+        p, row = best
+        best_coeffs = dict(zip(ks, coeffs[:, p].tolist()))
+
         def fn(t: float) -> float:
             return abs(sum(a * cmath.exp(1j * t * k)
                            for k, a in best_coeffs.items()))
 
-        angles = [2 * math.pi * j / grid.resolution for j in range(grid.resolution)]
-        best_j = max(range(grid.resolution), key=lambda j: fn(angles[j]))
-        value = max(value, golden_max(fn, angles[best_j] - 2 * h,
-                                      angles[best_j] + 2 * h))
+        angle = 2 * math.pi * int(np.argmax(row)) / grid.resolution
+        value = max(value, golden_max(fn, angle - 2 * h, angle + 2 * h))
+    # an attained value never exceeds the series norm; rounding near the
+    # top of the double range could otherwise lift it by an ulp
+    value = min(value, ell1)
     slop = 1e-12 * (1.0 + value)
     return NormEstimate(value, max(0.0, upper - value) + slop)
 
@@ -258,19 +346,17 @@ def recovered_coefficients(sys: DynSys, x_elem: Element, x: Point,
     contributing indices."""
     template = classify_point(sys, x)
     if isinstance(template, PointCharacter):
-        return {0: eval_character(sys, PointCharacter(x), x_elem, check=False)}
+        return {0: eval_character(sys, template, x_elem, check=False)}
     n = template.order
     j_max = x_elem.degree // n
     if resolution < 2 * j_max + 1:
         raise ValueError("grid resolution too small for exact recovery")
-    samples = CircleGrid(resolution).samples
-    vals = [eval_character(sys, TorusCharacter(x, n, c), x_elem, check=False)
-            for c in samples]
-    out = {}
-    for j in range(-j_max, j_max + 1):
-        acc = sum(v * c ** (-j) for v, c in zip(vals, samples)) / resolution
-        out[j * n] = acc
-    return out
+    grid = CircleGrid(resolution)
+    fam = CharacterFamily(sys.space.slots_of([x] * resolution),
+                          np.full(resolution, n), grid.samples)
+    vals = eval_family(sys, fam, x_elem, check=False)
+    return {j * n: complex(vals @ grid.powers(-j)) / resolution
+            for j in range(-j_max, j_max + 1)}
 
 
 def reconstruction_sup(sys: DynSys, x_elem: Element, resolution: int) -> float:

@@ -124,12 +124,16 @@ def commutant_basis(sys: DynSys, degree_bound: int,
                     data_radius: Optional[int] = None) -> List[Element]:
     """A spanning family g d^k with supp(g) inside the k-th fixed-point
     set, |k| <= degree_bound, over the functions of
-    :func:`_functions_supported_in`."""
-    out: List[Element] = []
-    for k in range(-degree_bound, degree_bound + 1):
-        for g in _functions_supported_in(sys, k, data_radius):
-            out.append(embed(g, k))
-    return out
+    :func:`_functions_supported_in`; a new list of the elements built once
+    per (system, degree bound, data radius)."""
+    return list(_commutant_basis(sys, degree_bound, data_radius))
+
+
+@lru_cache(maxsize=None)
+def _commutant_basis(sys: DynSys, degree_bound: int,
+                     data_radius: Optional[int]) -> tuple:
+    return tuple(embed(g, k) for k in range(-degree_bound, degree_bound + 1)
+                 for g in _functions_supported_in(sys, k, data_radius))
 
 
 def _functions_supported_in(sys: DynSys, k: int,

@@ -36,7 +36,8 @@ from .characters import (
     CircleGrid,
     PointCharacter,
     TorusCharacter,
-    eval_character,
+    character_family,
+    eval_family,
     gelfand_norm,
 )
 from .commutant import is_in_commutant, project_to_commutant
@@ -233,6 +234,9 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     # truncated models give lower bounds only, and a cap everywhere else
     ell1 = x_elem.ell1_norm()
     upper = ell1 if loose else min(upper, ell1)
+    # so does every attained value; rounding near the top of the double
+    # range could otherwise lift it by an ulp
+    value = min(value, ell1)
     # headroom for the rounding in the LAPACK norms and the torus phases
     slop = 1e-10 * (1.0 + value)
     return NormEstimate(value, max(0.0, upper - value) + slop)
@@ -303,25 +307,28 @@ def restriction_report(sys: DynSys, x: Point, lams: Sequence[complex],
     dev = 0.0
     if p is None:
         case = "aperiodic"
+        fam = character_family(sys, [PointCharacter(x)])
         for e in elems:
             got = state_eval(sys, TruncatedRep(x, max(1, e.degree)), e)
-            want = eval_character(sys, PointCharacter(x), e, check=False)
+            want = complex(eval_family(sys, fam, e, check=False)[0])
             dev = max(dev, abs(got - want))
     elif n is not None:
         case = "periodic-interior"
         ratio = n // p
-        for lam in lams:
-            for e in elems:
+        fam = character_family(sys, [TorusCharacter(x, n, lam ** ratio)
+                                     for lam in lams])
+        for e in elems:
+            wants = eval_family(sys, fam, e, check=False).tolist()
+            for lam, want in zip(lams, wants):
                 got = state_eval(sys, PeriodicRep(x, p, lam), e)
-                want = eval_character(sys, TorusCharacter(x, n, lam ** ratio), e,
-                                      check=False)
                 dev = max(dev, abs(got - want))
     else:
         case = "periodic-boundary"
-        for lam in lams:
-            for e in elems:
+        fam = character_family(sys, [PointCharacter(x)])
+        for e in elems:
+            want = complex(eval_family(sys, fam, e, check=False)[0])
+            for lam in lams:
                 got = state_eval(sys, PeriodicRep(x, p, lam), e)
-                want = eval_character(sys, PointCharacter(x), e, check=False)
                 dev = max(dev, abs(got - want))
     return RestrictionReport(x, case, p, n, dev)
 
@@ -352,15 +359,13 @@ def unique_extension_gap(sys: DynSys, chars: Sequence[Character],
     """Largest deviation between character-after-projection and the unique
     extension state, over full-algebra samples; both must agree wherever
     the extension is unique."""
+    chars = [ch for ch in chars if extension_state(sys, ch, 0) is not None]
+    fam = character_family(sys, chars)
     gap = 0.0
     for e in elems:
-        projected = project_to_commutant(sys, e)
-        for ch in chars:
-            rep = extension_state(sys, ch, e.degree)
-            if rep is None:
-                continue
-            got = eval_character(sys, ch, projected)
-            want = state_eval(sys, rep, e)
+        gots = eval_family(sys, fam, project_to_commutant(sys, e)).tolist()
+        for ch, got in zip(chars, gots):
+            want = state_eval(sys, extension_state(sys, ch, e.degree), e)
             gap = max(gap, abs(got - want))
     return gap
 

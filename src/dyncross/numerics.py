@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class NormEstimate:
@@ -51,7 +53,7 @@ def grid_excess(first_order: float, second_order: float, half_spacing: float) ->
     expression, ``second_order`` its second derivative.  At a global
     maximizer the derivative of the dominating real trigonometric
     polynomial vanishes, so the quadratic bound applies; the linear bound
-    is kept as a fallback for tiny grids.
+    is kept as a fallback for tiny grids.  Works elementwise on arrays.
     """
-    return min(first_order * half_spacing,
-               0.5 * second_order * half_spacing * half_spacing)
+    return np.minimum(first_order * half_spacing,
+                      0.5 * second_order * half_spacing * half_spacing)

@@ -25,8 +25,8 @@ doubles but the set calculus itself involves no floating point.
 
 This module is the only place that knows the backends apart.  The rest
 of the package reaches them through one protocol: the point structure
-(``window_points``, ``representative_points``, ``index_of``,
-``tail_names``/``tail_probe``/``tail_of``,
+(``window_points``, ``representative_points``, ``index_of`` and its
+array form ``slots_of``, ``tail_names``/``tail_probe``/``tail_of``,
 ``limit_names``/``limit_point``/``limit_name_of``, ``contains``), the
 dynamics (``sigma_apply``, ``sigma_set``, the gather map ``sigma_index``
 and ``period``, where every point of a tail shares the period of its
@@ -328,6 +328,11 @@ class _SpaceOps:
                 raise ForeignPoint(f"{p} not in this space")
             i = self._index[self.limit_point(self.tail_limit_name(tail))]
         return i
+
+    def slots_of(self, points: Iterable[Point]) -> np.ndarray:
+        """The vector slots of these points (see :meth:`index_of`) as one
+        integer array, for :meth:`CtsFun.take`."""
+        return np.fromiter((self.index_of(p) for p in points), dtype=np.intp)
 
     def radius_of(self, slots: np.ndarray) -> int:
         """The data radius of window data at these vector slots (see
@@ -852,6 +857,11 @@ class CtsFun:
 
     def __call__(self, p: Point) -> complex:
         return complex(self.vec[self.space.index_of(p)])
+
+    def take(self, slots: np.ndarray) -> np.ndarray:
+        """The values at these vector slots (see :meth:`_SpaceOps.slots_of`)
+        as a new array: one gather for many points."""
+        return self.vec[slots]
 
     def _exceptional(self) -> np.ndarray:
         """The window slots whose value differs from the limit's; every

@@ -38,10 +38,12 @@ from .algebra import (
 from .characters import (
     CircleGrid,
     TorusCharacter,
+    character_family,
     character_grid,
     circle_character,
+    circle_functionals,
     eval_character,
-    eval_on_circle,
+    eval_family,
     reconstruction_sup,
     recovered_coefficients,
     separating_family,
@@ -93,6 +95,11 @@ def _check(suite: str, name: str, measured: float, tolerance: float,
         detail = f"max deviation {measured:.2e}"
     return CheckRecord(suite, name, measured <= tolerance, detail,
                        {"measured": measured, "tolerance": tolerance, **data})
+
+
+def _largest(values) -> float:
+    """The largest entry of an array of deviations, 0 when it is empty."""
+    return float(np.max(values, initial=0.0))
 
 
 def _elements(sys: DynSys, rng: random.Random, count: int, degree: int,
@@ -325,11 +332,15 @@ def commutant_projection(sys: DynSys, rng: random.Random, trials: int,
     # faithfulness (the zero coefficient of a projected square dominates the
     # largest coefficient, so only zero is killed), positivity through
     # every character, and both closed forms of the projected square
-    chars = character_grid(sys, grid)
+    chars = character_family(sys, character_grid(sys, grid))
+    interior_chars = [TorusCharacter(p, n, c) for p in sys.space.representative_points()
+                      if (n := minimal_interior_order(sys, p)) is not None
+                      for c in samples]
+    interior_fam = character_family(sys, interior_chars)
 
     def min_on_characters(elem):
-        vals = [eval_character(sys, ch, elem, check=False) for ch in chars]
-        return min((min(v.real, -abs(v.imag)) for v in vals), default=0.0)
+        vals = eval_family(sys, chars, elem, check=False)
+        return float(np.min(np.minimum(vals.real, -np.abs(vals.imag)), initial=0.0))
 
     faith = neg = dev_coeff = dev_char = 0.0
     for _ in range(squares):
@@ -348,19 +359,16 @@ def commutant_projection(sys: DynSys, rng: random.Random, trials: int,
             dev_coeff = max(dev_coeff,
                             acc.add(coefficient(psq, m).scale(-1)).sup_norm())
         # character level, at interior points
-        for p in sys.space.representative_points():
-            n = minimal_interior_order(sys, p)
-            if n is None:
-                continue
-            for c in samples:
-                got = eval_character(sys, TorusCharacter(p, n, c), psq, check=False)
-                want = 0.0
-                for r in range(n):
-                    pr = sys.space.sigma_apply(p, r)
-                    inner = sum(f(pr) * c ** ((k - r) // n)
-                                for k, f in x.coeffs.items() if (k - r) % n == 0)
-                    want += abs(inner) ** 2
-                dev_char = max(dev_char, abs(got - want))
+        gots = eval_family(sys, interior_fam, psq, check=False).tolist()
+        for ch, got in zip(interior_chars, gots):
+            p, n, c = ch.x, ch.order, ch.c
+            want = 0.0
+            for r in range(n):
+                pr = sys.space.sigma_apply(p, r)
+                inner = sum(f(pr) * c ** ((k - r) // n)
+                            for k, f in x.coeffs.items() if (k - r) % n == 0)
+                want += abs(inner) ** 2
+            dev_char = max(dev_char, abs(got - want))
     for s in positive_seeds:
         pos = random_positive_element(sys.space, s, 2, 2)
         neg = min(neg, min_on_characters(project_to_commutant(sys, pos)))
@@ -399,24 +407,19 @@ def character_laws(sys: DynSys, rng: random.Random, trials: int,
                    grid: CircleGrid) -> List[CheckRecord]:
     """Criterion 3, first part: the separating family of ``grid`` is
     multiplicative, unital, hermitian and contractive (``trials`` pairs)."""
-    fam = separating_family(sys, grid)
-    one = identity(sys.space)
-    dev_mult = dev_unit = dev_herm = dev_contr = 0.0
+    fam = character_family(sys, separating_family(sys, grid))
+
+    def on(elem):
+        return eval_family(sys, fam, elem, check=False)
+
+    dev_mult = dev_herm = dev_contr = 0.0
     for _ in range(trials):
         x, y = commutant_elements(sys, rng, 2, 2)
-        xy = x * y
-        xs = x.adjoint()
-        nx = x.ell1_norm()
-        for ch in fam:
-            vx = eval_character(sys, ch, x, check=False)
-            vy = eval_character(sys, ch, y, check=False)
-            dev_mult = max(dev_mult, abs(eval_character(sys, ch, xy, check=False)
-                                         - vx * vy))
-            dev_herm = max(dev_herm, abs(eval_character(sys, ch, xs, check=False)
-                                         - vx.conjugate()))
-            dev_contr = max(dev_contr, abs(vx) - nx)
-    for ch in fam:
-        dev_unit = max(dev_unit, abs(eval_character(sys, ch, one, check=False) - 1))
+        vx = on(x)
+        dev_mult = max(dev_mult, _largest(np.abs(on(x * y) - vx * on(y))))
+        dev_herm = max(dev_herm, _largest(np.abs(on(x.adjoint()) - vx.conj())))
+        dev_contr = max(dev_contr, _largest(np.abs(vx) - x.ell1_norm()))
+    dev_unit = _largest(np.abs(on(identity(sys.space)) - 1))
     return [
         _check("characters", "multiplicative", dev_mult, 1e-9),
         _check("characters", "unital", dev_unit, 1e-12),
@@ -463,7 +466,7 @@ def semisimplicity(sys: DynSys, rng: random.Random, trials: int,
     the coefficients and see every nonzero element, also scaled to 1e-13;
     the zero element recovers zero."""
     points = sys.space.representative_points()
-    chars = character_grid(sys, CircleGrid(resolution))
+    chars = character_family(sys, character_grid(sys, CircleGrid(resolution)))
     dev = 0.0
     false_zeros = misses = tiny_misses = 0
     for _ in range(trials):
@@ -475,7 +478,7 @@ def semisimplicity(sys: DynSys, rng: random.Random, trials: int,
                 dev = max(dev, abs(v - coefficient(x, k)(p)))
         if x.is_zero(1e-6):
             continue
-        if max(abs(eval_character(sys, ch, x, check=False)) for ch in chars) <= 1e-12:
+        if np.max(np.abs(eval_family(sys, chars, x, check=False))) <= 1e-12:
             false_zeros += 1
         if max(abs(v) for vals in recovered.values() for v in vals.values()) <= 1e-8:
             misses += 1
@@ -499,13 +502,13 @@ def circle_quotient(sys: DynSys, elems: Sequence[Element],
                     samples: Sequence[complex]) -> List[CheckRecord]:
     """Criterion 5: the functional at (x, z) of space x circle is the
     character at the image of (x, z), at every point and circle sample."""
+    pairs = [(p, z) for p in sys.space.representative_points() for z in samples]
+    functionals = circle_functionals(sys, pairs)
+    chars = character_family(sys, (circle_character(sys, p, z) for p, z in pairs))
     dev = 0.0
     for x in elems:
-        for p in sys.space.representative_points():
-            for z in samples:
-                got = eval_on_circle(sys, p, z, x, check=False)
-                want = eval_character(sys, circle_character(sys, p, z), x, check=False)
-                dev = max(dev, abs(got - want))
+        dev = max(dev, _largest(np.abs(eval_family(sys, functionals, x, check=False)
+                                       - eval_family(sys, chars, x, check=False))))
     return [_check("characters", "circle-quotient-agreement", dev, 1e-10)]
 
 
@@ -518,11 +521,10 @@ def characters_suite(sys: DynSys, seed: int = 0, trials: int = 30,
                            CircleGrid(max(16, grid.resolution)).samples)
 
     # restriction to the function algebra is evaluation
-    dev = 0.0
     g = random_ctsfun(sys.space, rng)
-    ge = embed(g)
-    for ch in separating_family(sys, grid):
-        dev = max(dev, abs(eval_character(sys, ch, ge, check=False) - g(ch.x)))
+    fam = character_family(sys, separating_family(sys, grid))
+    dev = _largest(np.abs(eval_family(sys, fam, embed(g), check=False)
+                          - g.take(fam.slots)))
     out.append(_check("characters", "restriction-is-evaluation", dev, 1e-12))
 
     out += nonunimodular_growth(sys)

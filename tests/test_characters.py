@@ -13,20 +13,34 @@ from dyncross.characters import (
     TorusCharacter,
     adjoint_character,
     character_at,
+    character_family,
     character_grid,
     circle_character,
     classify_point,
     eval_character,
+    eval_family,
     eval_on_circle,
     gelfand_norm,
     reconstruction_sup,
     recovered_coefficients,
     separating_family,
 )
-from dyncross.commutant import random_commutant_element
+from dyncross.commutant import is_in_commutant, random_commutant_element
+from dyncross.dynamics import make_dynsys, minimal_interior_order
 from dyncross.errors import NotInCommutant
-from dyncross.sampling import random_ctsfun
-from dyncross.space import ATail, BTail, CtsFun, FinitePoint, INFINITY, IntPoint, ORIGIN
+from dyncross.fixtures import FIXTURES
+from dyncross.sampling import random_ctsfun, random_element
+from dyncross.space import (
+    ATail,
+    BTail,
+    CtsFun,
+    FinitePoint,
+    INFINITY,
+    IntPoint,
+    IntShiftSpace,
+    ORIGIN,
+    PairSwapTailsSpace,
+)
 
 
 def fun2(space, va, vb):
@@ -287,3 +301,105 @@ class TestReconstruction:
                 for ch in character_grid(int_shift8, CircleGrid(4))]
         assert max(vals) == pytest.approx(1.0)
         assert reconstruction_sup(int_shift8, x, 16) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The family kernel against the textbook formula
+# ---------------------------------------------------------------------------
+
+KERNEL_SYSTEMS = dict(FIXTURES, int_shift64=lambda: make_dynsys(IntShiftSpace(64)),
+                      tails256=lambda: make_dynsys(PairSwapTailsSpace(256)))
+
+
+def textbook(x_elem, ch):
+    """sum_j f_{jn}(x) c^j for a torus character of order n, f_0(x) for a
+    point character, read point by point from the coefficients."""
+    if isinstance(ch, PointCharacter):
+        return x_elem.coefficient(0)(ch.x)
+    return sum((f(ch.x) * ch.c ** (k // ch.order)
+                for k, f in x_elem.coeffs.items() if k % ch.order == 0), 0j)
+
+
+def every_character(system):
+    """Every representative point and tail probe, with point characters
+    where the point carries one and otherwise torus characters at
+    unimodular and non-unimodular parameters."""
+    sp = system.space
+    points = list(sp.representative_points())
+    points += [sp.tail_probe(t) for t in sp.tail_names]
+    out = []
+    for p in points:
+        n = minimal_interior_order(system, p)
+        if n is None:
+            out.append(PointCharacter(p))
+        else:
+            out += [TorusCharacter(p, n, c) for c in (1, -1j, cmath.exp(0.7j), 2.0, 0.5j)]
+    return out
+
+
+class TestCharacterFamily:
+    @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+    def test_matches_the_textbook_formula(self, name):
+        """Against the formula, and each entry is exactly the value of
+        its character alone."""
+        system = KERNEL_SYSTEMS[name]()
+        chars = every_character(system)
+        fam = character_family(system, chars)
+        rng = random.Random(41)
+        elems = [random_element(system.space, rng, 3) for _ in range(4)]
+        assert any(k < 0 for x in elems for k in x.coeffs)
+        for x in elems:
+            got = eval_family(system, fam, x, check=False)
+            assert len(got) == len(chars)
+            for ch, v in zip(chars, got):
+                assert v == pytest.approx(textbook(x, ch), rel=1e-12, abs=1e-12)
+                assert eval_character(system, ch, x, check=False) == v
+        assert not eval_family(system, fam, zero(system.space)).any()
+
+    def test_covers_both_kinds_and_higher_orders(self):
+        for name in KERNEL_SYSTEMS:
+            chars = every_character(KERNEL_SYSTEMS[name]())
+            kinds = {type(ch) for ch in chars}
+            if name in ("int_shift8", "int_shift64"):
+                assert PointCharacter in kinds
+            else:
+                assert TorusCharacter in kinds
+        for name, p in (("swap2", FinitePoint(0)), ("tails8", ORIGIN)):
+            orders = {ch.order for ch in every_character(KERNEL_SYSTEMS[name]())
+                      if ch.x == p}
+            assert orders == {2}
+
+    @pytest.mark.parametrize("name", ["swap2", "tails8"])
+    def test_order_two_reads_even_indices(self, name):
+        system = FIXTURES[name]()
+        p = FinitePoint(0) if name == "swap2" else ORIGIN
+        f = CtsFun.constant(system.space, 1.0)
+        x = embed(f.scale(3.0), -2) + embed(f.scale(5.0), 1) + embed(f.scale(7.0))
+        fam = character_family(system, [TorusCharacter(p, 2, 1j)])
+        # 3 c^-1 + 7; the odd term does not reach an order-two character
+        assert eval_family(system, fam, x, check=False)[0] \
+            == pytest.approx(3 / 1j + 7, abs=1e-12)
+
+    def test_commutant_elements_and_membership_check(self, system):
+        rng = random.Random(43)
+        chars = every_character(system)
+        fam = character_family(system, chars)
+        for _ in range(5):
+            x = random_commutant_element(system, rng, 3)
+            got = eval_family(system, fam, x)
+            for ch, v in zip(chars, got):
+                assert v == pytest.approx(textbook(x, ch), rel=1e-12, abs=1e-12)
+        outside = delta(system.space, 1)
+        if not is_in_commutant(system, outside):
+            with pytest.raises(NotInCommutant):
+                eval_family(system, fam, outside)
+
+    def test_empty_family(self, system):
+        fam = character_family(system, [])
+        x = random_element(system.space, random.Random(47), 2)
+        got = eval_family(system, fam, x, check=False)
+        assert len(fam) == 0 and got.shape == (0,)
+
+    def test_template_without_parameter_is_rejected(self, swap2):
+        with pytest.raises(ValueError):
+            character_family(swap2, [TorusCharacter(FinitePoint(0), 2, None)])

@@ -286,6 +286,18 @@ def test_norms_near_the_double_maximum_are_finite(tmp_path, capsys):
     assert doc["ell1"] == abs(complex(1e308, 1e308))
 
 
+def test_norm_values_never_exceed_the_series_norm(tmp_path, capsys):
+    """The norm of f d^k is the series norm; near the top of the double
+    range rounding must not lift an attained value above it."""
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"terms": [{"k": 5, "values": {"pt": [1e308, 1e308]}}]}))
+    assert main(["norms", "--json", "--space", "one_point",
+                 "--element", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for norm in ("cstar", "gelfand"):
+        assert doc[norm]["value"] <= doc["ell1"]
+
+
 def test_integral_float_index_is_accepted(tmp_path, capsys):
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"terms": [{"k": 2.0, "values": {"pt": [1, 0]}}]}))

@@ -7,6 +7,7 @@ import pytest
 
 from dyncross.algebra import coefficient, delta, embed, identity, zero
 from dyncross.commutant import (
+    _functions_supported_in,
     commutant_basis,
     commutes_oracle,
     indicator_family,
@@ -17,7 +18,7 @@ from dyncross.commutant import (
 from dyncross.characters import CircleGrid, TorusCharacter, character_grid, eval_character
 from dyncross.dynamics import minimal_interior_order
 from dyncross.errors import ProjectionUnavailable
-from dyncross.sampling import random_ctsfun, random_element
+from dyncross.sampling import random_ctsfun, random_element, random_value
 from dyncross.space import ATail, CtsFun, FinitePoint, IntPoint, ORIGIN
 
 
@@ -237,3 +238,64 @@ class TestBasis:
             assert is_in_commutant(system, a.adjoint())
             for b in sample:
                 assert is_in_commutant(system, a * b)
+
+
+def fresh_basis(system, degree_bound, data_radius):
+    """The spanning family built from scratch, as before it was memoised."""
+    return [embed(g, k) for k in range(-degree_bound, degree_bound + 1)
+            for g in _functions_supported_in(system, k, data_radius)]
+
+
+def same_element(x, y):
+    return x.coeffs.keys() == y.coeffs.keys() and (x - y).ell1_norm() == 0
+
+
+class TestBasisMemo:
+    def test_returned_list_is_the_callers(self, system):
+        basis = commutant_basis(system, 2, data_radius=4)
+        size = len(basis)
+        basis.clear()
+        basis.append(identity(system.space))
+        again = commutant_basis(system, 2, data_radius=4)
+        assert len(again) == size
+        assert all(same_element(a, b)
+                   for a, b in zip(again, fresh_basis(system, 2, 4)))
+
+    @pytest.mark.parametrize("degree_bound,data_radius", [(1, None), (2, 4), (3, 0)])
+    def test_memo_equals_a_fresh_build(self, system, degree_bound, data_radius):
+        memo = commutant_basis(system, degree_bound, data_radius)
+        fresh = fresh_basis(system, degree_bound, data_radius)
+        assert len(memo) == len(fresh)
+        assert all(same_element(a, b) for a, b in zip(memo, fresh))
+
+    def test_random_elements_draw_as_from_a_fresh_basis(self, system):
+        """The draw of a random commutant element sees the same sequence as
+        when the basis was rebuilt on every call."""
+        def reference(rng, degree_bound):
+            room = system.space.room(2 * degree_bound)
+            basis = fresh_basis(system, degree_bound,
+                                None if room is None else max(0, room))
+            out = zero(system.space)
+            for b in rng.sample(basis, rng.randint(1, min(6, len(basis)))):
+                out = out + b.scale(random_value(rng))
+            return out
+
+        for seed in (7, 8):
+            memo_rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                assert same_element(random_commutant_element(system, memo_rng, 2),
+                                    reference(ref_rng, 2))
+
+    def test_swap_draws_are_pinned(self, swap2):
+        rng = random.Random(7)
+        a = swap2.space.point("a")
+        got = [{k: f(a) for k, f in random_commutant_element(swap2, rng, 2).coeffs.items()}
+               for _ in range(3)]
+        assert got == [
+            {0: 0j, -2: (0.9181721513707595 - 0.5907130133438651j)},
+            {0: 0j, 2: (-0.5465826806177563 - 0.7896092863316763j),
+             -2: (-1.0771029486174988 + 0.5495893133897715j)},
+            {0: (1.0251965038114514 + 1.2294452894392176j),
+             2: (-1.2943794815224912 - 0.5818550107957698j),
+             -2: (1.0855618635076387 + 0.8615823559445663j)},
+        ]
