@@ -11,8 +11,12 @@ diagonal function action; the artifact compresses it to the window
 [-M, M], which is exact for states and matrix products away from the
 edges and yields certified lower bounds for norms.
 
-Every spectral norm is the largest singular value from LAPACK; every
-cyclic model is assembled from one torus-independent entry plan.
+Every spectral norm runs through one batched function that picks the
+method per matrix: a diagonal model (a commutant element acts diagonally
+on every model) is normed exactly by its largest entry modulus, a 2x2
+model by the closed form of its Gram matrix, and every other model by
+LAPACK.  Every cyclic model is assembled from one torus-independent entry
+plan.
 
 The C*-norm of an element is the sup of the representation norms over
 orbit representatives and the torus parameter; the torus sweep carries
@@ -47,13 +51,16 @@ from .dynamics import (
     period_of,
     periodic_orbit_reps,
 )
-from .errors import ForeignPoint, NotInCommutant, TruncationTooSmall
+from .errors import ForeignPoint, NotInCommutant, TooLarge, TruncationTooSmall
 from .numerics import NormEstimate, golden_max, grid_excess
 from .space import Point
 
 UNIT_MODULUS_TOL = 1e-12
 # matrix entries (16 bytes each) of one batch of cyclic models in cstar_norm
-BATCH_ENTRIES = 1 << 18
+BATCH_ENTRIES = 1 << 16
+# matrix entries of one truncated shift model (128 MiB): int_shift W=1024
+# at degree 8 needs a model of size 2067, about half of this
+MAX_MODEL_ENTRIES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,9 @@ def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
     if period_of(sys, rep.x) is not None:
         raise ForeignPoint(f"{rep.x} is periodic; use the cyclic model")
     dim = 2 * m + 1
+    if dim * dim > MAX_MODEL_ENTRIES:
+        raise TooLarge(f"the truncated shift model of radius {m} would have "
+                       f"{dim * dim} entries, more than {MAX_MODEL_ENTRIES}")
     mat = np.zeros((dim, dim), dtype=complex)
     for k, f in x_elem.coeffs.items():
         for n in range(-m, m + 1):
@@ -140,15 +150,91 @@ def operator_norm(mat) -> float:
 
 
 def _batched_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular values of a stack of matrices.
+    """Largest singular values of a stack of matrices, the method chosen
+    per matrix from that matrix alone:
 
-    Backed by LAPACK through numpy (a closed 2x2 formula loses half the
-    mantissa to cancellation near degenerate singular values, which is
-    exactly the common case for the cyclic models).
+    * diagonal (no nonzero entry off the diagonal, which covers 1x1 and
+      the zero matrix): the largest entry modulus, exactly;
+    * 2x2: the top eigenvalue of the Gram matrix in closed form
+      (:func:`_gram_norms`);
+    * anything else, and every non-square matrix: LAPACK through numpy.
+
+    On the cyclic and shift models a commutant element acts diagonally,
+    and period-2 orbits give stacks of 2x2 models, so most matrices never
+    reach LAPACK.
     """
-    if mats.shape[-2:] == (1, 1):
-        return np.abs(mats[:, 0, 0])
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    count, rows, cols = mats.shape
+    if rows != cols:
+        return _lapack_norms(mats)
+    # the flat entries after the first, in rows of rows + 1, end with a
+    # diagonal entry each: the first ``rows`` columns are the off-diagonal
+    off_diagonal = (mats.reshape(count, rows * rows)[:, 1:]
+                    .reshape(count, rows - 1, rows + 1)[:, :, :rows])
+    if not np.count_nonzero(off_diagonal):
+        return _diagonal_norms(mats)
+    dense = _gram_norms if rows == 2 else _lapack_norms
+    is_diagonal = ~off_diagonal.any(axis=(1, 2))
+    if not is_diagonal.any():
+        return dense(mats)
+    out = np.empty(count)
+    out[is_diagonal] = _diagonal_norms(mats[is_diagonal])
+    out[~is_diagonal] = dense(mats[~is_diagonal])
+    return out
+
+
+def _diagonal_norms(mats: np.ndarray) -> np.ndarray:
+    return np.abs(mats.diagonal(axis1=1, axis2=2)).max(axis=1)
+
+
+def _lapack_norms(mats: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def _gram_norms(mats: np.ndarray) -> np.ndarray:
+    """Largest singular values of a stack of 2x2 matrices.
+
+    sigma^2 is the top eigenvalue of the Gram matrix (:func:`_gram_top`).
+    Each matrix is first scaled by the power of two of its largest real or
+    imaginary part, exactly, so that entries near the ends of the double
+    range neither overflow nor underflow when squared.  The work runs on
+    the eight real parts, one vector each, so the temporaries stay the
+    size of the stack.  A matrix alone takes the same steps on Python
+    floats, where numpy's cost per call would dominate: every step is exact
+    (max, frexp, ldexp) or correctly rounded (+, -, *, /, sqrt) in both,
+    so the results agree to the bit.
+    """
+    entries = (mats[:, 0, 0], mats[:, 1, 0], mats[:, 0, 1], mats[:, 1, 1])
+    if len(mats) == 1:
+        values = [complex(z[0]) for z in entries]
+        parts = [z.real for z in values] + [z.imag for z in values]
+        exponent = math.frexp(max(abs(part) for part in parts))[1]
+        top = _gram_top([math.ldexp(part, -exponent) for part in parts], math.sqrt)
+        return np.ldexp(np.array([math.sqrt(top)]), exponent)
+    parts = [z.real for z in entries] + [z.imag for z in entries]
+    peak = np.abs(parts[0])
+    for part in parts[1:]:
+        np.maximum(peak, np.abs(part), out=peak)
+    exponent = np.frexp(peak)[1]
+    top = _gram_top([np.ldexp(part, -exponent) for part in parts], np.sqrt)
+    return np.ldexp(np.sqrt(top), exponent)
+
+
+def _gram_top(parts: list, sqrt):
+    """sigma^2 of a 2x2 matrix from the real and imaginary parts of its
+    entries (Python floats or numpy vectors): the top eigenvalue of the
+    Gram matrix [[a, b], [b*, c]], with a, c the squared column norms and
+    b the column inner product, (a + c)/2 + sqrt(((a - c)/2)^2 + |b|^2).
+    Both terms are nonnegative, so nothing cancels, unlike the
+    Frobenius/determinant form, which loses half the mantissa near equal
+    singular values (the common case for the cyclic models)."""
+    x0, x1, y0, y1, u0, u1, v0, v1 = parts
+    # columns (x0 + i u0, x1 + i u1) and (y0 + i v0, y1 + i v1)
+    a = x0 * x0 + u0 * u0 + x1 * x1 + u1 * u1
+    c = y0 * y0 + v0 * v0 + y1 * y1 + v1 * v1
+    re = x0 * y0 + u0 * v0 + x1 * y1 + u1 * v1
+    im = x0 * v0 - u0 * y0 + x1 * v1 - u1 * y1
+    half = (a - c) / 2
+    return (a + c) / 2 + sqrt(half * half + re * re + im * im)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +278,7 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     for x, p in periodic_orbit_reps(sys):
         by_period.setdefault(p, []).append(x)
     g = grid.resolution
+    sups = [(abs(k), f.sup_norm()) for k, f in x_elem.coeffs.items()]
     for p, points in by_period.items():
         plans = [_rep_entry_plan(sys, x, p, x_elem) for x in points]
         # the models of one period, a slice of torus parameters at a time
@@ -203,10 +290,8 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
                           .reshape(len(points), -1))
         norms = np.concatenate(chunks, axis=1)
         grid_max = float(np.max(norms))
-        lip = sum(math.ceil(abs(k) / p) * f.sup_norm()
-                  for k, f in x_elem.coeffs.items())
-        curv = sum(math.ceil(abs(k) / p) ** 2 * f.sup_norm()
-                   for k, f in x_elem.coeffs.items())
+        lip = sum(math.ceil(k / p) * sup for k, sup in sups)
+        curv = sum(math.ceil(k / p) ** 2 * sup for k, sup in sups)
         upper = max(upper, grid_max + grid_excess(lip, curv, h))
         value = max(value, grid_max)
         if best is None or grid_max > best[0]:
@@ -237,7 +322,8 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     # so does every attained value; rounding near the top of the double
     # range could otherwise lift it by an ulp
     value = min(value, ell1)
-    # headroom for the rounding in the LAPACK norms and the torus phases
+    # headroom for the rounding in the spectral norms (closed form or
+    # LAPACK) and the torus phases
     slop = 1e-10 * (1.0 + value)
     return NormEstimate(value, max(0.0, upper - value) + slop)
 

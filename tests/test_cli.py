@@ -4,12 +4,14 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -259,10 +261,12 @@ def test_norms_of_high_degree_monomial(space, k, points, tmp_path, capsys):
     ("one_point", [{"k": 0, "values": {"pt": [1e308, 1e308]}},
                    {"k": 1, "values": {"pt": [1e308, 1e308]}}], 64,
      "series norm is beyond the floating-point range"),
+    ("int_shift8", [{"k": 10000, "values": {"0": [1, 0]}}], 64,
+     "truncated shift model of radius 10009"),
 ], ids=["grid-3", "values-list", "limits-list", "nan", "inf", "minus-inf",
         "k-fraction", "k-bool", "k-string", "huge-value", "huge-imaginary-part",
         "value-bool", "part-bool", "k-twice", "k-huge", "unknown-label",
-        "ell1-overflow"])
+        "ell1-overflow", "model-beyond-budget"])
 def test_input_contract(space, terms, grid, message, tmp_path, capsys):
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"terms": terms}))
@@ -296,6 +300,31 @@ def test_norm_values_never_exceed_the_series_norm(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     for norm in ("cstar", "gelfand"):
         assert doc[norm]["value"] <= doc["ell1"]
+
+
+def test_2x2_norms_near_the_double_maximum(tmp_path, capsys):
+    """swap2's cyclic model of f_0 + f_1 d is [[f_0(x), lam f_1(x)],
+    [f_1(y), f_0(y)]] with y = sigma(x); with f_1(a) = 0 its norm does not
+    depend on lam or on the base point, and the squares of its entries
+    overflow."""
+    f0 = {"a": [1e307, 1e307], "b": [-1e307, 5e306]}
+    f1 = {"a": [0, 0], "b": [1e307, -1e307]}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"terms": [{"k": 0, "values": f0},
+                                          {"k": 1, "values": f1}]}))
+    assert main(["norms", "--json", "--space", "swap2", "--grid", "64",
+                 "--element", str(path)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    z = {k: {p: complex(*v) for p, v in f.items()} for k, f in ((0, f0), (1, f1))}
+    model = np.array([[z[0]["a"], 0], [z[1]["b"], z[0]["b"]]])
+    want = float(np.linalg.svd(model, compute_uv=False)[0])
+    value = doc["cstar"]["value"]
+    assert math.isfinite(value) and value <= doc["ell1"]
+    assert value == pytest.approx(want, rel=1e-13)
 
 
 def test_integral_float_index_is_accepted(tmp_path, capsys):

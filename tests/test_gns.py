@@ -20,7 +20,7 @@ from dyncross.characters import (
 from dyncross import gns
 from dyncross.commutant import random_commutant_element
 from dyncross.dynamics import make_dynsys
-from dyncross.errors import TruncationTooSmall
+from dyncross.errors import TooLarge, TruncationTooSmall
 from dyncross.gns import (
     PeriodicRep,
     TruncatedRep,
@@ -40,6 +40,7 @@ from dyncross.space import (
     CtsFun,
     FinitePoint,
     IntPoint,
+    IntShiftSpace,
     ORIGIN,
     finite_space,
 )
@@ -84,6 +85,19 @@ class TestRepMatrix:
         x = delta(int_shift8.space, 3)
         with pytest.raises(TruncationTooSmall):
             rep_matrix(int_shift8, TruncatedRep(IntPoint(0), 2), x)
+
+    def test_truncated_model_budget(self, int_shift8):
+        # the default model of int_shift W=1024 at degree 8 fits
+        big = make_dynsys(IntShiftSpace(1024))
+        x = delta(big.space, 8)
+        m = gns.default_truncation(big, x)
+        rm = rep_matrix(big, TruncatedRep(IntPoint(0), m), x)
+        assert rm.matrix.shape == (2 * 1033 + 1,) * 2
+        # a high index asks for a model of size 20019, refused before it is built
+        x = delta(int_shift8.space, 10000)
+        m = gns.default_truncation(int_shift8, x)
+        with pytest.raises(TooLarge, match="truncated shift model"):
+            rep_matrix(int_shift8, TruncatedRep(IntPoint(0), m), x)
 
     def test_star_representation(self, system):
         rng = random.Random(37)
@@ -171,6 +185,114 @@ class TestOperatorNorm:
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             want = float(np.linalg.svd(m, compute_uv=False)[0])
             assert operator_norm(m) == pytest.approx(want, rel=1e-9)
+
+
+def _random_stack(rng, count, n, scale=1.0):
+    return scale * (rng.normal(size=(count, n, n))
+                    + 1j * rng.normal(size=(count, n, n)))
+
+
+def _lapack_norms(mats):
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+class TestBatchedNorms:
+    """Each method of ``_batched_norms`` against LAPACK as the oracle."""
+
+    @pytest.mark.parametrize("exp10", [-300, -150, 0, 150, 300])
+    def test_random_2x2_at_every_scale(self, exp10):
+        mats = _random_stack(np.random.default_rng(exp10 + 1000), 2000, 2,
+                             10.0 ** exp10)
+        got = gns._batched_norms(mats)
+        want = _lapack_norms(mats)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        # a matrix alone takes the scalar route: the same bits
+        assert got[:200].tolist() == [operator_norm(m) for m in mats[:200]]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 3e5, 1e300])
+    def test_2x2_with_equal_singular_values(self, scale):
+        # scaled unitaries: both singular values equal |scale|
+        rng = np.random.default_rng(11)
+        t = rng.uniform(0, 2 * np.pi, size=(4, 500))
+        c, s = np.cos(t[2]), np.sin(t[2])
+        u = np.empty((500, 2, 2), dtype=complex)
+        u[:, 0, 0] = np.exp(1j * t[0]) * c
+        u[:, 0, 1] = -np.exp(-1j * t[1]) * s
+        u[:, 1, 0] = np.exp(1j * t[1]) * s
+        u[:, 1, 1] = np.exp(-1j * t[0]) * c
+        mats = u * (scale * np.exp(1j * t[3]))[:, None, None]
+        got = gns._batched_norms(mats)
+        assert np.max(np.abs(got / scale - 1)) <= 1e-13
+        want = _lapack_norms(mats)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_2x2_rank_one_and_zero(self):
+        v = np.array([[1, 2j], [-3, 0.5 - 1j]])
+        mats = np.stack([np.outer(v[0], v[1].conj()), np.zeros((2, 2)),
+                         np.outer(v[1], v[1].conj()) * 1e-310])
+        got = gns._batched_norms(mats)
+        assert got[1] == 0.0
+        want = [np.linalg.norm(v[0]) * np.linalg.norm(v[1]), 0.0,
+                np.linalg.norm(v[1]) ** 2 * 1e-310]
+        assert got == pytest.approx(want, rel=1e-13)
+        assert gns._batched_norms(np.zeros((5, 2, 2), dtype=complex)).tolist() == [0.0] * 5
+
+    def test_2x2_norm_beyond_the_double_range(self):
+        big = np.full((3, 2, 2), 1e308, dtype=complex)
+        with np.errstate(over="ignore"):
+            assert operator_norm(big[0]) == math.inf
+            assert gns._batched_norms(big).tolist() == [math.inf] * 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, 515])
+    def test_diagonal_stacks(self, n):
+        rng = np.random.default_rng(n)
+        count = 4 if n == 515 else 50
+        diag = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+        diag[0] = 0
+        mats = np.zeros((count, n, n), dtype=complex)
+        mats[:, np.arange(n), np.arange(n)] = diag
+        got = gns._batched_norms(mats)
+        assert got.tolist() == np.abs(diag).max(axis=1).tolist()
+        want = _lapack_norms(mats)
+        assert np.max(np.abs(got - want) / np.maximum(want, 1e-300)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mixed_stack_equals_each_matrix_alone(self, n):
+        rng = np.random.default_rng(5 + n)
+        mats = _random_stack(rng, 40, n)
+        for i in range(0, 40, 3):
+            mats[i] = np.diag(np.diag(mats[i]))
+        mats[7] = 0
+        got = gns._batched_norms(mats)
+        assert got.tolist() == [operator_norm(m) for m in mats]
+
+
+class TestNormsWithoutLapack:
+    """On diagonal and 2x2 models the C*-norm takes no LAPACK call."""
+
+    @pytest.fixture(autouse=True)
+    def no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK SVD called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+
+    def test_commutant_elements(self, system):
+        rng = random.Random(47)
+        for _ in range(3):
+            x = random_commutant_element(system, rng, 3)
+            est = cstar_norm(system, x, CircleGrid(64))
+            assert est.value <= x.ell1_norm()
+
+    @pytest.mark.parametrize("name", ["swap2", "tails8"])
+    def test_general_elements(self, name, request):
+        system = request.getfixturevalue(name)
+        rng = random.Random(48)
+        for _ in range(3):
+            x = random_element(system.space, rng, 3, multiply_slack=1)
+            est = cstar_norm(system, x, CircleGrid(64))
+            assert est.value <= x.ell1_norm()
 
 
 class TestCstarNorm:
