@@ -179,13 +179,13 @@ def character_family(sys: DynSys, chars: Iterable[Character]) -> CharacterFamily
 def eval_family(sys: DynSys, fam: CharacterFamily, x_elem: Element, *,
                 check: bool = True) -> np.ndarray:
     """The value of every character of the family on a commutant element,
-    as one complex array: sum_k f_k(x) * weight_k, one gather per
-    coefficient."""
+    as one complex array: sum_k f_k(x) * weight_k, from one gather of all
+    coefficients."""
     if check and not is_in_commutant(sys, x_elem):
         raise NotInCommutant("characters are defined on the commutant only")
     total = np.zeros(len(fam), dtype=complex)
-    for k, f in x_elem.coeffs.items():
-        total += f.take(fam.slots) * fam.weights(k)
+    for k, values in zip(x_elem.degrees, x_elem.rows.take(fam.slots)):
+        total += values * fam.weights(k)
     return total
 
 
@@ -292,7 +292,7 @@ def gelfand_norm(sys: DynSys, x_elem: Element, grid: CircleGrid, *,
     if not ks:
         return NormEstimate(0.0, 0.0)
     slots = np.arange(len(sys.space.representative_points()))
-    coeffs = np.array([x_elem.coeffs[k].take(slots) for k in ks])
+    coeffs = x_elem.rows.take(slots)
     pows = np.array([grid.powers(k) for k in ks])
     h = grid.half_spacing
     mags = np.abs(coeffs)

@@ -38,17 +38,15 @@ from .dynamics import (
 )
 from .errors import ProjectionUnavailable
 from .sampling import random_ctsfun, random_value
-from .space import CtsFun
+from .space import CtsFun, FunRows
 
 
 def is_in_commutant(sys: DynSys, x: Element, eps: float = EPS_SUPP) -> bool:
     """Exact membership: every coefficient's numerical support (threshold
     eps, then topological closure) lies inside the matching fixed-point
     set."""
-    for k, f in x.coeffs.items():
-        if not f.support(eps).is_subset(fix_set(sys, k)):
-            return False
-    return True
+    return all(s.is_subset(fix_set(sys, k))
+               for k, s in zip(x.degrees, x.rows.supports(eps)))
 
 
 def _oracle_functions(sys: DynSys, degree: int, trials: int,
@@ -115,9 +113,11 @@ def indicator_family(sys: DynSys) -> IndicatorFamily:
 
 def project_to_commutant(sys: DynSys, x: Element) -> Element:
     """The norm-one projection: multiply each coefficient by the indicator
-    of the matching fixed-point-set interior."""
+    of the matching fixed-point-set interior, one product of the rows with
+    the indicator rows."""
     fam = indicator_family(sys)
-    return Element(sys.space, {k: f.mul(fam.get(k)) for k, f in x.coeffs.items()})
+    indicators = FunRows.from_functions(sys.space, [fam.get(k) for k in x.degrees])
+    return Element.from_rows(sys.space, x.degrees, x.rows.mul(indicators))
 
 
 def commutant_basis(sys: DynSys, degree_bound: int,

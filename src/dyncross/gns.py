@@ -58,9 +58,14 @@ from .space import Point
 UNIT_MODULUS_TOL = 1e-12
 # matrix entries (16 bytes each) of one batch of cyclic models in cstar_norm
 BATCH_ENTRIES = 1 << 16
-# matrix entries of one truncated shift model (128 MiB): int_shift W=1024
-# at degree 8 needs a model of size 2067, about half of this
+# matrix entries of one model (128 MiB): int_shift W=1024 at degree 8
+# needs a truncated shift model of size 2067, about half of this
 MAX_MODEL_ENTRIES = 1 << 23
+# work of the torus sweep of cstar_norm, counted as p**3 per evaluation of a
+# non-diagonal cyclic model of size p (a LAPACK SVD) and p**2 per diagonal
+# one: about 1.5 s of SVDs (a 100-cycle at G = 1024); the largest benchmark
+# input, a 60-cycle at G = 256, needs 5 % of it
+MAX_SWEEP_WORK = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,7 @@ def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
                 f"{rep.x} has exact period {actual}, not {p}")
         if abs(abs(rep.lam) - 1.0) > UNIT_MODULUS_TOL:
             raise ValueError("wrap-around parameter must be unimodular")
+        _check_model_size(f"the cyclic model of period {p}", p)
         plan = _rep_entry_plan(sys, rep.x, p, x_elem)
         return RepMatrix(_cyclic_matrices([plan], p, lambda w: rep.lam ** w)[0], 0)
     m = rep.radius
@@ -114,16 +120,21 @@ def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
     if period_of(sys, rep.x) is not None:
         raise ForeignPoint(f"{rep.x} is periodic; use the cyclic model")
     dim = 2 * m + 1
-    if dim * dim > MAX_MODEL_ENTRIES:
-        raise TooLarge(f"the truncated shift model of radius {m} would have "
-                       f"{dim * dim} entries, more than {MAX_MODEL_ENTRIES}")
+    _check_model_size(f"the truncated shift model of radius {m}", dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    for k, f in x_elem.coeffs.items():
-        for n in range(-m, m + 1):
-            t = n + k
-            if -m <= t <= m:
-                mat[t + m, n + m] += f(sp.sigma_apply(rep.x, t))
+    # vals[i, m + t] = f_i(sigma^t x); coefficient k fills the k-th
+    # subdiagonal, entry (m + n + k, m + n) for -m <= n, n + k <= m
+    orbit = sp.slots_of(sp.sigma_apply(rep.x, t) for t in range(-m, m + 1))
+    for k, vals in zip(x_elem.degrees, x_elem.rows.take(orbit)):
+        cols = np.arange(max(0, -k), min(dim, dim - k))
+        mat[cols + k, cols] += vals[cols + k]
     return RepMatrix(mat, m)
+
+
+def _check_model_size(what: str, dim: int) -> None:
+    if dim * dim > MAX_MODEL_ENTRIES:
+        raise TooLarge(f"{what} would have {dim * dim} entries, more than "
+                       f"{MAX_MODEL_ENTRIES}")
 
 
 def state_eval(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> complex:
@@ -278,9 +289,14 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     for x, p in periodic_orbit_reps(sys):
         by_period.setdefault(p, []).append(x)
     g = grid.resolution
-    sups = [(abs(k), f.sup_norm()) for k, f in x_elem.coeffs.items()]
+    sups = list(zip(map(abs, x_elem.degrees), x_elem.row_sups().tolist()))
+    for p in by_period:
+        _check_model_size(f"the cyclic model of period {p}", p)
+    plans_of = {p: [_rep_entry_plan(sys, x, p, x_elem) for x in points]
+                for p, points in by_period.items()}
+    _check_sweep_work(plans_of, g)
     for p, points in by_period.items():
-        plans = [_rep_entry_plan(sys, x, p, x_elem) for x in points]
+        plans = plans_of[p]
         # the models of one period, a slice of torus parameters at a time
         step = max(1, BATCH_ENTRIES // (len(points) * p * p))
         chunks = []
@@ -328,17 +344,30 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     return NormEstimate(value, max(0.0, upper - value) + slop)
 
 
+def _check_sweep_work(plans_of: dict, evaluations: int) -> None:
+    """Refuse a torus sweep whose cyclic models would cost more than
+    ``MAX_SWEEP_WORK`` (see there) before any model is built."""
+    work = 0
+    for p, plans in plans_of.items():
+        dense = any(row != col and val != 0
+                    for plan in plans for row, col, val, _ in plan)
+        work += len(plans) * evaluations * p ** (3 if dense else 2)
+    if work > MAX_SWEEP_WORK:
+        raise TooLarge(f"the torus sweep over the cyclic models would cost "
+                       f"{work} operations, more than {MAX_SWEEP_WORK}")
+
+
 def _rep_entry_plan(sys: DynSys, x: Point, p: int, x_elem: Element) -> List[tuple]:
     """(row, col, value, wrap-power) quadruples of the cyclic model,
     independent of the torus parameter."""
     sp = sys.space
-    orbit = [sp.sigma_apply(x, r) for r in range(p)]
+    orbit = sp.slots_of(sp.sigma_apply(x, r) for r in range(p))
     out = []
-    for k, f in x_elem.coeffs.items():
+    for k, values in zip(x_elem.degrees, x_elem.rows.take(orbit).tolist()):
         for n in range(p):
             row = (n + k) % p
             wrap = (n + k - row) // p
-            out.append((row, n, f(orbit[row]), wrap))
+            out.append((row, n, values[row], wrap))
     return out
 
 

@@ -15,7 +15,7 @@ import random
 from typing import Optional
 
 from .algebra import Element
-from .space import CtsFun, Space
+from .space import CtsFun, FunRows, Space
 
 
 def random_value(rng: random.Random) -> complex:
@@ -24,29 +24,39 @@ def random_value(rng: random.Random) -> complex:
     return complex(re, im)
 
 
+def _draw_row(space: Space, rng: random.Random, count: int,
+              sparse: bool) -> tuple:
+    """One value per atom (``count`` of them) and one per limit name.
+
+    Sparse mode, which applies only where a limit point exists, sets the
+    limit to zero and fills a few atoms; every other atom reads zero,
+    the limit's value.
+    """
+    sparse = sparse and bool(space.limit_names)
+    values = [0j] * count
+    picks = (rng.sample(range(count), rng.randint(1, max(1, count // 3)))
+             if sparse else range(count))
+    for i in picks:
+        values[i] = random_value(rng)
+    limits = [0j if sparse else random_value(rng) for _ in space.limit_names]
+    return values, limits
+
+
 def random_ctsfun(space: Space, rng: random.Random, *,
                   radius: Optional[int] = None, sparse: bool = False) -> CtsFun:
     """A random continuous function: one random value per atom of the
-    space within ``radius``, then one for the limit point.
-
-    Sparse mode, which applies only where a limit point exists, sets the
-    limit to zero and fills a few atoms.
-    """
-    atoms = space.atoms(radius)
-    sparse = sparse and bool(space.limit_names)
-    if sparse:
-        atoms = rng.sample(atoms, rng.randint(1, max(1, len(atoms) // 3)))
-    values = {}
-    for atom in atoms:
-        values.update(dict.fromkeys(atom, random_value(rng)))
-    limits = {n: 0.0 if sparse else random_value(rng) for n in space.limit_names}
-    return CtsFun(space, values, limits)
+    space within ``radius``, then one for the limit point (see
+    :func:`_draw_row` for sparse mode)."""
+    count = len(space.atom_slots(radius)[1])
+    values, limits = _draw_row(space, rng, count, sparse)
+    return FunRows.from_atoms(space, radius, [values], [limits]).row(0)
 
 
 def random_element(space: Space, rng: random.Random, degree_bound: int, *,
                    multiply_slack: int = 0, sparse_prob: float = 0.3,
                    radius: Optional[int] = None) -> Element:
-    """A random element of degree at most ``degree_bound``.
+    """A random element of degree at most ``degree_bound``, its rows drawn
+    as :func:`random_ctsfun` draws them, one after another.
 
     ``multiply_slack`` reserves room for that many subsequent products
     with elements of the same degree bound (integer-shift backend only).
@@ -58,8 +68,12 @@ def random_element(space: Space, rng: random.Random, degree_bound: int, *,
     chosen = [k for k in ks if rng.random() < 0.6]
     if not chosen:
         chosen = [rng.choice(ks)]
-    coeffs = {}
-    for k in chosen:
+    count = len(space.atom_slots(radius)[1])
+    values, limits = [], []
+    for _ in chosen:
         sparse = rng.random() < sparse_prob
-        coeffs[k] = random_ctsfun(space, rng, radius=radius, sparse=sparse)
-    return Element(space, coeffs)
+        row, lim = _draw_row(space, rng, count, sparse)
+        values.append(row)
+        limits.append(lim)
+    return Element.from_rows(space, tuple(chosen),
+                             FunRows.from_atoms(space, radius, values, limits))

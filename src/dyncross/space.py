@@ -340,6 +340,35 @@ class _SpaceOps:
         invariant."""
         return 0
 
+    # -- read-only tables built once per space and argument --
+
+    @cached_property
+    def _tables(self) -> dict:
+        return {}
+
+    def sigma_map(self, m: int) -> np.ndarray:
+        """:meth:`sigma_index` of m, built once per space and read-only."""
+        idx = self._tables.get(("sigma", m))
+        if idx is None:
+            idx = self.sigma_index(m)
+            idx.setflags(write=False)
+            self._tables["sigma", m] = idx
+        return idx
+
+    def atom_slots(self, radius: Optional[int] = None) -> tuple:
+        """The atoms of :meth:`atoms` as vector slots: one read-only array
+        of their slots, atom after atom, and one of the atom sizes; built
+        once per radius."""
+        table = self._tables.get(("atoms", radius))
+        if table is None:
+            atoms = self.atoms(radius)
+            table = (self.slots_of(p for atom in atoms for p in atom),
+                     np.array([len(atom) for atom in atoms], dtype=np.intp))
+            for a in table:
+                a.setflags(write=False)
+            self._tables["atoms", radius] = table
+        return table
+
 
 @dataclass(frozen=True)
 class FiniteSpace(_SpaceOps):
@@ -361,8 +390,9 @@ class FiniteSpace(_SpaceOps):
             raise InvalidTopology("duplicate point labels")
         if len(self.nbhd) != n or len(self.perm) != n:
             raise InvalidTopology("label/neighbourhood/permutation size mismatch")
+        everything = frozenset(range(n))
         for i, u in enumerate(self.nbhd):
-            if not u <= frozenset(range(n)):
+            if not u <= everything:
                 raise InvalidTopology(f"U({self.labels[i]}) mentions unknown points")
             if i not in u:
                 raise InvalidTopology(f"{self.labels[i]} not in its own neighbourhood")
@@ -579,7 +609,7 @@ class IntShiftSpace(_SpaceOps):
         return idx
 
     def radius_of(self, slots) -> int:
-        return int(np.max(np.abs(slots - self.window), initial=0))
+        return int(np.abs(slots - self.window).max(initial=0))
 
     def period(self, p: Point) -> Optional[int]:
         return 1 if isinstance(p, Infinity) else None
@@ -922,26 +952,240 @@ class CtsFun:
         if m == 0:
             return self
         sp = self.space
-        vec = self.vec[sp.sigma_index(m)]
-        if not np.array_equal(vec[sp.sigma_index(-m)], self.vec):
-            raise WindowOverflow(
-                f"composing with sigma^{m} pushes window data outside the window")
+        vec = self.vec[sp.sigma_map(m)]
+        if not np.array_equal(vec[sp.sigma_map(-m)], self.vec):
+            raise _pushed_out(m)
         return CtsFun._of(sp, vec)
 
     # -- support --
 
     def support(self, eps: float) -> SetRep:
         """Topological closure of ``{x : |f(x)| > eps}``, exactly."""
-        sp = self.space
-        big = np.abs(self.vec) > eps
-        points = sp.window_points
-        nw = len(points)
-        limits = [n for n, b in zip(sp.limit_names, big[nw:]) if b]
-        tails = [t for t in sp.tail_names if sp.tail_limit_name(t) in limits]
-        members = [points[i] for i in np.flatnonzero(big[:nw])]
-        return sp.closure(sp.set_of(members, tails, limits))
+        return _support_of(self.space, np.abs(self.vec) > eps)
 
     def __repr__(self):
         values, limits = self.data()
         shown = {repr(p): v for p, v in values.items()}
         return f"CtsFun({self.space.kind}, {shown}, limits={limits})"
+
+
+def _pushed_out(m: int) -> WindowOverflow:
+    return WindowOverflow(
+        f"composing with sigma^{m} pushes window data outside the window")
+
+
+def _support_of(sp: Space, big: np.ndarray) -> SetRep:
+    """The topological closure of the points whose slot is set in the
+    boolean vector ``big``, exactly; a limit point's slot also stands for
+    the tails that accumulate at it."""
+    points = sp.window_points
+    nw = len(points)
+    limits = [n for n, b in zip(sp.limit_names, big[nw:]) if b]
+    tails = [t for t in sp.tail_names if sp.tail_limit_name(t) in limits]
+    members = [points[i] for i in np.flatnonzero(big[:nw])]
+    return sp.closure(sp.set_of(members, tails, limits))
+
+
+# ---------------------------------------------------------------------------
+# Rows of functions
+# ---------------------------------------------------------------------------
+
+
+class FunRows:
+    """Continuous functions over one space, stored as the rows of one
+    K x P complex array ``vals`` over ``space.representative_points()``;
+    row i is the vector a :class:`CtsFun` would hold.  Every operation
+    below is a few array operations over all rows at once.  Instances are
+    immutable by convention: never write into ``vals``.
+    """
+
+    __slots__ = ("space", "vals")
+
+    @classmethod
+    def _of(cls, space: Space, vals: np.ndarray) -> "FunRows":
+        rows = cls.__new__(cls)
+        rows.space = space
+        rows.vals = vals
+        return rows
+
+    # -- constructors --
+
+    @classmethod
+    def from_functions(cls, space: Space, funs) -> "FunRows":
+        """The functions of a sequence as rows, in its order."""
+        for f in funs:
+            if f.space != space:
+                raise SpaceMismatch("function over a different space")
+        if not funs:
+            return cls.zeros(space, 0)
+        return cls._of(space, np.array([f.vec for f in funs]))
+
+    @classmethod
+    def zeros(cls, space: Space, count: int) -> "FunRows":
+        return cls._of(space, np.zeros(
+            (count, len(space.representative_points())), dtype=complex))
+
+    @classmethod
+    def from_atoms(cls, space: Space, radius: Optional[int], atom_values,
+                   limit_values) -> "FunRows":
+        """Rows with one value per atom of ``space.atoms(radius)`` (a K x A
+        table) and one per limit name (K x L): a window point outside those
+        atoms takes its row's value at the first limit, which makes each
+        row continuous by construction."""
+        slots, sizes = space.atom_slots(radius)
+        nw = len(space.window_points)
+        rows = cls.zeros(space, len(atom_values))
+        vals = rows.vals
+        if space.limit_names:
+            limit_values = np.asarray(limit_values, dtype=complex)
+            vals[:, nw:] = limit_values
+            vals[:, :nw] = limit_values[:, :1]
+        vals[:, slots] = np.repeat(np.asarray(atom_values, dtype=complex)
+                                   .reshape(len(vals), len(sizes)), sizes, axis=1)
+        return rows
+
+    # -- views --
+
+    def __len__(self) -> int:
+        return len(self.vals)
+
+    def row(self, i: int) -> CtsFun:
+        return CtsFun._of(self.space, self.vals[i])
+
+    def take(self, slots: np.ndarray) -> np.ndarray:
+        """The values at these vector slots as a new K x S array: the same
+        slots for every row (a vector), or row i at ``slots[i]`` (a K x S
+        table)."""
+        if np.ndim(slots) == 2:
+            return np.take_along_axis(self.vals, slots, axis=1)
+        return self.vals[:, slots]
+
+    def select(self, index) -> "FunRows":
+        """The rows at these positions (an integer array or a mask)."""
+        return FunRows._of(self.space, self.vals[index])
+
+    def row_sups(self) -> np.ndarray:
+        """The sup norm of every row."""
+        return np.maximum.reduce(np.abs(self.vals), axis=1)
+
+    def prune(self, eps: float, sups: Optional[np.ndarray] = None) -> tuple:
+        """The positions of the rows whose sup norm is not at most ``eps``
+        (None where that is every row), those rows, and their sup norms;
+        ``sups`` gives the sup norms where they are known."""
+        if sups is None:
+            sups = self.row_sups()
+        small = sups <= eps
+        if not small.any():
+            return None, self, sups
+        kept = np.flatnonzero(~small)
+        return kept, self.select(kept), sups[kept]
+
+    def data_radius(self) -> int:
+        """The data radius of all window values that differ from their
+        row's limit (see :meth:`_SpaceOps.room`), 0 for no rows."""
+        sp = self.space
+        if not len(self.vals):
+            return 0
+        nw = len(sp.window_points)
+        if not sp.limit_names:
+            return sp.radius_of(np.arange(nw))
+        differ = (self.vals[:, :nw] != self.vals[:, nw:nw + 1]).any(axis=0)
+        return sp.radius_of(differ.nonzero()[0])
+
+    def supports(self, eps: float):
+        """The support of each row (see :meth:`CtsFun.support`), in row
+        order, from one threshold over all rows."""
+        sp = self.space
+        return (_support_of(sp, big) for big in np.abs(self.vals) > eps)
+
+    # -- arithmetic --
+
+    def _check(self, other: "FunRows") -> None:
+        if self.space != other.space:
+            raise SpaceMismatch("function operands live over different spaces")
+
+    def mul(self, other: "FunRows") -> "FunRows":
+        """Row-by-row products."""
+        self._check(other)
+        return FunRows._of(self.space, self.vals * other.vals)
+
+    def conj(self) -> "FunRows":
+        return FunRows._of(self.space, np.conj(self.vals))
+
+    def scale(self, a: complex) -> "FunRows":
+        return FunRows._of(self.space, self.vals * complex(a))
+
+    def scale_rows(self, weights) -> "FunRows":
+        """Row i times ``weights[i]``."""
+        w = np.asarray(weights, dtype=complex)
+        return FunRows._of(self.space, self.vals * w[:, np.newaxis])
+
+    def reversed(self) -> "FunRows":
+        """The rows in reverse order, as a view: numpy's complex ``abs``
+        takes another code path on a reversed array and can differ in the
+        last bit, so keep a view only as the input of a gather
+        (:meth:`compose`), whose result is a new contiguous array."""
+        return FunRows._of(self.space, self.vals[::-1])
+
+    def combine(self, a: complex, other: "FunRows", b: complex,
+                places: Optional[tuple] = None, count: int = 0) -> "FunRows":
+        """``a * self + b * other`` row by row; with ``places = (p, q)``
+        the result has ``count`` rows, row ``p[i]`` takes ``a * self[i]``
+        and row ``q[j]`` adds ``b * other[j]`` (zero where neither
+        lands)."""
+        self._check(other)
+        if places is None:
+            return FunRows._of(self.space, self.vals * complex(a)
+                               + other.vals * complex(b))
+        p, q = places
+        out = FunRows.zeros(self.space, count)
+        out.vals[p] = self.vals * complex(a)
+        out.vals[q] += other.vals * complex(b)
+        return out
+
+    # -- the homeomorphism --
+
+    def compose(self, ms) -> "FunRows":
+        """Row i composed with sigma^ms[i], each exactly (see
+        :meth:`CtsFun.compose_sigma`), in one gather for all rows.
+
+        Where the homeomorphism moves the window (see
+        :meth:`_SpaceOps.room`), the rows moved by a nonzero power are
+        gathered back and must come out unchanged; elsewhere every gather
+        map is a permutation of the slots and loses nothing.
+        """
+        sp = self.space
+        if not len(ms):
+            return self
+        rows = np.arange(len(ms))[:, np.newaxis]
+        out = self.vals[rows, np.array([sp.sigma_map(m) for m in ms])]
+        moved = [i for i, m in enumerate(ms) if m]
+        if moved and sp.room(0) is not None:
+            back = out[rows[moved], np.array([sp.sigma_map(-ms[i]) for i in moved])]
+            same = (back == self.vals[moved]).all(axis=1)
+            if not same.all():
+                raise _pushed_out(ms[moved[int(np.argmin(same))]])
+        return FunRows._of(sp, out)
+
+    def convolve(self, shifts, other: "FunRows", targets, count: int) -> "FunRows":
+        """The twisted products summed into ``count`` rows: the rows
+        ``targets[i]`` of the result (a slice or an index array, one row
+        per row of ``other``) add ``self[i] * (other[j] o sigma^shifts[i])``
+        for every j, in the order of i.
+
+        Per row of ``self``: one gather of all of ``other``'s rows along
+        its shift, exact as in :meth:`compose`, and one scaled add into its
+        target rows.
+        """
+        self._check(other)
+        sp = self.space
+        exact = sp.room(0) is not None
+        out = np.zeros((count, self.vals.shape[1]), dtype=complex)
+        # a row as a 1 x P array: numpy rounds (P,) times (1, 1) through
+        # another loop than (1, 1) times (1, 1), which differs in the last bit
+        for row, m, rows in zip(self.vals[:, np.newaxis], shifts, targets):
+            moved = other.vals[:, sp.sigma_map(m)]
+            if m and exact and not (moved[:, sp.sigma_map(-m)] == other.vals).all():
+                raise _pushed_out(m)
+            out[rows] += row * moved
+        return FunRows._of(sp, out)

@@ -71,7 +71,7 @@ from .dynamics import (
 )
 from .errors import ProjectionUnavailable
 from .sampling import random_ctsfun, random_element
-from .space import CtsFun, Point
+from .space import Point
 
 
 @dataclass
@@ -155,16 +155,16 @@ def algebra_suite(sys: DynSys, seed: int = 0, trials: int = 40,
     dev = max((one * x - x).ell1_norm(), (x * one - x).ell1_norm())
     out.append(_check("algebra", "unit-neutral", dev, 1e-12))
 
-    # the positive form reading the zero coefficient, against its closed form
+    # the positive form reading the zero coefficient, against its closed
+    # form sum_k |f_k o sigma^k|^2, at every representative point at once
     dev = 0.0
+    slots = np.arange(len(sp.representative_points()))
     for _ in range(max(5, trials // 4)):
         x = _elements(sys, rng, 1, 2, slack=2)[0]
         sq = x.adjoint() * x
-        for p in sp.representative_points():
-            direct = coefficient(sq, 0)(p)
-            closed = sum(abs(f(sp.sigma_apply(p, k))) ** 2
-                         for k, f in x.coeffs.items())
-            dev = max(dev, abs(direct - closed))
+        along = np.array([sp.sigma_map(k) for k in x.degrees])
+        closed = np.sum(np.abs(x.rows.take(along)) ** 2, axis=0)
+        dev = max(dev, _largest(np.abs(coefficient(sq, 0).take(slots) - closed)))
     out.append(_check("algebra", "squared-state-closed-form", dev, 1e-9))
 
     # coefficients as a module over the function algebra
@@ -342,31 +342,37 @@ def commutant_projection(sys: DynSys, rng: random.Random, trials: int,
         vals = eval_family(sys, chars, elem, check=False)
         return float(np.min(np.minimum(vals.real, -np.abs(vals.imag)), initial=0.0))
 
+    sp = sys.space
+    slots = np.arange(len(sp.representative_points()))
     faith = neg = dev_coeff = dev_char = 0.0
     for _ in range(squares):
-        x = random_element(sys.space, rng, 2, multiply_slack=2)
+        x = random_element(sp, rng, 2, multiply_slack=2)
         psq = project_to_commutant(sys, x.adjoint() * x)
-        peak = max(f.sup_norm() for f in x.coeffs.values())
-        faith = max(faith, peak ** 2 - coefficient(psq, 0).sup_norm())
+        faith = max(faith, float(np.max(x.row_sups())) ** 2
+                    - coefficient(psq, 0).sup_norm())
         neg = min(neg, min_on_characters(psq))
-        # coefficient level
+        # coefficient level: the m-th coefficient is the indicator of m times
+        # the sum over k of (conj(f_k) f_{k+m}) o sigma^k, over the rows
+        vals = x.rows.take(slots)
+        at = {k: i for i, k in enumerate(x.degrees)}
         for m in psq.support():
-            acc = CtsFun.zero(sys.space)
-            for k, f in x.coeffs.items():
-                if k + m in x.coeffs:
-                    acc = acc.add(f.conj().mul(x.coeffs[k + m]).compose_sigma(k))
-            acc = acc.mul(fam.get(m))
-            dev_coeff = max(dev_coeff,
-                            acc.add(coefficient(psq, m).scale(-1)).sup_norm())
+            ks = [k for k in x.degrees if k + m in at]
+            terms = (vals[[at[k] for k in ks]].conj()
+                     * vals[[at[k + m] for k in ks]])
+            along = np.array([sp.sigma_map(k) for k in ks])
+            acc = np.take_along_axis(terms, along, axis=1).sum(axis=0)
+            acc = acc * fam.get(m).take(slots)
+            dev_coeff = max(dev_coeff, _largest(
+                np.abs(acc - coefficient(psq, m).take(slots))))
         # character level, at interior points
         gots = eval_family(sys, interior_fam, psq, check=False).tolist()
         for ch, got in zip(interior_chars, gots):
             p, n, c = ch.x, ch.order, ch.c
             want = 0.0
             for r in range(n):
-                pr = sys.space.sigma_apply(p, r)
-                inner = sum(f(pr) * c ** ((k - r) // n)
-                            for k, f in x.coeffs.items() if (k - r) % n == 0)
+                at_r = vals[:, sp.index_of(sp.sigma_apply(p, r))].tolist()
+                inner = sum(v * c ** ((k - r) // n)
+                            for k, v in zip(x.degrees, at_r) if (k - r) % n == 0)
                 want += abs(inner) ** 2
             dev_char = max(dev_char, abs(got - want))
     for s in positive_seeds:
@@ -485,7 +491,7 @@ def semisimplicity(sys: DynSys, rng: random.Random, trials: int,
         # an element with uniformly tiny character values is tiny
         tiny = x.scale(1e-13 / max(x.ell1_norm(), 1e-13))
         sup = max(reconstruction_sup(sys, tiny, resolution), 1e-300)
-        if tiny.ell1_norm() > 2 * (len(tiny.coeffs) or 1) * len(points) * sup:
+        if tiny.ell1_norm() > 2 * (len(tiny.degrees) or 1) * len(points) * sup:
             tiny_misses += 1
     zero_sup = reconstruction_sup(sys, zero(sys.space), resolution)
     failures = false_zeros + misses + tiny_misses + (zero_sup != 0.0)

@@ -10,6 +10,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -456,3 +457,23 @@ def test_malformed_element_exits_0_or_2(space, doc, tmp_path_factory):
                                   "--grid", "8", "--json"])
         assert code in (0, 2)
         assert code == 0 or err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, message", [(3000, "cyclic model of period 3000"),
+                                        (1500, "torus sweep")])
+def test_large_cycle_is_refused_quickly(n, message, tmp_path, capsys):
+    labels = [f"p{i}" for i in range(n)]
+    space = tmp_path / "cycle.json"
+    space.write_text(json.dumps({
+        "kind": "finite", "points": labels,
+        "min_open_nbhd": {a: [a] for a in labels},
+        "sigma": {a: labels[(i + 1) % n] for i, a in enumerate(labels)}}))
+    elem = tmp_path / "e.json"
+    elem.write_text(json.dumps({"terms": [{"k": 1, "values": {"p0": [1, 0]}},
+                                          {"k": 0, "values": {"p1": [2, 0]}}]}))
+    start = time.perf_counter()
+    code = main(["norms", "--space", str(space), "--element", str(elem), "--json"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 1.0
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err

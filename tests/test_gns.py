@@ -493,3 +493,51 @@ class TestEnvelope:
         assert report.ok
         assert report.extension_gap is not None
         assert report.extension_gap <= 1e-9
+
+
+def _cycle(n):
+    labels = [f"c{i}" for i in range(n)]
+    return make_dynsys(finite_space(labels, {a: [a] for a in labels},
+                                    {a: labels[(i + 1) % n] for i, a in enumerate(labels)}))
+
+
+class TestCyclicBudget:
+    """The torus sweep of cyclic models is priced before any model is built
+    (p**3 per evaluation of a non-diagonal model of size p, p**2 per
+    diagonal one) and refused beyond ``MAX_SWEEP_WORK``."""
+
+    def test_every_fixture_is_admitted(self, system):
+        rng = random.Random(61)
+        elems = [random_element(system.space, rng, 3, multiply_slack=1)]
+        elems.append(random_commutant_element(system, rng, 3))
+        for x in elems:
+            est = cstar_norm(system, x, CircleGrid(1024))
+            assert est.value <= x.ell1_norm()
+
+    def test_boundary(self, cycle3, monkeypatch):
+        x = delta(cycle3.space, 1) + identity(cycle3.space)
+        # one orbit of period 3, non-diagonal: 64 evaluations of 3**3
+        monkeypatch.setattr(gns, "MAX_SWEEP_WORK", 64 * 27)
+        cstar_norm(cycle3, x, CircleGrid(64))
+        monkeypatch.setattr(gns, "MAX_SWEEP_WORK", 64 * 27 - 1)
+        with pytest.raises(TooLarge, match="torus sweep"):
+            cstar_norm(cycle3, x, CircleGrid(64))
+        # a commutant element acts diagonally: 3**2 per evaluation
+        monkeypatch.setattr(gns, "MAX_SWEEP_WORK", 64 * 9)
+        cstar_norm(cycle3, identity(cycle3.space).scale(2), CircleGrid(64))
+
+    def test_refused_before_any_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK SVD called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        big = _cycle(1500)
+        x = delta(big.space, 1) + identity(big.space)
+        with pytest.raises(TooLarge, match="torus sweep"):
+            cstar_norm(big, x, CircleGrid(64))
+        huge = _cycle(3000)
+        x = delta(huge.space, 1)
+        with pytest.raises(TooLarge, match="cyclic model of period 3000"):
+            cstar_norm(huge, x, CircleGrid(64))
+        with pytest.raises(TooLarge, match="cyclic model of period 3000"):
+            rep_matrix(huge, PeriodicRep(FinitePoint(0), 3000, 1.0), x)

@@ -12,6 +12,7 @@ import pathlib
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -33,6 +34,7 @@ from dyncross.space import (
     CtsFun,
     FinitePoint,
     FiniteSpace,
+    FunRows,
     INFINITY,
     IntPoint,
     IntShiftSpace,
@@ -514,13 +516,14 @@ BACKEND_BRANCH = re.compile(
 
 
 FUNCTION_STORAGE = re.compile(r"\.(" + "|".join(
-    slot for slot in CtsFun.__slots__ if slot != "space") + r")\b")
+    slot for cls in (CtsFun, FunRows) for slot in cls.__slots__
+    if slot != "space") + r")\b")
 
 
 def test_backends_differ_only_in_space_module():
     """Outside ``space.py`` no module tests a backend or point class,
-    reads a window radius or reads the storage of a ``CtsFun``;
-    constructing a backend stays allowed."""
+    reads a window radius or reads the storage of a ``CtsFun`` or a
+    ``FunRows``; constructing a backend stays allowed."""
     package = pathlib.Path(space_module.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -530,3 +533,103 @@ def test_backends_differ_only_in_space_module():
             if BACKEND_BRANCH.search(line) or FUNCTION_STORAGE.search(line):
                 found.append(f"{path.name}:{number}: {line.strip()}")
     assert not found, "backend dispatch outside space.py:\n" + "\n".join(found)
+
+
+def test_storage_guard_names_the_row_storage():
+    assert FUNCTION_STORAGE.search("rows.vals[0]")
+    assert FUNCTION_STORAGE.search("f.vec")
+    assert not FUNCTION_STORAGE.search("x.rows.take(slots)")
+
+
+# ---------------------------------------------------------------------------
+# rows of functions
+# ---------------------------------------------------------------------------
+
+ROW_SPACES = [FIXTURES[name]().space for name in sorted(FIXTURES)] + [
+    IntShiftSpace(64), PairSwapTailsSpace(256)]
+
+
+def _slots(sp):
+    return np.arange(len(sp.representative_points()))
+
+
+@pytest.mark.parametrize("sp", ROW_SPACES, ids=lambda sp: f"{sp.kind}{len(sp.representative_points())}")
+class TestFunRows:
+    def funs(self, sp, count, seed=1, radius=None):
+        rng = random.Random(seed)
+        return [random_ctsfun(sp, rng, radius=radius, sparse=i % 2 == 1)
+                for i in range(count)]
+
+    def test_rows_are_the_functions(self, sp):
+        funs = self.funs(sp, 4)
+        rows = FunRows.from_functions(sp, funs)
+        assert len(rows) == 4
+        slots = _slots(sp)
+        for i, f in enumerate(funs):
+            assert np.array_equal(rows.row(i).take(slots), f.take(slots))
+        table = rows.take(slots[::-1])
+        assert table.shape == (4, len(slots))
+        along = np.array([sp.sigma_map(m) for m in (0, 1, 2, -1)])
+        for i, f in enumerate(funs):
+            assert np.array_equal(table[i], f.take(slots[::-1]))
+            assert np.array_equal(rows.take(along)[i], f.take(along[i]))
+        assert np.array_equal(rows.row_sups(), [f.sup_norm() for f in funs])
+        assert rows.data_radius() == max(f.data_radius() for f in funs)
+        eps = 0.9
+        for f, s in zip(funs, rows.supports(eps)):
+            assert s == f.support(eps)
+        assert len(FunRows.from_functions(sp, [])) == 0
+        assert FunRows.from_functions(sp, []).data_radius() == 0
+
+    def test_from_atoms_matches_the_constructor(self, sp):
+        atoms = sp.atoms(sp.room(2))
+        rng = random.Random(3)
+        vals = [[complex(rng.random(), rng.random()) for _ in atoms] for _ in range(3)]
+        lims = [[complex(rng.random(), 1.0) for _ in sp.limit_names] for _ in range(3)]
+        rows = FunRows.from_atoms(sp, sp.room(2), vals, lims)
+        for i in range(3):
+            want = CtsFun(sp, {p: v for atom, v in zip(atoms, vals[i]) for p in atom},
+                          dict(zip(sp.limit_names, lims[i])))
+            assert np.array_equal(rows.row(i).take(_slots(sp)), want.take(_slots(sp)))
+
+    def test_prune_keeps_nan_and_drops_small_rows(self, sp):
+        funs = [CtsFun.constant(sp, 1e-14), CtsFun.constant(sp, float("nan")),
+                CtsFun.constant(sp, 2.0), CtsFun.zero(sp)]
+        kept, rows, sups = FunRows.from_functions(sp, funs).prune(1e-14)
+        assert kept.tolist() == [1, 2] and len(rows) == 2 and sups[1] == 2.0
+        kept, rows, _ = FunRows.from_functions(sp, funs[1:3]).prune(1e-14)
+        assert kept is None and len(rows) == 2
+
+    def test_gathers_are_exact_round_trips(self, sp):
+        radius = sp.room(8)
+        funs = self.funs(sp, 5, seed=4, radius=radius)
+        rows = FunRows.from_functions(sp, funs)
+        ms = (-8, -3, 0, 1, 8)
+        there = rows.compose(ms)
+        back = there.compose([-m for m in ms])
+        assert np.array_equal(back.take(_slots(sp)), rows.take(_slots(sp)))
+        for i, (f, m) in enumerate(zip(funs, ms)):
+            assert np.array_equal(there.row(i).take(_slots(sp)),
+                                  f.compose_sigma(m).take(_slots(sp)))
+
+
+class TestRowGathersOnTheShift:
+    """On the shift a gather that pushes data out of the window raises, as
+    composing a single function does."""
+
+    def test_compose_and_convolve_refuse_lossy_gathers(self):
+        sp = IntShiftSpace(8)
+        f = CtsFun(sp, {IntPoint(6): 2.0}, {"inf": 1.0})
+        rows = FunRows.from_functions(sp, [CtsFun.constant(sp, 1.0), f])
+        assert np.array_equal(rows.compose([5, -2]).row(1).take(_slots(sp)),
+                              f.compose_sigma(-2).take(_slots(sp)))
+        with pytest.raises(WindowOverflow):
+            f.compose_sigma(-3)
+        with pytest.raises(WindowOverflow):
+            rows.compose([0, -3])
+        one = FunRows.from_functions(sp, [CtsFun.constant(sp, 1.0)])
+        out = one.convolve([-2], rows, [slice(0, 2)], 2)
+        assert np.array_equal(out.row(1).take(_slots(sp)),
+                              f.compose_sigma(-2).take(_slots(sp)))
+        with pytest.raises(WindowOverflow):
+            one.convolve([-3], rows, [slice(0, 2)], 2)
