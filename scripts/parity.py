@@ -3,7 +3,7 @@
 
 Usage:
     python scripts/parity.py OUT.json [--seeds S ...] [--norms-inputs CASES.json]
-                             [--src SRC] [--against OTHER.json] [--tol T]
+                             [--src SRC] [--against OTHER.json]
 
 Writes to OUT.json, for every bundled fixture and seed, the exit code and
 the check records of ``dyncross verify all --json --seed S``, and
@@ -17,9 +17,9 @@ script), so the same script records any checkout.
 
 With ``--against OTHER.json`` it then compares the two records: exit codes,
 check names and their order, ``passed`` flags, every ``data.measured`` (at
-most ``--tol`` apart, default 1e-14) and every norm field (bit-identical
-unless ``--norm-tol`` is given).  It prints each mismatch, the largest
-difference of each kind, and exits 1 on any mismatch.
+most ``MEASURED_TOL`` apart) and every norm field (bit-identical).  It
+prints each mismatch, the largest difference of each kind, and exits 1 on
+any mismatch.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_SEEDS = (20260809, 1, 2, 3)
+# largest |difference| of a check's data.measured that is not a mismatch
+MEASURED_TOL = 1e-14
 NORM_FIELDS = ("ell1", "gelfand.value", "gelfand.error_bound",
                "cstar.value", "cstar.error_bound", "trunc")
 
@@ -99,7 +101,7 @@ def _field(doc, path):
     return doc
 
 
-def compare(mine: dict, other: dict, tol: float, norm_tol: float) -> int:
+def compare(mine: dict, other: dict) -> int:
     bad = []
     worst_measured = (0.0, None)
     for key in sorted(set(mine["verify"]) | set(other["verify"])):
@@ -123,7 +125,7 @@ def compare(mine: dict, other: dict, tol: float, norm_tol: float) -> int:
                 bad.append(f"verify {key} {ca['name']}: measured in one record only")
             elif ma is not None and ma != mb:
                 delta = abs(ma - mb)
-                if not delta <= tol:
+                if not delta <= MEASURED_TOL:
                     bad.append(f"verify {key} {ca['name']}: measured {ma!r} vs {mb!r}")
                 if not delta <= worst_measured[0]:
                     worst_measured = (delta, f"{key} {ca['name']}")
@@ -143,12 +145,10 @@ def compare(mine: dict, other: dict, tol: float, norm_tol: float) -> int:
             if va == vb:
                 continue
             differing += 1
+            bad.append(f"norms {key} {field}: {va!r} vs {vb!r}")
             if va is None or vb is None:
-                bad.append(f"norms {key} {field}: {va!r} vs {vb!r}")
                 continue
             delta = abs(va - vb)
-            if not delta <= norm_tol:
-                bad.append(f"norms {key} {field}: {va!r} vs {vb!r}")
             if not delta <= worst_norm[field][0]:
                 worst_norm[field] = (delta, key)
     for line in bad:
@@ -171,8 +171,6 @@ def main() -> int:
     parser.add_argument("--norms-inputs", default=None)
     parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"))
     parser.add_argument("--against", default=None)
-    parser.add_argument("--tol", type=float, default=1e-14)
-    parser.add_argument("--norm-tol", type=float, default=0.0)
     args = parser.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))
@@ -183,7 +181,7 @@ def main() -> int:
         return 0
     with open(args.against, encoding="utf-8") as fh:
         other = json.load(fh)
-    return compare(doc, other, args.tol, args.norm_tol)
+    return compare(doc, other)
 
 
 if __name__ == "__main__":

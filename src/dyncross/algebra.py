@@ -210,8 +210,6 @@ def _check_same_space(x: Element, y: Element) -> Space:
 
 def linear_combine(a: complex, x: Element, b: complex, y: Element) -> Element:
     space = _check_same_space(x, y)
-    if x.degrees == y.degrees:
-        return Element.from_rows(space, x.degrees, x.rows.combine(a, y.rows, b))
     ks = tuple(sorted(set(x.degrees).union(y.degrees)))
     at = {k: i for i, k in enumerate(ks)}
     places = ([at[k] for k in x.degrees], [at[k] for k in y.degrees])
@@ -234,11 +232,7 @@ def multiply(x: Element, y: Element) -> Element:
                 f"product needs data radius {need} > window {window}")
     ks = sorted({k + m for k in xs for m in ys})
     at = {n: i for i, n in enumerate(ks)}
-    if ys[-1] - ys[0] == len(ys) - 1:
-        # k + ys is a run of consecutive indices, so of consecutive rows
-        targets = [slice(at[k + ys[0]], at[k + ys[0]] + len(ys)) for k in xs]
-    else:
-        targets = np.array([[at[k + m] for m in ys] for k in xs])
+    targets = np.array([[at[k + m] for m in ys] for k in xs])
     rows = x.rows.convolve([-k for k in xs], y.rows, targets, len(ks))
     return Element.from_rows(space, tuple(ks), rows)
 

@@ -63,9 +63,9 @@ BATCH_ENTRIES = 1 << 16
 MAX_MODEL_ENTRIES = 1 << 23
 # work of the torus sweep of cstar_norm, counted as p**3 per evaluation of a
 # non-diagonal cyclic model of size p (a LAPACK SVD) and p**2 per diagonal
-# one: about 1.5 s of SVDs (a 100-cycle at G = 1024); the largest benchmark
-# input, a 60-cycle at G = 256, needs 5 % of it
-MAX_SWEEP_WORK = 1 << 30
+# one: about 80 s of SVDs on one core (the largest cycle admitted at
+# G = 1024 has 406 points); a 1500-cycle at G = 1024 would need 50 times it
+MAX_SWEEP_WORK = 1 << 36
 
 
 @dataclass(frozen=True)

@@ -951,11 +951,7 @@ class CtsFun:
         """
         if m == 0:
             return self
-        sp = self.space
-        vec = self.vec[sp.sigma_map(m)]
-        if not np.array_equal(vec[sp.sigma_map(-m)], self.vec):
-            raise _pushed_out(m)
-        return CtsFun._of(sp, vec)
+        return CtsFun._of(self.space, _gather(self.space, self.vec, m))
 
     # -- support --
 
@@ -969,9 +965,24 @@ class CtsFun:
         return f"CtsFun({self.space.kind}, {shown}, limits={limits})"
 
 
-def _pushed_out(m: int) -> WindowOverflow:
-    return WindowOverflow(
-        f"composing with sigma^{m} pushes window data outside the window")
+def _gather(sp: Space, vals: np.ndarray, m: int) -> np.ndarray:
+    """``vals`` (one vector, or rows of them) composed with sigma^m, exactly.
+
+    Where the homeomorphism moves the window (see :meth:`_SpaceOps.room`),
+    the result is gathered back along sigma^-m and must recover ``vals``
+    (NaN recovering NaN), else :class:`WindowOverflow`: a value that
+    differs from its limit would leave the window.  Elsewhere every gather
+    map is a permutation of the slots and loses nothing.
+    """
+    if m == 0:
+        return vals
+    out = vals[..., sp.sigma_map(m)]
+    if sp.room(0) is not None:
+        back = out[..., sp.sigma_map(-m)]
+        if not ((back == vals).all() or np.array_equal(back, vals, equal_nan=True)):
+            raise WindowOverflow(
+                f"composing with sigma^{m} pushes window data outside the window")
+    return out
 
 
 def _support_of(sp: Space, big: np.ndarray) -> SetRep:
@@ -1128,15 +1139,11 @@ class FunRows:
         return FunRows._of(self.space, self.vals[::-1])
 
     def combine(self, a: complex, other: "FunRows", b: complex,
-                places: Optional[tuple] = None, count: int = 0) -> "FunRows":
-        """``a * self + b * other`` row by row; with ``places = (p, q)``
-        the result has ``count`` rows, row ``p[i]`` takes ``a * self[i]``
-        and row ``q[j]`` adds ``b * other[j]`` (zero where neither
-        lands)."""
+                places: tuple, count: int) -> "FunRows":
+        """``a * self + b * other`` over ``count`` rows, with
+        ``places = (p, q)``: row ``p[i]`` takes ``a * self[i]`` and row
+        ``q[j]`` adds ``b * other[j]`` (zero where neither lands)."""
         self._check(other)
-        if places is None:
-            return FunRows._of(self.space, self.vals * complex(a)
-                               + other.vals * complex(b))
         p, q = places
         out = FunRows.zeros(self.space, count)
         out.vals[p] = self.vals * complex(a)
@@ -1147,31 +1154,18 @@ class FunRows:
 
     def compose(self, ms) -> "FunRows":
         """Row i composed with sigma^ms[i], each exactly (see
-        :meth:`CtsFun.compose_sigma`), in one gather for all rows.
-
-        Where the homeomorphism moves the window (see
-        :meth:`_SpaceOps.room`), the rows moved by a nonzero power are
-        gathered back and must come out unchanged; elsewhere every gather
-        map is a permutation of the slots and loses nothing.
-        """
+        :meth:`CtsFun.compose_sigma`)."""
         sp = self.space
-        if not len(ms):
-            return self
-        rows = np.arange(len(ms))[:, np.newaxis]
-        out = self.vals[rows, np.array([sp.sigma_map(m) for m in ms])]
-        moved = [i for i, m in enumerate(ms) if m]
-        if moved and sp.room(0) is not None:
-            back = out[rows[moved], np.array([sp.sigma_map(-ms[i]) for i in moved])]
-            same = (back == self.vals[moved]).all(axis=1)
-            if not same.all():
-                raise _pushed_out(ms[moved[int(np.argmin(same))]])
+        out = np.empty(self.vals.shape, dtype=complex)
+        for i, m in enumerate(ms):
+            out[i] = _gather(sp, self.vals[i], m)
         return FunRows._of(sp, out)
 
     def convolve(self, shifts, other: "FunRows", targets, count: int) -> "FunRows":
         """The twisted products summed into ``count`` rows: the rows
-        ``targets[i]`` of the result (a slice or an index array, one row
-        per row of ``other``) add ``self[i] * (other[j] o sigma^shifts[i])``
-        for every j, in the order of i.
+        ``targets[i]`` of the result (an index array, one row per row of
+        ``other``) add ``self[i] * (other[j] o sigma^shifts[i])`` for every
+        j, in the order of i.
 
         Per row of ``self``: one gather of all of ``other``'s rows along
         its shift, exact as in :meth:`compose`, and one scaled add into its
@@ -1179,13 +1173,9 @@ class FunRows:
         """
         self._check(other)
         sp = self.space
-        exact = sp.room(0) is not None
         out = np.zeros((count, self.vals.shape[1]), dtype=complex)
         # a row as a 1 x P array: numpy rounds (P,) times (1, 1) through
         # another loop than (1, 1) times (1, 1), which differs in the last bit
         for row, m, rows in zip(self.vals[:, np.newaxis], shifts, targets):
-            moved = other.vals[:, sp.sigma_map(m)]
-            if m and exact and not (moved[:, sp.sigma_map(-m)] == other.vals).all():
-                raise _pushed_out(m)
-            out[rows] += row * moved
+            out[rows] += row * _gather(sp, other.vals, m)
         return FunRows._of(sp, out)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from dyncross import space as space_module
+from dyncross.algebra import embed
 from dyncross.errors import (
     BadWindow,
     ForeignPoint,
@@ -613,6 +614,17 @@ class TestFunRows:
                                   f.compose_sigma(m).take(_slots(sp)))
 
 
+    def test_every_gather_keeps_nan_data(self, sp):
+        # one rule for every gather: NaN comes back as NaN, so is not lost
+        f = CtsFun.constant(sp, float("nan"))
+        rows = FunRows.from_functions(sp, [f, f])
+        one = FunRows.from_functions(sp, [CtsFun.constant(sp, 1.0)])
+        for out in (f.compose_sigma(-1), rows.compose([-1, 1]),
+                    one.convolve([-1], rows, np.array([[0, 1]]), 2),
+                    embed(f, 1).adjoint().coefficient(-1)):
+            assert np.isnan(out.take(_slots(sp))).all()
+
+
 class TestRowGathersOnTheShift:
     """On the shift a gather that pushes data out of the window raises, as
     composing a single function does."""
@@ -628,8 +640,18 @@ class TestRowGathersOnTheShift:
         with pytest.raises(WindowOverflow):
             rows.compose([0, -3])
         one = FunRows.from_functions(sp, [CtsFun.constant(sp, 1.0)])
-        out = one.convolve([-2], rows, [slice(0, 2)], 2)
+        out = one.convolve([-2], rows, np.array([[0, 1]]), 2)
         assert np.array_equal(out.row(1).take(_slots(sp)),
                               f.compose_sigma(-2).take(_slots(sp)))
         with pytest.raises(WindowOverflow):
-            one.convolve([-3], rows, [slice(0, 2)], 2)
+            one.convolve([-3], rows, np.array([[0, 1]]), 2)
+
+    def test_nan_data_leaving_the_window_is_refused(self):
+        sp = IntShiftSpace(8)
+        f = CtsFun(sp, {IntPoint(6): float("nan")}, {"inf": 1.0})
+        rows = FunRows.from_functions(sp, [f])
+        for lossy in (lambda: f.compose_sigma(-3), lambda: rows.compose([-3]),
+                      lambda: rows.convolve([-3], rows, np.array([[0]]), 1),
+                      lambda: embed(f, -3).adjoint()):
+            with pytest.raises(WindowOverflow):
+                lossy()
