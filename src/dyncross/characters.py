@@ -44,13 +44,16 @@ import numpy as np
 from .algebra import Element
 from .commutant import is_in_commutant
 from .dynamics import DynSys, minimal_interior_order, period_of
-from .errors import NotInCommutant
+from .errors import NotInCommutant, TooLarge
 from .numerics import NormEstimate, golden_max, grid_excess
 from .space import Point
 
 UNIT_MODULUS_TOL = 1e-12
 # grid values computed at once by the Gelfand sweep (4 MiB of complex)
 SWEEP_ENTRIES = 1 << 18
+# the finest circle grid: the power tables of the Gelfand and torus sweeps
+# hold one row of G values per index (1 MiB per index at this G)
+MAX_GRID = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,9 @@ class CircleGrid:
     def __post_init__(self):
         if self.resolution < 4:
             raise ValueError("circle grid resolution must be >= 4")
+        if self.resolution > MAX_GRID:
+            raise TooLarge(f"circle grid resolution {self.resolution} is more "
+                           f"than {MAX_GRID}")
 
     @property
     def samples(self) -> tuple:
@@ -131,15 +137,20 @@ class CharacterFamily:
     """A sequence of characters compiled for evaluation in one array pass:
     the vector slot of each character's point (``slots``), its order, 0
     for a point character (``orders``), and its torus parameter, 1 for a
-    point character (``params``).  The weights of each index are computed
-    once per family."""
+    point character (``params``).  The weights of each index tuple are
+    computed once per family."""
 
-    __slots__ = ("slots", "orders", "params", "_step", "_torus", "_weights")
+    __slots__ = ("slots", "orders", "params", "_log", "_step", "_torus",
+                 "_weights")
 
     def __init__(self, slots, orders, params):
         self.slots = np.asarray(slots, dtype=np.intp)
         self.orders = np.asarray(orders, dtype=np.int64)
         self.params = np.asarray(params, dtype=complex)
+        # log |c| + i arg c, with a parameter within UNIT_MODULUS_TOL of the
+        # circle put on it (log |c| = 0)
+        self._log = np.log(self.params)
+        self._log.real[np.abs(self._log.real) <= UNIT_MODULUS_TOL] = 0.0
         self._torus = self.orders > 0
         self._step = np.where(self._torus, self.orders, 1)
         self._weights = {}
@@ -147,14 +158,19 @@ class CharacterFamily:
     def __len__(self) -> int:
         return len(self.slots)
 
-    def weights(self, k: int) -> np.ndarray:
-        """What each character multiplies f_k(x) by: c**(k // n) where the
-        order n divides k, else 0; a point character reads k = 0 only."""
-        w = self._weights.get(k)
+    def weights(self, degrees: tuple) -> np.ndarray:
+        """What each character (columns) multiplies f_k(x) by, for each index
+        k of ``degrees`` (rows): c**(k // n) where the order n divides k,
+        else 0; a point character reads k = 0 only.  The power is
+        exp(j log c) with j = k // n, so that a parameter on the circle stays
+        on it for every k: raising a rounded c to the power j would multiply
+        the rounding of its modulus by j."""
+        w = self._weights.get(degrees)
         if w is None:
+            k = np.array(degrees, dtype=np.int64)[:, np.newaxis]
             hit = (k % self._step == 0) & (self._torus | (k == 0))
-            w = np.where(hit, self.params ** np.where(hit, k // self._step, 0), 0)
-            self._weights[k] = w
+            w = np.where(hit, np.exp(np.where(hit, k // self._step, 0) * self._log), 0)
+            self._weights[degrees] = w
         return w
 
 
@@ -184,8 +200,9 @@ def eval_family(sys: DynSys, fam: CharacterFamily, x_elem: Element, *,
     if check and not is_in_commutant(sys, x_elem):
         raise NotInCommutant("characters are defined on the commutant only")
     total = np.zeros(len(fam), dtype=complex)
-    for k, values in zip(x_elem.degrees, x_elem.rows.take(fam.slots)):
-        total += values * fam.weights(k)
+    for values, weights in zip(x_elem.rows.take(fam.slots),
+                               fam.weights(x_elem.degrees)):
+        total += values * weights
     return total
 
 

@@ -15,8 +15,23 @@ Every spectral norm runs through one batched function that picks the
 method per matrix: a diagonal model (a commutant element acts diagonally
 on every model) is normed exactly by its largest entry modulus, a 2x2
 model by the closed form of its Gram matrix, and every other model by
-LAPACK.  Every cyclic model is assembled from one torus-independent entry
-plan.
+LAPACK.
+
+Every cyclic model is assembled from one array entry plan per (period,
+points, element), independent of the torus parameter: all points of a
+period put their entries at the same flat positions with the same wrap
+powers, so the plan holds those positions, an index into the wraps that
+occur, and one entries x points table of values from a single gather of
+the coefficient rows.  Entries that meet at one position go into
+successive layers in increasing index order, so a whole stack of models
+(all points of a period over a slice of torus parameters) is one array
+product and one scatter-add per layer, and a single matrix is Python
+products and one ``np.add.at``.  The grid sweep, the golden-section
+refinement, :func:`rep_matrix` and the state checks of
+:func:`restriction_report` (one plan per point and element, over all
+parameters at once) all use it.  Powers of the torus parameter are taken
+on the unit circle, exp(i w t), so that they keep modulus 1 for every
+index up to 2**53.
 
 The C*-norm of an element is the sup of the representation norms over
 orbit representatives and the torus parameter; the torus sweep carries
@@ -28,9 +43,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,8 +127,9 @@ def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
         if abs(abs(rep.lam) - 1.0) > UNIT_MODULUS_TOL:
             raise ValueError("wrap-around parameter must be unimodular")
         _check_model_size(f"the cyclic model of period {p}", p)
-        plan = _rep_entry_plan(sys, rep.x, p, x_elem)
-        return RepMatrix(_cyclic_matrices([plan], p, lambda w: rep.lam ** w)[0], 0)
+        plan = _entry_plan(sys, (rep.x,), p, x_elem)
+        powers = _circle_powers(plan.wraps, cmath.phase(rep.lam))
+        return RepMatrix(_cyclic_matrix(plan, powers), 0)
     m = rep.radius
     if m < 1 or m < x_elem.degree:
         raise TruncationTooSmall(
@@ -281,10 +298,9 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     if not x_elem.coeffs:
         return NormEstimate(0.0, 0.0)
     h = grid.half_spacing
-    grid_powers = functools.lru_cache(maxsize=None)(grid.powers)
     value = 0.0
     upper = 0.0
-    best = None  # (grid max, entry plan, period, best angle)
+    best = None  # (grid max, entry plan of the best point, best angle)
     by_period = {}
     for x, p in periodic_orbit_reps(sys):
         by_period.setdefault(p, []).append(x)
@@ -292,18 +308,22 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     sups = list(zip(map(abs, x_elem.degrees), x_elem.row_sups().tolist()))
     for p in by_period:
         _check_model_size(f"the cyclic model of period {p}", p)
-    plans_of = {p: [_rep_entry_plan(sys, x, p, x_elem) for x in points]
-                for p, points in by_period.items()}
-    _check_sweep_work(plans_of, g)
-    for p, points in by_period.items():
-        plans = plans_of[p]
-        # the models of one period, a slice of torus parameters at a time
-        step = max(1, BATCH_ENTRIES // (len(points) * p * p))
+    plans = {p: _entry_plan(sys, points, p, x_elem)
+             for p, points in by_period.items()}
+    _check_sweep_work(plans, g)
+    for p, plan in plans.items():
+        count = plan.values.shape[1]
+        # each wrap of the plan to each grid parameter, U x G
+        table = np.array([grid.powers(w) for w in plan.wraps])
+        # the models of one period, a slice of torus parameters at a time;
+        # its terms (E per point and parameter) and its models (p * p) each
+        # stay within BATCH_ENTRIES
+        step = max(1, BATCH_ENTRIES // (count * max(p * p, len(plan.positions))))
         chunks = []
         for lo in range(0, g, step):
-            mats = _cyclic_matrices(plans, p, lambda w: grid_powers(w)[lo:lo + step])
+            mats = _cyclic_matrices(plan, table[:, lo:lo + step])
             chunks.append(_batched_norms(mats.reshape(-1, p, p))
-                          .reshape(len(points), -1))
+                          .reshape(count, -1))
         norms = np.concatenate(chunks, axis=1)
         grid_max = float(np.max(norms))
         lip = sum(math.ceil(k / p) * sup for k, sup in sups)
@@ -312,13 +332,13 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
         value = max(value, grid_max)
         if best is None or grid_max > best[0]:
             i, best_j = np.unravel_index(int(np.argmax(norms)), norms.shape)
-            best = (grid_max, plans[i], p, 2 * math.pi * best_j / g)
+            best = (grid_max, plan.point(i), 2 * math.pi * best_j / g)
     if best is not None and refine:
-        _, plan, p, angle = best
+        _, plan, angle = best
 
         def fn(t: float) -> float:
-            mats = _cyclic_matrices([plan], p, lambda w: cmath.exp(1j * t * w))
-            return operator_norm(mats[0])
+            powers = _circle_powers(plan.wraps, t)
+            return operator_norm(_cyclic_matrix(plan, powers))
 
         value = max(value, golden_max(fn, angle - 2 * h, angle + 2 * h,
                                       iters=40))
@@ -344,42 +364,148 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     return NormEstimate(value, max(0.0, upper - value) + slop)
 
 
-def _check_sweep_work(plans_of: dict, evaluations: int) -> None:
+def _check_sweep_work(plans: dict, evaluations: int) -> None:
     """Refuse a torus sweep whose cyclic models would cost more than
     ``MAX_SWEEP_WORK`` (see there) before any model is built."""
     work = 0
-    for p, plans in plans_of.items():
-        dense = any(row != col and val != 0
-                    for plan in plans for row, col, val, _ in plan)
-        work += len(plans) * evaluations * p ** (3 if dense else 2)
+    for p, plan in plans.items():
+        # an off-diagonal position of a p x p model is not a multiple of p + 1
+        dense = np.count_nonzero(plan.values[plan.positions % (p + 1) != 0])
+        work += plan.values.shape[1] * evaluations * p ** (3 if dense else 2)
     if work > MAX_SWEEP_WORK:
         raise TooLarge(f"the torus sweep over the cyclic models would cost "
                        f"{work} operations, more than {MAX_SWEEP_WORK}")
 
 
-def _rep_entry_plan(sys: DynSys, x: Point, p: int, x_elem: Element) -> List[tuple]:
-    """(row, col, value, wrap-power) quadruples of the cyclic model,
-    independent of the torus parameter."""
+class _EntryPlan(NamedTuple):
+    """The entries of the cyclic models of one element at B points of one
+    exact period p, independent of the torus parameter.
+
+    Every point of a period puts its entries at the same places with the
+    same wrap powers; only the values differ.  Entry e sits at the flat
+    position ``positions[e]`` (row * p + column) of a p x p model, carries
+    the torus parameter to the power ``wraps[wrap_index[e]]`` and has the
+    value ``values[e, b]`` at point b.  The entries come in layers
+    (``layers``: start and stop of each): within a layer the positions are
+    distinct, and entries at one position lie in successive layers in
+    increasing index order.
+    """
+
+    period: int
+    positions: np.ndarray
+    wraps: np.ndarray
+    wrap_index: np.ndarray
+    values: np.ndarray
+    layers: tuple
+
+    def point(self, b: int) -> "_EntryPlan":
+        """The plan of the b-th point alone."""
+        return self._replace(values=self.values[:, b:b + 1])
+
+    def state(self) -> "_EntryPlan":
+        """The (e_0, e_0) entry alone, as the plan of a 1 x 1 model."""
+        keep = np.flatnonzero(self.positions == 0)
+        return self._replace(period=1, positions=self.positions[keep],
+                             wrap_index=self.wrap_index[keep],
+                             values=self.values[keep],
+                             layers=tuple((e, e + 1) for e in range(len(keep))))
+
+
+def _entry_plan(sys: DynSys, points: Sequence[Point], p: int,
+                x_elem: Element) -> _EntryPlan:
+    """The :class:`_EntryPlan` of an element at points of exact period p:
+    the layout of :func:`_plan_layout` and the values of all points, one
+    gather of the coefficient rows at the orbit slots."""
     sp = sys.space
-    orbit = sp.slots_of(sp.sigma_apply(x, r) for r in range(p))
-    out = []
-    for k, values in zip(x_elem.degrees, x_elem.rows.take(orbit).tolist()):
-        for n in range(p):
-            row = (n + k) % p
-            wrap = (n + k - row) // p
-            out.append((row, n, values[row], wrap))
-    return out
+    orbit = sp.slots_of(sp.sigma_apply(x, r) for x in points for r in range(p))
+    order, rows, positions, wraps, wrap_index, layers = _plan_layout(p, x_elem.degrees)
+    vals = x_elem.rows.take(orbit).reshape(len(order), len(points), p)
+    # vals[i, :, row] for every entry (i, row), in layer order
+    values = vals[order, :, rows].reshape(-1, len(points))
+    return _EntryPlan(p, positions, wraps, wrap_index, values, layers)
 
 
-def _cyclic_matrices(plans: Sequence[List[tuple]], p: int, power) -> np.ndarray:
-    """Cyclic models from entry plans; ``power(w)`` is the torus parameter
-    to the w-th power, a scalar (one matrix per plan) or an array over
-    torus parameters (a stack per plan)."""
-    mats = np.zeros((len(plans),) + np.shape(power(0)) + (p, p), dtype=complex)
-    for i, plan in enumerate(plans):
-        for row, col, val, w in plan:
-            mats[i, ..., row, col] += val * power(w)
-    return mats
+# one layout per (period, index tuple): rebuilding one takes about a dozen
+# numpy calls, more than the rest of a small rep_matrix; at most 64 are
+# kept, of K * p entries each (p <= 2896: the model-size check runs first)
+@functools.lru_cache(maxsize=64)
+def _plan_layout(p: int, degrees: tuple) -> tuple:
+    """Where the entries of a cyclic model of period p go, for an element
+    with these indices: the index order (a K x 1 column), the rows (K x p,
+    one row per index in that order, one column per model column), the flat
+    positions, the wraps that occur, each entry's wrap index, and the layers.
+
+    The term f_k d^k sends e_n to f_k(sigma^(n+k) x) lam^w e_row with
+    row = (n + k) mod p and w = (n + k) // p.  With k = q p + r (0 <= r < p)
+    the row is r + n - p c and the wrap q + c, where the carry c is 1 when
+    r + n >= p: so each index gives the wraps q and q + 1 (the latter only
+    when r > 0) and no others occur.  Indices of one residue share their
+    positions, so the j-th of them in increasing order goes into layer j.
+    """
+    wraps, below, above, residues, layer, seen = {}, [], [], [], [], {}
+    for k in degrees:
+        q, r = divmod(k, p)
+        residues.append(r)
+        below.append(wraps.setdefault(q, len(wraps)))
+        above.append(wraps.setdefault(q + 1, len(wraps)) if r else 0)
+        layer.append(seen.get(r, 0))
+        seen[r] = layer[-1] + 1
+    order = sorted(range(len(degrees)), key=layer.__getitem__)
+    table = np.array([[residues[i], below[i], above[i], i] for i in order],
+                     dtype=np.intp).reshape(-1, 4, 1)
+    total = table[:, 0] + np.arange(p)
+    carry = total >= p
+    rows = np.where(carry, total - p, total)
+    wrap_index = np.where(carry, table[:, 2], table[:, 1])
+    stops = list(itertools.accumulate(p * sum(c > j for c in seen.values())
+                                      for j in range(max(seen.values(), default=0))))
+    layout = (table[:, 3], rows, (rows * p + np.arange(p)).ravel(),
+              np.array(list(wraps), dtype=np.int64), wrap_index.ravel(),
+              tuple(zip([0] + stops, stops)))
+    for part in layout[:5]:
+        part.setflags(write=False)
+    return layout
+
+
+def _circle_powers(wraps: np.ndarray, angles) -> np.ndarray:
+    """exp(i w t) for every wrap w (rows) and angle t (columns; one angle
+    gives a vector): the torus parameter exp(i t) to the power w, on the
+    unit circle for every w (raising a rounded parameter to the power w
+    would multiply the rounding of its modulus by w)."""
+    return np.exp(1j * np.multiply.outer(wraps, angles))
+
+
+def _cyclic_matrices(plan: _EntryPlan, powers: np.ndarray) -> np.ndarray:
+    """The cyclic models of the plan's points, a B x S x p x p array:
+    ``powers`` holds S torus parameters, each to every wrap of the plan
+    (U x S).  One array product of values and powers, then one scatter-add
+    per layer into a batch with the positions leading, so that each layer
+    adds whole rows; every matrix entry sums its terms in increasing index
+    order."""
+    p = plan.period
+    count, params = plan.values.shape[1], powers.shape[1]
+    terms = plan.values[:, :, np.newaxis] * powers[plan.wrap_index, np.newaxis, :]
+    mats = np.zeros((p * p, count, params), dtype=complex)
+    for lo, hi in plan.layers:
+        mats[plan.positions[lo:hi]] += terms[lo:hi]
+    return np.ascontiguousarray(mats.transpose(1, 2, 0)).reshape(count, params, p, p)
+
+
+def _cyclic_matrix(plan: _EntryPlan, powers: np.ndarray) -> np.ndarray:
+    """The p x p model of a one-point plan at one torus parameter, to every
+    wrap of the plan (``powers``, length U): :func:`rep_matrix` and the
+    golden-section refinement.  With a handful of entries numpy's cost per
+    call would dominate, so the terms are Python complex products, added
+    in entry order (which puts one position's terms in increasing index
+    order) by one ``np.add.at``.  numpy's array product in
+    :func:`_cyclic_matrices` may fuse a multiply and an add, so the two can
+    differ in the last bit of a term."""
+    p = plan.period
+    terms = [v * w for v, w in zip(plan.values.ravel().tolist(),
+                                   powers[plan.wrap_index].tolist())]
+    mat = np.zeros(p * p, dtype=complex)
+    np.add.at(mat, plan.positions, terms)
+    return mat.reshape(p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -427,24 +553,26 @@ def restriction_report(sys: DynSys, x: Point, lams: Sequence[complex],
             got = state_eval(sys, TruncatedRep(x, max(1, e.degree)), e)
             want = complex(eval_family(sys, fam, e, check=False)[0])
             dev = max(dev, abs(got - want))
-    elif n is not None:
+        return RestrictionReport(x, case, p, n, dev)
+    if any(abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL for lam in lams):
+        raise ValueError("wrap-around parameter must be unimodular")
+    _check_model_size(f"the cyclic model of period {p}", p)
+    angles = np.array([cmath.phase(lam) for lam in lams], dtype=float)
+    if n is not None:
         case = "periodic-interior"
         ratio = n // p
         fam = character_family(sys, [TorusCharacter(x, n, lam ** ratio)
                                      for lam in lams])
-        for e in elems:
-            wants = eval_family(sys, fam, e, check=False).tolist()
-            for lam, want in zip(lams, wants):
-                got = state_eval(sys, PeriodicRep(x, p, lam), e)
-                dev = max(dev, abs(got - want))
     else:
         case = "periodic-boundary"
-        fam = character_family(sys, [PointCharacter(x)])
-        for e in elems:
-            want = complex(eval_family(sys, fam, e, check=False)[0])
-            for lam in lams:
-                got = state_eval(sys, PeriodicRep(x, p, lam), e)
-                dev = max(dev, abs(got - want))
+        fam = character_family(sys, [PointCharacter(x)] * len(lams))
+    for e in elems:
+        # the lam-states of every lam at once: the (e_0, e_0) entries
+        plan = _entry_plan(sys, (x,), p, e).state()
+        powers = _circle_powers(plan.wraps, angles)
+        gots = _cyclic_matrices(plan, powers)[0, :, 0, 0]
+        wants = eval_family(sys, fam, e, check=False)
+        dev = max([dev] + [abs(d) for d in (gots - wants).tolist()])
     return RestrictionReport(x, case, p, n, dev)
 
 

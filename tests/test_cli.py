@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dyncross
+from dyncross.characters import MAX_GRID
 from dyncross.cli import main
 from dyncross.errors import ParseError
 from dyncross.sampling import random_element
@@ -28,7 +29,7 @@ from dyncross.serialize import (
     space_from_spec,
     space_to_spec,
 )
-from dyncross.space import ATail, BTail, INFINITY, IntPoint, ORIGIN
+from dyncross.space import ATail, BTail, INFINITY, IntPoint, MAX_POINTS, ORIGIN
 
 
 class TestSpaceRoundTrip:
@@ -384,10 +385,12 @@ def test_space_must_be_an_object(doc, tmp_path, capsys):
 # -- the exit-code contract under malformed input ----------------------------
 #
 # JSON junk: every JSON type, with numbers beyond the double range and
-# non-finite floats.  "k" and "window" are small integers or values the
-# parser must reject: an int_shift element of degree d builds a dense shift
-# model of size 2(W+d+1)+1, and every verb builds all 2W+1 window points,
-# so a large valid degree or window costs memory before any check fails.
+# non-finite floats.  "k" runs over the whole accepted range |k| <= 2**53
+# and "window" over small values and from just above the point budget up
+# to 2**53, besides values the parser must reject: every size budget
+# (representative points, model entries, torus sweep work) refuses before
+# anything of that size is built, and no table spans the range between
+# two indices, so each case ends at once.
 _HUGE = st.sampled_from([10 ** 400, -10 ** 400, 2 ** 60, 1e308, -1e308])
 _LEAF = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
@@ -403,8 +406,12 @@ def _not_a_usable_integer(v):
             or abs(v) > 2 ** 53 or not float(v).is_integer())
 
 
-_INDEX = st.one_of(st.integers(-6, 6), _HUGE.filter(_not_a_usable_integer),
+_INDEX = st.one_of(st.integers(-6, 6), st.integers(-2 ** 53, 2 ** 53),
+                   st.sampled_from([2 ** 53, -2 ** 53]),
+                   _HUGE.filter(_not_a_usable_integer),
                    _JUNK.filter(_not_a_usable_integer))
+# the smallest window of either kind above the representative-point budget
+_WINDOW_ABOVE_BUDGET = MAX_POINTS // 2
 _LABEL = st.sampled_from(["a", "b", "pt", "x0", "0", "-8", "9", "inf", "a1",
                           "b8", "origin", "c"])
 _VALUE = st.one_of(_HUGE, _JUNK, st.lists(_LEAF, min_size=2, max_size=2))
@@ -427,6 +434,8 @@ _SPACE = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.sampled_from(["int_shift", "pair_swap_tails"])},
         optional={"window": st.one_of(st.integers(-2, 6),
+                                      st.integers(_WINDOW_ABOVE_BUDGET, 2 ** 53),
+                                      st.just(_WINDOW_ABOVE_BUDGET),
                                       _JUNK.filter(_not_a_usable_integer))}),
     _JUNK)
 
@@ -477,3 +486,17 @@ def test_large_cycle_is_refused_quickly(n, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and elapsed < 1.0
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_grid_above_the_limit_is_refused_quickly(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"terms": [{"k": k, "values": {"pt": [1, 0]}}
+                                          for k in range(-2, 3)]}))
+    start = time.perf_counter()
+    code = main(["norms", "--space", "one_point", "--element", str(path),
+                 "--grid", str(MAX_GRID + 1)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 1.0
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"circle grid resolution {MAX_GRID + 1}" in err

@@ -2,19 +2,23 @@
 independent SVD oracle, state restrictions, and the envelope identity."""
 
 import cmath
+import functools
 import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from dyncross.algebra import cesaro_mean, delta, embed, identity
+from dyncross.algebra import Element, cesaro_mean, delta, embed, identity
 from dyncross.characters import (
     CircleGrid,
     PointCharacter,
     TorusCharacter,
+    character_family,
     eval_character,
+    eval_family,
     separating_family,
 )
 from dyncross import gns
@@ -34,7 +38,8 @@ from dyncross.gns import (
     state_eval,
     unique_extension_gap,
 )
-from dyncross.sampling import random_element
+from dyncross.fixtures import FIXTURES
+from dyncross.sampling import random_ctsfun, random_element
 from dyncross.space import (
     BTail,
     CtsFun,
@@ -345,6 +350,16 @@ class TestCstarNorm:
         monkeypatch.setattr(gns, "BATCH_ENTRIES", 1)
         assert cstar_norm(system, x, CircleGrid(64)) == want
 
+    def test_refinement_polishes_the_best_point(self):
+        # two fixed points; at b the norm |1 + 2 exp(i(t + 0.1))| peaks at 3
+        # off the grid, at a it stays below 1.5
+        two = make_dynsys(finite_space(["a", "b"], {"a": ["a"], "b": ["b"]},
+                                       {"a": "a", "b": "b"}))
+        f0 = fun2(two.space, 1, 1)
+        f1 = fun2(two.space, 0.5, 2 * cmath.exp(0.1j))
+        est = cstar_norm(two, embed(f0) + embed(f1, 1), CircleGrid(16))
+        assert est.value == pytest.approx(3.0, abs=1e-9)
+
     def test_truncation_monotone(self, int_shift8):
         rng = random.Random(43)
         x = random_element(int_shift8.space, rng, 2, multiply_slack=1)
@@ -541,3 +556,163 @@ class TestCyclicBudget:
             cstar_norm(huge, x, CircleGrid(64))
         with pytest.raises(TooLarge, match="cyclic model of period 3000"):
             rep_matrix(huge, PeriodicRep(FinitePoint(0), 3000, 1.0), x)
+
+
+# -- the array entry plan of the cyclic models ---------------------------------
+
+
+def _reference_model(system, x, p, elem, power, mul):
+    """The cyclic model of ``elem`` at x of period p, entry by entry: e_n goes
+    to f_k(sigma^(n+k) x) lam^((n+k) // p) e_((n+k) mod p), the terms of
+    each entry added in increasing index order; ``power(w)`` is lam**w and
+    ``mul`` the product of a value and a power."""
+    mat = np.zeros((p, p), dtype=complex)
+    for k, f in elem.coeffs.items():
+        for n in range(p):
+            value = f(system.space.sigma_apply(x, n + k))
+            mat[(n + k) % p, n] += mul(value, power((n + k) // p))
+    return mat
+
+
+def _array_mul(a, b):
+    # numpy's array product, the one the batched sweep uses
+    return (np.array([a]) * np.array([b]))[0]
+
+
+_SYSTEMS = {"one_point": FIXTURES["one_point"], "swap2": FIXTURES["swap2"],
+            "cycle3": FIXTURES["cycle3"], "tails8": FIXTURES["tails8"],
+            "cycle60": lambda: _cycle(60)}
+# small indices (gaps, repeated residues, negatives) and sparse ones up to 2**53
+_INDICES = st.lists(st.one_of(st.integers(-7, 7), st.integers(-2 ** 53, 2 ** 53),
+                              st.sampled_from([2 ** 53, -2 ** 53, 60, -60, 120])),
+                    min_size=1, max_size=6, unique=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_system(name):
+    return _SYSTEMS[name]()
+
+
+def _element(system, indices, seed):
+    rng = random.Random(seed)
+    return Element(system.space, {k: random_ctsfun(system.space, rng)
+                                  for k in indices})
+
+
+def _points_by_period(system):
+    by_period = {}
+    for x, p in periodic_orbit_reps(system):
+        by_period.setdefault(p, []).append(x)
+    return by_period
+
+
+class TestEntryPlan:
+    """The plan and its assembly against models written out entry by entry,
+    over periods 1, 2, 3 and 60 (tails8 has several points per period)."""
+
+    @given(name=st.sampled_from(sorted(_SYSTEMS)), indices=_INDICES,
+           seed=st.integers(0, 2 ** 32), turn=st.floats(-1, 1))
+    def test_rep_matrix_is_the_reference_model(self, name, indices, seed, turn):
+        system = _plan_system(name)
+        x_elem = _element(system, indices, seed)
+        lam = cmath.exp(2j * math.pi * turn)
+        angle = cmath.phase(lam)
+        for x, p in periodic_orbit_reps(system)[:4]:
+            got = rep_matrix(system, PeriodicRep(x, p, lam), x_elem).matrix
+            want = _reference_model(system, x, p, x_elem,
+                                    lambda w: cmath.exp(1j * angle * w),
+                                    lambda a, b: a * b)
+            assert np.array_equal(got, want)
+
+    @given(name=st.sampled_from(sorted(_SYSTEMS)), indices=_INDICES,
+           seed=st.integers(0, 2 ** 32))
+    def test_sweep_models_are_the_reference_model(self, name, indices, seed):
+        system = _plan_system(name)
+        x_elem = _element(system, indices, seed)
+        grid = CircleGrid(8)
+        for p, points in _points_by_period(system).items():
+            plan = gns._entry_plan(system, points, p, x_elem)
+            table = np.array([grid.powers(w) for w in plan.wraps])
+            mats = gns._cyclic_matrices(plan, table)
+            assert mats.shape == (len(points), 8, p, p)
+            for b, x in enumerate(points[:3]):
+                for j in range(8):
+                    want = _reference_model(system, x, p, x_elem,
+                                            lambda w: grid.powers(w)[j], _array_mul)
+                    assert np.array_equal(mats[b, j], want)
+
+    @given(name=st.sampled_from(["tails8", "cycle3", "swap2"]), indices=_INDICES,
+           seed=st.integers(0, 2 ** 32))
+    def test_all_points_at_once_give_each_points_norms(self, name, indices, seed):
+        system = _plan_system(name)
+        x_elem = _element(system, indices, seed)
+        grid = CircleGrid(16)
+        for p, points in _points_by_period(system).items():
+            plan = gns._entry_plan(system, points, p, x_elem)
+            table = np.array([grid.powers(w) for w in plan.wraps])
+            mats = gns._cyclic_matrices(plan, table)
+            norms = gns._batched_norms(mats.reshape(-1, p, p)).reshape(len(points), -1)
+            for b, x in enumerate(points):
+                alone = gns._cyclic_matrices(gns._entry_plan(system, [x], p, x_elem),
+                                             table)
+                assert np.array_equal(alone[0], mats[b])
+                assert gns._batched_norms(alone[0]).tolist() == norms[b].tolist()
+
+    def test_layers_keep_the_index_order(self):
+        # on one point every index shares the one position: one layer each
+        positions, layers = gns._plan_layout(1, (-3, 0, 2, 2 ** 53))[2::3]
+        assert positions.tolist() == [0, 0, 0, 0]
+        assert layers == ((0, 1), (1, 2), (2, 3), (3, 4))
+        # period 3: residues 0, 0, 1, 2, 0 of -3, 0, 1, 5, 6
+        order, rows, positions, wraps, wrap_index, layers = gns._plan_layout(
+            3, (-3, 0, 1, 5, 6))
+        assert order.ravel().tolist() == [0, 2, 3, 1, 4]
+        assert layers == ((0, 9), (9, 12), (12, 15))
+        # only the wraps that occur, however far apart the indices
+        assert sorted(wraps.tolist()) == [-1, 0, 1, 2]
+        assert gns._plan_layout(1, (-2 ** 53, 2 ** 53))[3].tolist() == [-2 ** 53, 2 ** 53]
+
+    @given(name=st.sampled_from(sorted(_SYSTEMS)), seed=st.integers(0, 2 ** 32))
+    def test_restriction_matches_a_state_eval_loop(self, name, seed):
+        """The states of all parameters at once agree with one state_eval
+        per parameter, up to rounding: numpy's array product may round each
+        of the K terms of a state one bit differently from Python's, which
+        moves it by at most 2 K eps times the series norm."""
+        system = _plan_system(name)
+        rng = random.Random(seed)
+        elems = [random_commutant_element(system, rng, 3) for _ in range(3)]
+        lams = CircleGrid(16).samples[::3]
+        for x, p in periodic_orbit_reps(system)[:4]:
+            report = restriction_report(system, x, lams, elems)
+            fam = character_family(
+                system, [TorusCharacter(x, report.interior_order,
+                                        lam ** (report.interior_order // p))
+                         if report.interior_order else PointCharacter(x)
+                         for lam in lams])
+            dev = 0.0
+            for e in elems:
+                wants = eval_family(system, fam, e, check=False).tolist()
+                for lam, want in zip(lams, wants):
+                    dev = max(dev, abs(state_eval(system, PeriodicRep(x, p, lam), e)
+                                       - want))
+            tol = max(2 * len(e.degrees) * np.finfo(float).eps * e.ell1_norm()
+                      for e in elems)
+            assert abs(report.max_deviation - dev) <= tol
+
+
+@pytest.mark.parametrize("k", [1, 10 ** 12, 2 ** 52, 2 ** 53 - 1, 2 ** 53, -2 ** 53])
+@pytest.mark.parametrize("name", ["one_point", "swap2", "cycle3"])
+def test_torus_powers_stay_on_the_circle(name, k):
+    """|lam| = 1 - 1.1e-16 here; lam ** k would shrink to 0.37 at k = 2**53."""
+    system = FIXTURES[name]()
+    lam = cmath.exp(2j * math.pi * 0.123456789)
+    x_elem = delta(system.space, k)
+    for x, p in periodic_orbit_reps(system):
+        rep = PeriodicRep(x, p, lam)
+        assert abs(operator_norm(rep_matrix(system, rep, x_elem)) - 1) <= 1e-15
+        if k % p == 0:
+            assert abs(abs(state_eval(system, rep, x_elem)) - 1) <= 1e-15
+    if name == "one_point":
+        pt = system.space.point("pt")
+        fam = character_family(system, [TorusCharacter(pt, 1, lam)])
+        assert abs(eval_family(system, fam, x_elem)[0]) == pytest.approx(1, abs=1e-15)
