@@ -147,10 +147,7 @@ class CharacterFamily:
         self.slots = np.asarray(slots, dtype=np.intp)
         self.orders = np.asarray(orders, dtype=np.int64)
         self.params = np.asarray(params, dtype=complex)
-        # log |c| + i arg c, with a parameter within UNIT_MODULUS_TOL of the
-        # circle put on it (log |c| = 0)
-        self._log = np.log(self.params)
-        self._log.real[np.abs(self._log.real) <= UNIT_MODULUS_TOL] = 0.0
+        self._log = None
         self._torus = self.orders > 0
         self._step = np.where(self._torus, self.orders, 1)
         self._weights = {}
@@ -167,6 +164,11 @@ class CharacterFamily:
         the rounding of its modulus by j."""
         w = self._weights.get(degrees)
         if w is None:
+            if self._log is None:
+                # log |c| + i arg c, with a parameter within UNIT_MODULUS_TOL
+                # of the circle put on it (log |c| = 0)
+                self._log = np.log(self.params)
+                self._log.real[np.abs(self._log.real) <= UNIT_MODULUS_TOL] = 0.0
             k = np.array(degrees, dtype=np.int64)[:, np.newaxis]
             hit = (k % self._step == 0) & (self._torus | (k == 0))
             w = np.where(hit, np.exp(np.where(hit, k // self._step, 0) * self._log), 0)

@@ -22,16 +22,16 @@ points, element), independent of the torus parameter: all points of a
 period put their entries at the same flat positions with the same wrap
 powers, so the plan holds those positions, an index into the wraps that
 occur, and one entries x points table of values from a single gather of
-the coefficient rows.  Entries that meet at one position go into
-successive layers in increasing index order, so a whole stack of models
-(all points of a period over a slice of torus parameters) is one array
-product and one scatter-add per layer, and a single matrix is Python
-products and one ``np.add.at``.  The grid sweep, the golden-section
-refinement, :func:`rep_matrix` and the state checks of
-:func:`restriction_report` (one plan per point and element, over all
-parameters at once) all use it.  Powers of the torus parameter are taken
-on the unit circle, exp(i w t), so that they keep modulus 1 for every
-index up to 2**53.
+the coefficient rows.  The entries come index by index, p per index at p
+distinct positions, so a whole stack of models (all points of a period
+over a slice of torus parameters) is one array product and one
+scatter-add per index, and one matrix is the same product and one
+``np.add.at``; either way every entry sums its terms in increasing index
+order.  The grid sweep, the golden-section refinement, :func:`rep_matrix`
+and the state checks of :func:`restriction_report` (one plan per point
+and element, over all parameters at once) all use it.  Powers of the
+torus parameter are taken on the unit circle, exp(i w t), so that they
+keep modulus 1 for every index up to 2**53.
 
 The C*-norm of an element is the sup of the representation norms over
 orbit representatives and the torus parameter; the torus sweep carries
@@ -42,8 +42,6 @@ dominated by the series norm.
 from __future__ import annotations
 
 import cmath
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Union
@@ -128,8 +126,7 @@ def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
             raise ValueError("wrap-around parameter must be unimodular")
         _check_model_size(f"the cyclic model of period {p}", p)
         plan = _entry_plan(sys, (rep.x,), p, x_elem)
-        powers = _circle_powers(plan.wraps, cmath.phase(rep.lam))
-        return RepMatrix(_cyclic_matrix(plan, powers), 0)
+        return RepMatrix(_cyclic_matrix(plan, cmath.phase(rep.lam)), 0)
     m = rep.radius
     if m < 1 or m < x_elem.degree:
         raise TruncationTooSmall(
@@ -337,8 +334,7 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
         _, plan, angle = best
 
         def fn(t: float) -> float:
-            powers = _circle_powers(plan.wraps, t)
-            return operator_norm(_cyclic_matrix(plan, powers))
+            return operator_norm(_cyclic_matrix(plan, t))
 
         value = max(value, golden_max(fn, angle - 2 * h, angle + 2 * h,
                                       iters=40))
@@ -385,10 +381,9 @@ class _EntryPlan(NamedTuple):
     same wrap powers; only the values differ.  Entry e sits at the flat
     position ``positions[e]`` (row * p + column) of a p x p model, carries
     the torus parameter to the power ``wraps[wrap_index[e]]`` and has the
-    value ``values[e, b]`` at point b.  The entries come in layers
-    (``layers``: start and stop of each): within a layer the positions are
-    distinct, and entries at one position lie in successive layers in
-    increasing index order.
+    value ``values[e, b]`` at point b.  The entries come index by index, in
+    increasing index order, so the terms that meet at one position come in
+    that order too.
     """
 
     period: int
@@ -396,7 +391,6 @@ class _EntryPlan(NamedTuple):
     wraps: np.ndarray
     wrap_index: np.ndarray
     values: np.ndarray
-    layers: tuple
 
     def point(self, b: int) -> "_EntryPlan":
         """The plan of the b-th point alone."""
@@ -407,102 +401,79 @@ class _EntryPlan(NamedTuple):
         keep = np.flatnonzero(self.positions == 0)
         return self._replace(period=1, positions=self.positions[keep],
                              wrap_index=self.wrap_index[keep],
-                             values=self.values[keep],
-                             layers=tuple((e, e + 1) for e in range(len(keep))))
+                             values=self.values[keep])
 
 
 def _entry_plan(sys: DynSys, points: Sequence[Point], p: int,
                 x_elem: Element) -> _EntryPlan:
-    """The :class:`_EntryPlan` of an element at points of exact period p:
-    the layout of :func:`_plan_layout` and the values of all points, one
-    gather of the coefficient rows at the orbit slots."""
-    sp = sys.space
-    orbit = sp.slots_of(sp.sigma_apply(x, r) for x in points for r in range(p))
-    order, rows, positions, wraps, wrap_index, layers = _plan_layout(p, x_elem.degrees)
-    vals = x_elem.rows.take(orbit).reshape(len(order), len(points), p)
-    # vals[i, :, row] for every entry (i, row), in layer order
-    values = vals[order, :, rows].reshape(-1, len(points))
-    return _EntryPlan(p, positions, wraps, wrap_index, values, layers)
-
-
-# one layout per (period, index tuple): rebuilding one takes about a dozen
-# numpy calls, more than the rest of a small rep_matrix; at most 64 are
-# kept, of K * p entries each (p <= 2896: the model-size check runs first)
-@functools.lru_cache(maxsize=64)
-def _plan_layout(p: int, degrees: tuple) -> tuple:
-    """Where the entries of a cyclic model of period p go, for an element
-    with these indices: the index order (a K x 1 column), the rows (K x p,
-    one row per index in that order, one column per model column), the flat
-    positions, the wraps that occur, each entry's wrap index, and the layers.
+    """The :class:`_EntryPlan` of an element at points of exact period p.
 
     The term f_k d^k sends e_n to f_k(sigma^(n+k) x) lam^w e_row with
     row = (n + k) mod p and w = (n + k) // p.  With k = q p + r (0 <= r < p)
     the row is r + n - p c and the wrap q + c, where the carry c is 1 when
     r + n >= p: so each index gives the wraps q and q + 1 (the latter only
-    when r > 0) and no others occur.  Indices of one residue share their
-    positions, so the j-th of them in increasing order goes into layer j.
+    when r > 0) and no others occur, however far apart the indices.  The
+    values of all points are one gather of the coefficient rows at the
+    orbit slots.
     """
-    wraps, below, above, residues, layer, seen = {}, [], [], [], [], {}
-    for k in degrees:
+    sp = sys.space
+    orbit = sp.slots_of(sp.sigma_apply(x, t) for t in range(p) for x in points)
+    # vals[i p + t, b] = f_(k_i)(sigma^t x_b) for the i-th index k_i
+    vals = x_elem.rows.take(orbit).reshape(-1, len(points))
+    wraps, positions, places, wrap_index = {}, [], [], []
+    for i, k in enumerate(x_elem.degrees):
         q, r = divmod(k, p)
-        residues.append(r)
-        below.append(wraps.setdefault(q, len(wraps)))
-        above.append(wraps.setdefault(q + 1, len(wraps)) if r else 0)
-        layer.append(seen.get(r, 0))
-        seen[r] = layer[-1] + 1
-    order = sorted(range(len(degrees)), key=layer.__getitem__)
-    table = np.array([[residues[i], below[i], above[i], i] for i in order],
-                     dtype=np.intp).reshape(-1, 4, 1)
-    total = table[:, 0] + np.arange(p)
-    carry = total >= p
-    rows = np.where(carry, total - p, total)
-    wrap_index = np.where(carry, table[:, 2], table[:, 1])
-    stops = list(itertools.accumulate(p * sum(c > j for c in seen.values())
-                                      for j in range(max(seen.values(), default=0))))
-    layout = (table[:, 3], rows, (rows * p + np.arange(p)).ravel(),
-              np.array(list(wraps), dtype=np.int64), wrap_index.ravel(),
-              tuple(zip([0] + stops, stops)))
-    for part in layout[:5]:
-        part.setflags(write=False)
-    return layout
+        below = wraps.setdefault(q, len(wraps))
+        above = wraps.setdefault(q + 1, len(wraps)) if r else below
+        for n in range(p):
+            row = r + n
+            if row < p:
+                wrap_index.append(below)
+            else:
+                row -= p
+                wrap_index.append(above)
+            positions.append(row * p + n)
+            places.append(i * p + row)
+    return _EntryPlan(p, np.array(positions, dtype=np.intp),
+                      np.fromiter(wraps, np.int64, len(wraps)),
+                      np.array(wrap_index, dtype=np.intp),
+                      vals[np.array(places, dtype=np.intp)])
 
 
 def _circle_powers(wraps: np.ndarray, angles) -> np.ndarray:
-    """exp(i w t) for every wrap w (rows) and angle t (columns; one angle
-    gives a vector): the torus parameter exp(i t) to the power w, on the
-    unit circle for every w (raising a rounded parameter to the power w
-    would multiply the rounding of its modulus by w)."""
-    return np.exp(1j * np.multiply.outer(wraps, angles))
+    """exp(i w t) for every wrap w (rows) and angle t (a float, or an array
+    of them for the columns): the torus parameter exp(i t) to the power w,
+    on the unit circle for every w (raising a rounded parameter to the
+    power w would multiply the rounding of its modulus by w)."""
+    return np.exp(np.multiply.outer(wraps, 1j * angles))
 
 
 def _cyclic_matrices(plan: _EntryPlan, powers: np.ndarray) -> np.ndarray:
     """The cyclic models of the plan's points, a B x S x p x p array:
     ``powers`` holds S torus parameters, each to every wrap of the plan
     (U x S).  One array product of values and powers, then one scatter-add
-    per layer into a batch with the positions leading, so that each layer
-    adds whole rows; every matrix entry sums its terms in increasing index
+    per index into a batch with the positions leading, so that each add
+    moves whole rows; the p entries of one index lie at p distinct
+    positions, and every matrix entry sums its terms in increasing index
     order."""
     p = plan.period
     count, params = plan.values.shape[1], powers.shape[1]
     terms = plan.values[:, :, np.newaxis] * powers[plan.wrap_index, np.newaxis, :]
     mats = np.zeros((p * p, count, params), dtype=complex)
-    for lo, hi in plan.layers:
-        mats[plan.positions[lo:hi]] += terms[lo:hi]
+    for lo in range(0, len(terms), p):
+        mats[plan.positions[lo:lo + p]] += terms[lo:lo + p]
     return np.ascontiguousarray(mats.transpose(1, 2, 0)).reshape(count, params, p, p)
 
 
-def _cyclic_matrix(plan: _EntryPlan, powers: np.ndarray) -> np.ndarray:
-    """The p x p model of a one-point plan at one torus parameter, to every
-    wrap of the plan (``powers``, length U): :func:`rep_matrix` and the
-    golden-section refinement.  With a handful of entries numpy's cost per
-    call would dominate, so the terms are Python complex products, added
-    in entry order (which puts one position's terms in increasing index
-    order) by one ``np.add.at``.  numpy's array product in
-    :func:`_cyclic_matrices` may fuse a multiply and an add, so the two can
-    differ in the last bit of a term."""
+def _cyclic_matrix(plan: _EntryPlan, angle: float) -> np.ndarray:
+    """The p x p model of a one-point plan at the torus parameter
+    exp(i angle): :func:`rep_matrix` and the golden-section refinement.
+    The same terms as in :func:`_cyclic_matrices`, added by one
+    ``np.add.at``, which adds in entry order, so the two agree to the bit.
+    On a stack add.at is several times slower than the adds per index, and
+    on one small matrix several times faster."""
     p = plan.period
-    terms = [v * w for v, w in zip(plan.values.ravel().tolist(),
-                                   powers[plan.wrap_index].tolist())]
+    terms = plan.values[:, 0] * _circle_powers(plan.wraps, angle)[plan.wrap_index]
     mat = np.zeros(p * p, dtype=complex)
     np.add.at(mat, plan.positions, terms)
     return mat.reshape(p, p)

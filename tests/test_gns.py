@@ -620,8 +620,7 @@ class TestEntryPlan:
         for x, p in periodic_orbit_reps(system)[:4]:
             got = rep_matrix(system, PeriodicRep(x, p, lam), x_elem).matrix
             want = _reference_model(system, x, p, x_elem,
-                                    lambda w: cmath.exp(1j * angle * w),
-                                    lambda a, b: a * b)
+                                    lambda w: np.exp(1j * (w * angle)), _array_mul)
             assert np.array_equal(got, want)
 
     @given(name=st.sampled_from(sorted(_SYSTEMS)), indices=_INDICES,
@@ -658,26 +657,49 @@ class TestEntryPlan:
                 assert np.array_equal(alone[0], mats[b])
                 assert gns._batched_norms(alone[0]).tolist() == norms[b].tolist()
 
-    def test_layers_keep_the_index_order(self):
-        # on one point every index shares the one position: one layer each
-        positions, layers = gns._plan_layout(1, (-3, 0, 2, 2 ** 53))[2::3]
-        assert positions.tolist() == [0, 0, 0, 0]
-        assert layers == ((0, 1), (1, 2), (2, 3), (3, 4))
-        # period 3: residues 0, 0, 1, 2, 0 of -3, 0, 1, 5, 6
-        order, rows, positions, wraps, wrap_index, layers = gns._plan_layout(
-            3, (-3, 0, 1, 5, 6))
-        assert order.ravel().tolist() == [0, 2, 3, 1, 4]
-        assert layers == ((0, 9), (9, 12), (12, 15))
-        # only the wraps that occur, however far apart the indices
-        assert sorted(wraps.tolist()) == [-1, 0, 1, 2]
-        assert gns._plan_layout(1, (-2 ** 53, 2 ** 53))[3].tolist() == [-2 ** 53, 2 ** 53]
+    @given(name=st.sampled_from(sorted(_SYSTEMS)), indices=_INDICES,
+           seed=st.integers(0, 2 ** 32),
+           turns=st.lists(st.floats(-1, 1), min_size=1, max_size=3))
+    def test_one_matrix_is_its_entry_of_the_stack(self, name, indices, seed, turns):
+        """One matrix (rep_matrix, the refinement) is added up by np.add.at
+        and a stack by one add per index: the same terms in the same order."""
+        system = _plan_system(name)
+        x_elem = _element(system, indices, seed)
+        angles = 2 * math.pi * np.array(turns)
+        for p, points in _points_by_period(system).items():
+            plan = gns._entry_plan(system, points, p, x_elem)
+            mats = gns._cyclic_matrices(plan, gns._circle_powers(plan.wraps, angles))
+            for b in range(min(len(points), 3)):
+                for j, angle in enumerate(angles.tolist()):
+                    assert np.array_equal(gns._cyclic_matrix(plan.point(b), angle),
+                                          mats[b, j])
+
+    def test_entries_come_in_index_order(self):
+        # period 3: column n of index k goes to row (n + k) mod 3 with the
+        # wrap (n + k) // 3, index by index
+        system = _plan_system("cycle3")
+        indices = (-3, 0, 1, 5, 6)
+        x_elem = _element(system, indices, 0)
+        for x, p in periodic_orbit_reps(system):
+            plan = gns._entry_plan(system, [x], p, x_elem)
+            assert plan.positions.tolist() == [(n + k) % p * p + n
+                                               for k in indices for n in range(p)]
+            assert plan.wraps[plan.wrap_index].tolist() == [
+                (n + k) // p for k in indices for n in range(p)]
+            # only the wraps that occur, each once
+            assert sorted(plan.wraps.tolist()) == [-1, 0, 1, 2]
+        # however far apart the indices
+        system = _plan_system("one_point")
+        x_elem = _element(system, (-2 ** 53, 2 ** 53), 0)
+        (x, p), = periodic_orbit_reps(system)
+        plan = gns._entry_plan(system, [x], p, x_elem)
+        assert plan.positions.tolist() == [0, 0]
+        assert plan.wraps.tolist() == [-2 ** 53, 2 ** 53]
 
     @given(name=st.sampled_from(sorted(_SYSTEMS)), seed=st.integers(0, 2 ** 32))
     def test_restriction_matches_a_state_eval_loop(self, name, seed):
-        """The states of all parameters at once agree with one state_eval
-        per parameter, up to rounding: numpy's array product may round each
-        of the K terms of a state one bit differently from Python's, which
-        moves it by at most 2 K eps times the series norm."""
+        """The states of all parameters at once are those of one state_eval
+        per parameter, to the bit: the same terms added in the same order."""
         system = _plan_system(name)
         rng = random.Random(seed)
         elems = [random_commutant_element(system, rng, 3) for _ in range(3)]
@@ -695,9 +717,7 @@ class TestEntryPlan:
                 for lam, want in zip(lams, wants):
                     dev = max(dev, abs(state_eval(system, PeriodicRep(x, p, lam), e)
                                        - want))
-            tol = max(2 * len(e.degrees) * np.finfo(float).eps * e.ell1_norm()
-                      for e in elems)
-            assert abs(report.max_deviation - dev) <= tol
+            assert report.max_deviation == dev
 
 
 @pytest.mark.parametrize("k", [1, 10 ** 12, 2 ** 52, 2 ** 53 - 1, 2 ** 53, -2 ** 53])
