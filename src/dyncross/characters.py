@@ -27,7 +27,8 @@ parameter z (:func:`circle_functionals`).
 
 Sup computations over the circle use a uniform grid plus a certified
 excess bound (derivative and curvature bounds of the sampled
-trigonometric polynomial) and one golden-section refinement pass; the
+trigonometric polynomial), polished at the best grid point by the
+batched bracket search of :func:`~dyncross.numerics.bracket_max`; the
 Gelfand sweep over all representative points is one product of the
 coefficient values with the grid powers.
 """
@@ -45,7 +46,7 @@ from .algebra import Element
 from .commutant import is_in_commutant
 from .dynamics import DynSys, minimal_interior_order, period_of
 from .errors import NotInCommutant, TooLarge
-from .numerics import NormEstimate, golden_max, grid_excess
+from .numerics import NormEstimate, bracket_max, grid_excess
 from .space import Point
 
 UNIT_MODULUS_TOL = 1e-12
@@ -293,14 +294,13 @@ def separating_family(sys: DynSys, grid: CircleGrid) -> List[Character]:
 # ---------------------------------------------------------------------------
 
 
-def gelfand_norm(sys: DynSys, x_elem: Element, grid: CircleGrid, *,
-                 refine: bool = True) -> NormEstimate:
+def gelfand_norm(sys: DynSys, x_elem: Element, grid: CircleGrid) -> NormEstimate:
     """Certified sup of |character values| over the whole character space.
 
     The sup over the quotient of (space x circle) is evaluated exactly in
     the point coordinate (window and limit points realize every value) and
     on the grid in the circle coordinate, with a rigorous excess bound
-    from the coefficient data; one golden-section pass sharpens the
+    from the coefficient data; a batched bracket search sharpens the
     attained value at the best point.  The grid values of all points are
     the product of the (indices x points) coefficient values with the
     (indices x grid) powers, taken ``SWEEP_ENTRIES`` values at a time.
@@ -335,16 +335,11 @@ def gelfand_norm(sys: DynSys, x_elem: Element, grid: CircleGrid, *,
     ell1 = x_elem.ell1_norm()
     upper = min(upper, ell1)
     value = best_val
-    if refine and best is not None:
+    if best is not None:
         p, row = best
-        best_coeffs = dict(zip(ks, coeffs[:, p].tolist()))
-
-        def fn(t: float) -> float:
-            return abs(sum(a * cmath.exp(1j * t * k)
-                           for k, a in best_coeffs.items()))
-
         angle = 2 * math.pi * int(np.argmax(row)) / grid.resolution
-        value = max(value, golden_max(fn, angle - 2 * h, angle + 2 * h))
+        value = max(value, bracket_max(lambda ts: np.abs(
+            coeffs[:, p] @ np.exp(1j * np.multiply.outer(ks_arr, ts))), angle, 2 * h))
     # an attained value never exceeds the series norm; rounding near the
     # top of the double range could otherwise lift it by an ulp
     value = min(value, ell1)

@@ -23,20 +23,19 @@ period put their entries at the same flat positions with the same wrap
 powers, so the plan holds those positions, an index into the wraps that
 occur, and one entries x points table of values from a single gather of
 the coefficient rows.  The entries come index by index, p per index at p
-distinct positions, so a whole stack of models (all points of a period
-over a slice of torus parameters) is one array product and one
-scatter-add per index, and one matrix is the same product and one
-``np.add.at``; either way every entry sums its terms in increasing index
-order.  The grid sweep, the golden-section refinement, :func:`rep_matrix`
-and the state checks of :func:`restriction_report` (one plan per point
-and element, over all parameters at once) all use it.  Powers of the
+distinct positions, so every stack of models (all points of a period over
+a slice of the grid, one point over a refinement round, or one matrix) is
+one array product and one scatter-add per index, and every entry sums its
+terms in increasing index order.  A pure state adds up its (e_0, e_0)
+entry alone, over all parameters at a point at once.  Powers of the
 torus parameter are taken on the unit circle, exp(i w t), so that they
 keep modulus 1 for every index up to 2**53.
 
 The C*-norm of an element is the sup of the representation norms over
 orbit representatives and the torus parameter; the torus sweep carries
-the same certified grid bound as the character module, and everything is
-dominated by the series norm.
+the same certified grid bound as the character module, polished by
+:func:`~dyncross.numerics.bracket_max`, and everything is dominated by the
+series norm.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .dynamics import (
     periodic_orbit_reps,
 )
 from .errors import ForeignPoint, NotInCommutant, TooLarge, TruncationTooSmall
-from .numerics import NormEstimate, golden_max, grid_excess
+from .numerics import NormEstimate, bracket_max, grid_excess
 from .space import Point
 
 UNIT_MODULUS_TOL = 1e-12
@@ -113,20 +112,11 @@ class RepMatrix:
 
 def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
     """Matrix of an element in the chosen representation."""
+    if isinstance(rep, PeriodicRep):
+        return RepMatrix(_cyclic_models(sys, rep.x, rep.period, [rep.lam], x_elem)[0], 0)
     sp = sys.space
     if x_elem.space != sp:
         raise ForeignPoint("element and system live over different spaces")
-    if isinstance(rep, PeriodicRep):
-        p = rep.period
-        actual = period_of(sys, rep.x)
-        if actual != p:
-            raise ForeignPoint(
-                f"{rep.x} has exact period {actual}, not {p}")
-        if abs(abs(rep.lam) - 1.0) > UNIT_MODULUS_TOL:
-            raise ValueError("wrap-around parameter must be unimodular")
-        _check_model_size(f"the cyclic model of period {p}", p)
-        plan = _entry_plan(sys, (rep.x,), p, x_elem)
-        return RepMatrix(_cyclic_matrix(plan, cmath.phase(rep.lam)), 0)
     m = rep.radius
     if m < 1 or m < x_elem.degree:
         raise TruncationTooSmall(
@@ -154,7 +144,10 @@ def _check_model_size(what: str, dim: int) -> None:
 def state_eval(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> complex:
     """The (e_0, e_0) matrix entry: the pure state attached to the
     representation.  Exact for the truncated model once the radius reaches
-    the element degree."""
+    the element degree; a cyclic model adds up that entry alone."""
+    if isinstance(rep, PeriodicRep):
+        return complex(_cyclic_models(sys, rep.x, rep.period, [rep.lam], x_elem,
+                                      state=True)[0, 0, 0])
     rm = rep_matrix(sys, rep, x_elem)
     return complex(rm.matrix[rm.center, rm.center])
 
@@ -223,35 +216,26 @@ def _gram_norms(mats: np.ndarray) -> np.ndarray:
     imaginary part, exactly, so that entries near the ends of the double
     range neither overflow nor underflow when squared.  The work runs on
     the eight real parts, one vector each, so the temporaries stay the
-    size of the stack.  A matrix alone takes the same steps on Python
-    floats, where numpy's cost per call would dominate: every step is exact
-    (max, frexp, ldexp) or correctly rounded (+, -, *, /, sqrt) in both,
-    so the results agree to the bit.
+    size of the stack.
     """
     entries = (mats[:, 0, 0], mats[:, 1, 0], mats[:, 0, 1], mats[:, 1, 1])
-    if len(mats) == 1:
-        values = [complex(z[0]) for z in entries]
-        parts = [z.real for z in values] + [z.imag for z in values]
-        exponent = math.frexp(max(abs(part) for part in parts))[1]
-        top = _gram_top([math.ldexp(part, -exponent) for part in parts], math.sqrt)
-        return np.ldexp(np.array([math.sqrt(top)]), exponent)
     parts = [z.real for z in entries] + [z.imag for z in entries]
     peak = np.abs(parts[0])
     for part in parts[1:]:
         np.maximum(peak, np.abs(part), out=peak)
     exponent = np.frexp(peak)[1]
-    top = _gram_top([np.ldexp(part, -exponent) for part in parts], np.sqrt)
+    top = _gram_top([np.ldexp(part, -exponent) for part in parts])
     return np.ldexp(np.sqrt(top), exponent)
 
 
-def _gram_top(parts: list, sqrt):
-    """sigma^2 of a 2x2 matrix from the real and imaginary parts of its
-    entries (Python floats or numpy vectors): the top eigenvalue of the
-    Gram matrix [[a, b], [b*, c]], with a, c the squared column norms and
-    b the column inner product, (a + c)/2 + sqrt(((a - c)/2)^2 + |b|^2).
-    Both terms are nonnegative, so nothing cancels, unlike the
-    Frobenius/determinant form, which loses half the mantissa near equal
-    singular values (the common case for the cyclic models)."""
+def _gram_top(parts: list) -> np.ndarray:
+    """sigma^2 of 2x2 matrices from the real and imaginary parts of their
+    entries (one vector each): the top eigenvalue of the Gram matrix
+    [[a, b], [b*, c]], with a, c the squared column norms and b the column
+    inner product, (a + c)/2 + sqrt(((a - c)/2)^2 + |b|^2).  Both terms are
+    nonnegative, so nothing cancels, unlike the Frobenius/determinant form,
+    which loses half the mantissa near equal singular values (the common
+    case for the cyclic models)."""
     x0, x1, y0, y1, u0, u1, v0, v1 = parts
     # columns (x0 + i u0, x1 + i u1) and (y0 + i v0, y1 + i v1)
     a = x0 * x0 + u0 * u0 + x1 * x1 + u1 * u1
@@ -259,7 +243,7 @@ def _gram_top(parts: list, sqrt):
     re = x0 * y0 + u0 * v0 + x1 * y1 + u1 * v1
     im = x0 * v0 - u0 * y0 + x1 * v1 - u1 * y1
     half = (a - c) / 2
-    return (a + c) / 2 + sqrt(half * half + re * re + im * im)
+    return (a + c) / 2 + np.sqrt(half * half + re * re + im * im)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +270,8 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     """Sup of representation norms over orbit representatives and the
     torus parameter.
 
-    On all-periodic backends the estimate is two-sided (grid bound plus
-    golden-section refinement; ``refine=False`` skips the polish and keeps
+    On all-periodic backends the estimate is two-sided (grid bound plus a
+    batched bracket search at the best grid point; ``refine=False`` keeps
     the plain grid sup).  Where aperiodic orbits exist and the element has
     positive degree, the truncated norms are certified lower bounds only,
     and the series norm caps the excess.
@@ -332,12 +316,8 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
             best = (grid_max, plan.point(i), 2 * math.pi * best_j / g)
     if best is not None and refine:
         _, plan, angle = best
-
-        def fn(t: float) -> float:
-            return operator_norm(_cyclic_matrix(plan, t))
-
-        value = max(value, golden_max(fn, angle - 2 * h, angle + 2 * h,
-                                      iters=40))
+        value = max(value, bracket_max(lambda ts: _batched_norms(
+            _cyclic_matrices(plan, _circle_powers(plan.wraps, ts))[0]), angle, 2 * h))
     loose = False
     for x in aperiodic_reps(sys):
         m = radius if radius is not None else default_truncation(sys, x_elem)
@@ -440,9 +420,9 @@ def _entry_plan(sys: DynSys, points: Sequence[Point], p: int,
                       vals[np.array(places, dtype=np.intp)])
 
 
-def _circle_powers(wraps: np.ndarray, angles) -> np.ndarray:
-    """exp(i w t) for every wrap w (rows) and angle t (a float, or an array
-    of them for the columns): the torus parameter exp(i t) to the power w,
+def _circle_powers(wraps: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """exp(i w t) for every wrap w (rows) and angle t (columns): the torus
+    parameter exp(i t) to the power w,
     on the unit circle for every w (raising a rounded parameter to the
     power w would multiply the rounding of its modulus by w)."""
     return np.exp(np.multiply.outer(wraps, 1j * angles))
@@ -458,25 +438,36 @@ def _cyclic_matrices(plan: _EntryPlan, powers: np.ndarray) -> np.ndarray:
     order."""
     p = plan.period
     count, params = plan.values.shape[1], powers.shape[1]
-    terms = plan.values[:, :, np.newaxis] * powers[plan.wrap_index, np.newaxis, :]
+    # |value * power| = |value| fits the double range, but numpy's complex
+    # multiply flags an overflow for values near its top on odd widths
+    with np.errstate(over="ignore"):
+        terms = plan.values[:, :, np.newaxis] * powers[plan.wrap_index, np.newaxis, :]
     mats = np.zeros((p * p, count, params), dtype=complex)
     for lo in range(0, len(terms), p):
         mats[plan.positions[lo:lo + p]] += terms[lo:lo + p]
     return np.ascontiguousarray(mats.transpose(1, 2, 0)).reshape(count, params, p, p)
 
 
-def _cyclic_matrix(plan: _EntryPlan, angle: float) -> np.ndarray:
-    """The p x p model of a one-point plan at the torus parameter
-    exp(i angle): :func:`rep_matrix` and the golden-section refinement.
-    The same terms as in :func:`_cyclic_matrices`, added by one
-    ``np.add.at``, which adds in entry order, so the two agree to the bit.
-    On a stack add.at is several times slower than the adds per index, and
-    on one small matrix several times faster."""
-    p = plan.period
-    terms = plan.values[:, 0] * _circle_powers(plan.wraps, angle)[plan.wrap_index]
-    mat = np.zeros(p * p, dtype=complex)
-    np.add.at(mat, plan.positions, terms)
-    return mat.reshape(p, p)
+def _cyclic_models(sys: DynSys, x: Point, p: int, lams: Sequence[complex],
+                   x_elem: Element, *, state: bool = False) -> np.ndarray:
+    """The cyclic models of an element at x, one per parameter of ``lams``
+    (S x p x p), or with ``state`` only their (e_0, e_0) entries, from the
+    plan of that entry (S x 1 x 1).  The element must live over the
+    system's space, p must be the exact period of x, the parameters
+    unimodular and a p x p model within ``MAX_MODEL_ENTRIES``."""
+    if x_elem.space != sys.space:
+        raise ForeignPoint("element and system live over different spaces")
+    actual = period_of(sys, x)
+    if actual != p:
+        raise ForeignPoint(f"{x} has exact period {actual}, not {p}")
+    if any(abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL for lam in lams):
+        raise ValueError("wrap-around parameter must be unimodular")
+    _check_model_size(f"the cyclic model of period {p}", p)
+    plan = _entry_plan(sys, (x,), p, x_elem)
+    if state:
+        plan = plan.state()
+    angles = np.array([cmath.phase(lam) for lam in lams], dtype=float)
+    return _cyclic_matrices(plan, _circle_powers(plan.wraps, angles))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +516,6 @@ def restriction_report(sys: DynSys, x: Point, lams: Sequence[complex],
             want = complex(eval_family(sys, fam, e, check=False)[0])
             dev = max(dev, abs(got - want))
         return RestrictionReport(x, case, p, n, dev)
-    if any(abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL for lam in lams):
-        raise ValueError("wrap-around parameter must be unimodular")
-    _check_model_size(f"the cyclic model of period {p}", p)
-    angles = np.array([cmath.phase(lam) for lam in lams], dtype=float)
     if n is not None:
         case = "periodic-interior"
         ratio = n // p
@@ -538,10 +525,7 @@ def restriction_report(sys: DynSys, x: Point, lams: Sequence[complex],
         case = "periodic-boundary"
         fam = character_family(sys, [PointCharacter(x)] * len(lams))
     for e in elems:
-        # the lam-states of every lam at once: the (e_0, e_0) entries
-        plan = _entry_plan(sys, (x,), p, e).state()
-        powers = _circle_powers(plan.wraps, angles)
-        gots = _cyclic_matrices(plan, powers)[0, :, 0, 0]
+        gots = _cyclic_models(sys, x, p, lams, e, state=True)[:, 0, 0]
         wants = eval_family(sys, fam, e, check=False)
         dev = max([dev] + [abs(d) for d in (gots - wants).tolist()])
     return RestrictionReport(x, case, p, n, dev)
@@ -575,12 +559,23 @@ def unique_extension_gap(sys: DynSys, chars: Sequence[Character],
     the extension is unique."""
     chars = [ch for ch in chars if extension_state(sys, ch, 0) is not None]
     fam = character_family(sys, chars)
+    # the characters by point: all of one kind, the torus ones of order the
+    # exact period, so the states at one point come from one plan
+    by_point = {}
+    for i, ch in enumerate(chars):
+        by_point.setdefault(ch.x, []).append(i)
     gap = 0.0
     for e in elems:
-        gots = eval_family(sys, fam, project_to_commutant(sys, e)).tolist()
-        for ch, got in zip(chars, gots):
-            want = state_eval(sys, extension_state(sys, ch, e.degree), e)
-            gap = max(gap, abs(got - want))
+        gots = eval_family(sys, fam, project_to_commutant(sys, e))
+        wants = np.empty(len(chars), dtype=complex)
+        for x, idx in by_point.items():
+            ch = chars[idx[0]]
+            if isinstance(ch, PointCharacter):
+                wants[idx] = state_eval(sys, extension_state(sys, ch, e.degree), e)
+            else:
+                wants[idx] = _cyclic_models(sys, x, ch.order, [chars[i].c for i in idx],
+                                            e, state=True)[:, 0, 0]
+        gap = max([gap] + [abs(d) for d in (gots - wants).tolist()])
     return gap
 
 

@@ -1,4 +1,5 @@
-"""Small shared numerics: certified norm estimates and 1-D refinement."""
+"""Small shared numerics: certified norm estimates, grid excess bounds and
+the batched refinement of a sup over the circle."""
 
 from __future__ import annotations
 
@@ -24,25 +25,33 @@ class NormEstimate:
         return self.value + self.error_bound
 
 
-def golden_max(fn, lo: float, hi: float, iters: int = 70) -> float:
-    """Maximum of a unimodal-enough function on [lo, hi] by golden-section;
-    returns the best value seen (a lower bound on the true maximum)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    best = max(fn(a), fn(b), fc, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-        best = max(best, fc, fd)
+# the bracket search: angles per round (one call of the objective), rounds
+BRACKET_POINTS, BRACKET_ROUNDS = 9, 4
+
+
+def bracket_max(fn, centre: float, half_width: float) -> float:
+    """Largest value seen by a batched search of ``fn`` (an array of angles
+    to an array of values) started on [centre - half_width, centre +
+    half_width]: a lower bound on the maximum there.  Each round evaluates
+    equally spaced angles at once; the next round is centred on the vertex
+    of the parabola through the best value and its neighbours, an eighth of
+    a spacing wide, or, when the best value ends the round, on it with the
+    same width.  The vertex comes from differences to the best value, which
+    neither overflow nor cancel near the top of the double range."""
+    offsets = np.arange(BRACKET_POINTS) - BRACKET_POINTS // 2
+    best = -math.inf
+    for _ in range(BRACKET_ROUNDS):
+        spacing = half_width / (BRACKET_POINTS // 2)
+        vals = np.asarray(fn(centre + spacing * offsets))
+        j = int(np.argmax(vals))
+        vals = vals.tolist()
+        best = max(best, vals[j])
+        centre += spacing * int(offsets[j])
+        if 0 < j < BRACKET_POINTS - 1:
+            left, right = vals[j - 1] - vals[j], vals[j + 1] - vals[j]
+            if left + right < 0:
+                centre += spacing * (0.5 * (left - right) / (left + right))
+            half_width = spacing / 8
     return best
 
 

@@ -359,16 +359,34 @@ def test_window_beyond_the_point_budget(kind, tmp_path, capsys):
     assert "representative points" in err
 
 
-def test_python_dash_m():
-    importlib.import_module("dyncross.__main__")    # runs nothing on import
+def _run_module(*argv):
+    """``python -m dyncross ARGV`` in a fresh interpreter, outside pytest's
+    capture of warnings."""
     env = dict(os.environ)
     src = str(pathlib.Path(dyncross.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "dyncross", "describe",
-                           "--space", "one_point"],
+    return subprocess.run([sys.executable, "-m", "dyncross", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m():
+    importlib.import_module("dyncross.__main__")    # runs nothing on import
+    done = _run_module("describe", "--space", "one_point")
     assert done.returncode == 0, done.stderr
     assert "projection_exists: True" in done.stdout
+
+
+@pytest.mark.parametrize("k, grid", [(1, 5), (5, 9)])
+def test_norms_near_the_double_maximum_warn_nothing(tmp_path, k, grid):
+    """Every product of a value with a torus power fits the double range,
+    but numpy's complex multiply flags an overflow on stacks of odd width
+    for values this large; nothing may reach stderr."""
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"terms": [{"k": k, "values": {"pt": [1e308, 1e308]}}]}))
+    done = _run_module("norms", "--space", "one_point", "--grid", str(grid),
+                       "--element", str(path))
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("doc", [[1, 2], "finite", 3, None],

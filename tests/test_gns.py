@@ -6,6 +6,7 @@ import functools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from dyncross.characters import (
     character_family,
     eval_character,
     eval_family,
+    gelfand_norm,
     separating_family,
 )
-from dyncross import gns
-from dyncross.commutant import random_commutant_element
+from dyncross import characters, gns
+from dyncross.commutant import project_to_commutant, random_commutant_element
 from dyncross.dynamics import make_dynsys
 from dyncross.errors import TooLarge, TruncationTooSmall
 from dyncross.gns import (
@@ -212,7 +214,7 @@ class TestBatchedNorms:
         want = _lapack_norms(mats)
         assert np.all(np.isfinite(got)) and np.all(got > 0)
         assert np.max(np.abs(got - want) / want) <= 1e-13
-        # a matrix alone takes the scalar route: the same bits
+        # a matrix alone gives the bits of its place in the stack
         assert got[:200].tolist() == [operator_norm(m) for m in mats[:200]]
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 3e5, 1e300])
@@ -574,6 +576,10 @@ def _reference_model(system, x, p, elem, power, mul):
     return mat
 
 
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
 def _array_mul(a, b):
     # numpy's array product, the one the batched sweep uses
     return (np.array([a]) * np.array([b]))[0]
@@ -622,6 +628,9 @@ class TestEntryPlan:
             want = _reference_model(system, x, p, x_elem,
                                     lambda w: np.exp(1j * (w * angle)), _array_mul)
             assert np.array_equal(got, want)
+            # the state adds up the (e_0, e_0) entry alone, to the same bits
+            state = state_eval(system, PeriodicRep(x, p, lam), x_elem)
+            assert _bits(state) == _bits(complex(got[0, 0]))
 
     @given(name=st.sampled_from(sorted(_SYSTEMS)), indices=_INDICES,
            seed=st.integers(0, 2 ** 32))
@@ -656,23 +665,6 @@ class TestEntryPlan:
                                              table)
                 assert np.array_equal(alone[0], mats[b])
                 assert gns._batched_norms(alone[0]).tolist() == norms[b].tolist()
-
-    @given(name=st.sampled_from(sorted(_SYSTEMS)), indices=_INDICES,
-           seed=st.integers(0, 2 ** 32),
-           turns=st.lists(st.floats(-1, 1), min_size=1, max_size=3))
-    def test_one_matrix_is_its_entry_of_the_stack(self, name, indices, seed, turns):
-        """One matrix (rep_matrix, the refinement) is added up by np.add.at
-        and a stack by one add per index: the same terms in the same order."""
-        system = _plan_system(name)
-        x_elem = _element(system, indices, seed)
-        angles = 2 * math.pi * np.array(turns)
-        for p, points in _points_by_period(system).items():
-            plan = gns._entry_plan(system, points, p, x_elem)
-            mats = gns._cyclic_matrices(plan, gns._circle_powers(plan.wraps, angles))
-            for b in range(min(len(points), 3)):
-                for j, angle in enumerate(angles.tolist()):
-                    assert np.array_equal(gns._cyclic_matrix(plan.point(b), angle),
-                                          mats[b, j])
 
     def test_entries_come_in_index_order(self):
         # period 3: column n of index k goes to row (n + k) mod 3 with the
@@ -719,6 +711,26 @@ class TestEntryPlan:
                                        - want))
             assert report.max_deviation == dev
 
+    @given(name=st.sampled_from(["one_point", "swap2", "cycle3", "int_shift8"]),
+           seed=st.integers(0, 2 ** 32))
+    def test_extension_gap_matches_a_state_eval_loop(self, name, seed):
+        """The states of all characters at a point at once are those of one
+        state_eval per character, to the bit."""
+        system = FIXTURES[name]()
+        rng = random.Random(seed)
+        chars = separating_family(system, CircleGrid(8))
+        elems = [random_element(system.space, rng, 2, multiply_slack=1)
+                 for _ in range(3)]
+        kept = [ch for ch in chars if extension_state(system, ch, 0) is not None]
+        fam = character_family(system, kept)
+        gap = 0.0
+        for e in elems:
+            gots = eval_family(system, fam, project_to_commutant(system, e)).tolist()
+            for ch, got in zip(kept, gots):
+                want = state_eval(system, extension_state(system, ch, e.degree), e)
+                gap = max(gap, abs(got - want))
+        assert unique_extension_gap(system, chars, elems) == gap
+
 
 @pytest.mark.parametrize("k", [1, 10 ** 12, 2 ** 52, 2 ** 53 - 1, 2 ** 53, -2 ** 53])
 @pytest.mark.parametrize("name", ["one_point", "swap2", "cycle3"])
@@ -736,3 +748,62 @@ def test_torus_powers_stay_on_the_circle(name, k):
         pt = system.space.point("pt")
         fam = character_family(system, [TorusCharacter(pt, 1, lam)])
         assert abs(eval_family(system, fam, x_elem)[0]) == pytest.approx(1, abs=1e-15)
+
+
+_REFINE_SYSTEMS = dict(FIXTURES, cycle7=lambda: _cycle(7), cycle20=lambda: _cycle(20))
+
+
+@functools.lru_cache(maxsize=None)
+def _refine_system(name):
+    return _REFINE_SYSTEMS[name]()
+
+
+def _dense_max(call):
+    """The largest of 4097 equally spaced values of a refinement's objective
+    over the bracket that the refinement started from."""
+    fn, centre, half_width = call.args
+    return float(np.max(fn(centre + half_width * np.linspace(-1, 1, 4097))))
+
+
+class TestRefinement:
+    """The batched bracket search that polishes both sups returns at least
+    the grid maximum, and at least a dense sweep of its bracket up to 1e-14
+    relative.  The grid resolves the element: it has at least 8 points per
+    period of the fastest torus power, so the bracket holds one peak.  A
+    strided element splits each cyclic model into blocks whose singular
+    values cross, so the top one has kinks."""
+
+    @given(name=st.sampled_from(sorted(_REFINE_SYSTEMS)),
+           stride=st.sampled_from([1, 2, 3, 4, 5, 7, 20]),
+           steps=st.sets(st.sampled_from(range(-3, 4)), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32), finer=st.sampled_from([1, 4]))
+    def test_cstar_refinement_beats_a_dense_sweep(self, name, stride, steps, seed,
+                                                  finer):
+        system = _refine_system(name)
+        indices = [stride * j for j in steps]
+        x_elem = _element(system, indices, seed)
+        period = min(p for _, p in periodic_orbit_reps(system))
+        grid = CircleGrid(finer * max(16, 8 * max(-(-abs(k) // period) for k in indices)))
+        with mock.patch.object(gns, "bracket_max", wraps=gns.bracket_max) as spy:
+            est = cstar_norm(system, x_elem, grid)
+        assert est.value >= cstar_norm(system, x_elem, grid, refine=False).value
+        assert spy.call_count == 1
+        assert est.value >= _dense_max(spy.call_args) - 1e-14 * est.value
+
+    @given(name=st.sampled_from(sorted(_REFINE_SYSTEMS)), degree=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32), finer=st.sampled_from([1, 4]))
+    def test_gelfand_refinement_beats_a_dense_sweep(self, name, degree, seed, finer):
+        system = _refine_system(name)
+        x_elem = random_commutant_element(system, random.Random(seed), degree)
+        grid = CircleGrid(finer * max(16, 8 * x_elem.degree))
+        with mock.patch.object(characters, "bracket_max",
+                               wraps=characters.bracket_max) as spy:
+            est = gelfand_norm(system, x_elem, grid)
+        # |sum_k f_k(x) z^k| over the representative points x and the grid
+        # samples z, the powers z^k by exact index arithmetic
+        grid_max = max(np.abs(sum(f(x) * grid.powers(k) for k, f in x_elem.coeffs.items()))
+                       .max() for x in system.space.representative_points())
+        assert est.value >= grid_max * (1 - 1e-14)
+        if x_elem.support():
+            assert spy.call_count == 1
+            assert est.value >= _dense_max(spy.call_args) - 1e-14 * est.value
