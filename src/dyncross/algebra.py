@@ -139,15 +139,20 @@ class Element:
                                  sups=self.row_sups()[::-1])
 
     def ell1_norm(self) -> float:
-        """The sum of the coefficient sup norms, correctly rounded, so it
-        does not depend on the order of the terms; inf where it overflows."""
-        try:
-            return math.fsum(self.row_sups().tolist())
-        except OverflowError:
-            return math.inf
+        """The sum of the coefficient sup norms (see :func:`_series_norm`)."""
+        return _series_norm(self.row_sups().tolist())
 
     def __repr__(self):
         return f"Element({self.space.kind}, support={self.support()})"
+
+
+def _series_norm(sups) -> float:
+    """The sum of coefficient sup norms, correctly rounded, so it does not
+    depend on the order of the terms; inf where it overflows."""
+    try:
+        return math.fsum(sups)
+    except OverflowError:
+        return math.inf
 
 
 class _Coefficients(Mapping):
@@ -216,20 +221,23 @@ def linear_combine(a: complex, x: Element, b: complex, y: Element) -> Element:
     return Element.from_rows(space, ks, x.rows.combine(a, y.rows, b, places, len(ks)))
 
 
+def _check_room(space: Space, degree: int, data_radius: int) -> None:
+    """Fail up front where a product would leave the window: translating
+    the right factor's exceptional data (``data_radius``) by the left
+    factor's ``degree`` must stay inside it."""
+    window = space.room(0)
+    if window is not None and degree + data_radius > window:
+        raise WindowOverflow(
+            f"product needs data radius {degree + data_radius} > window {window}")
+
+
 def multiply(x: Element, y: Element) -> Element:
     """Twisted convolution product."""
     space = _check_same_space(x, y)
     xs, ys = x.degrees, y.degrees
     if not xs or not ys:
         return zero(space)
-    window = space.room(0)
-    if window is not None:
-        # fail up front: translating the right factor's exceptional data by
-        # the left degree must stay inside the window
-        need = x.degree + y.data_radius()
-        if need > window:
-            raise WindowOverflow(
-                f"product needs data radius {need} > window {window}")
+    _check_room(space, x.degree, y.data_radius())
     ks = sorted({k + m for k in xs for m in ys})
     at = {n: i for i, n in enumerate(ks)}
     targets = np.array([[at[k + m] for m in ys] for k in xs])

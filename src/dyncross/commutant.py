@@ -8,6 +8,13 @@ family of indicator functions of fixed-point-set interiors, and the
 induced norm-one projection onto the commutant together with a spanning
 family of commutant elements.
 
+The oracle takes the commutator of x = sum_n f_n d^n with a separating
+family of functions g in closed form, [g, x]_n = (g - g o sigma^-n) f_n:
+one gather of every family function per index n, then products.  It
+reads only sigma-gathers and products, never a support, a closure or a
+fixed-point set, so it stays independent of the membership test it
+checks.
+
 The projection exists precisely when every fixed-point-set interior is
 closed; otherwise :func:`indicator_family` raises
 :class:`~dyncross.errors.ProjectionUnavailable` carrying the witness.
@@ -28,7 +35,16 @@ import random
 from functools import lru_cache
 from typing import List, Optional
 
-from .algebra import EPS_SUPP, Element, embed
+import numpy as np
+
+from .algebra import (
+    EPS_SUPP,
+    EPS_ZERO,
+    Element,
+    _check_room,
+    _series_norm,
+    embed,
+)
 from .dynamics import (
     DynSys,
     fix_interior,
@@ -37,7 +53,7 @@ from .dynamics import (
     reduced_indices,
 )
 from .errors import ProjectionUnavailable
-from .sampling import random_ctsfun, random_value
+from .sampling import random_rows, random_value
 from .space import CtsFun, FunRows
 
 
@@ -49,34 +65,48 @@ def is_in_commutant(sys: DynSys, x: Element, eps: float = EPS_SUPP) -> bool:
                for k, s in zip(x.degrees, x.rows.supports(eps)))
 
 
-def _oracle_functions(sys: DynSys, degree: int, trials: int,
-                      rng: random.Random) -> List[CtsFun]:
+def _oracle_family(sys: DynSys, degree: int, trials: int,
+                   rng: random.Random) -> FunRows:
     """A separating family of continuous functions for the commutator
-    test: the constant, the indicator of every atom within ``room(degree)``
-    (so that the commutators stay representable), and ``trials`` random
-    functions.  On a finite space the atom indicators span the whole
-    function algebra; on the tail backends they and the constant separate
-    all window-realized coefficient data."""
+    test, as rows: the constant, the indicator of every atom within
+    ``room(degree)`` (so that the commutators stay representable), and
+    ``trials`` random functions.  On a finite space the atom indicators
+    span the whole function algebra; on the tail backends they and the
+    constant separate all window-realized coefficient data."""
     space = sys.space
     room = space.room(degree)
-    out = [CtsFun.constant(space, 1.0)]
-    out.extend(CtsFun.indicator(space, space.set_of(atom))
-               for atom in space.atoms(room))
+    count = len(space.atom_slots(room)[1])
+    # row 0 the constant, row i + 1 the indicator of atom i
+    atoms = np.eye(count + 1, count, k=-1)
+    atoms[0] = 1.0
+    limits = np.zeros((count + 1, len(space.limit_names)))
+    limits[0] = 1.0
     radius = None if room is None else max(0, room)
-    out.extend(random_ctsfun(space, rng, radius=radius) for _ in range(trials))
-    return out
+    return FunRows.from_atoms(space, room, atoms, limits).concat(
+        random_rows(space, rng, trials, radius=radius))
 
 
 def commutes_oracle(sys: DynSys, x: Element, trials: int = 4,
                     seed: int = 20210, tol: float = 1e-9) -> bool:
     """Brute-force commutant membership: the commutator with every family
-    function must vanish in the series norm."""
-    rng = random.Random(seed)
-    for g in _oracle_functions(sys, x.degree, trials, rng):
-        ge = embed(g)
-        if (ge * x - x * ge).ell1_norm() > tol:
-            return False
-    return True
+    function must vanish in the series norm.
+
+    The commutator of g with x = sum_n f_n d^n has the coefficients
+    [g, x]_n = g f_n - f_n (g o sigma^-n) = (g - g o sigma^-n) f_n, so one
+    gather of all family functions per index n gives every commutator at
+    once, each series norm equal to that of ``embed(g) * x - x * embed(g)``
+    to the bit.  It reads only sigma-gathers and products, never a support,
+    closure or fixed-point set, which keeps it independent of
+    :func:`is_in_commutant`.  Raises
+    :class:`~dyncross.errors.WindowOverflow` where those products would
+    leave the window, as the products themselves do.
+    """
+    if not x.degrees:
+        return True
+    family = _oracle_family(sys, x.degree, trials, random.Random(seed))
+    _check_room(sys.space, x.degree, family.data_radius())
+    sups = x.rows.commutator_sups([-n for n in x.degrees], family, EPS_ZERO)
+    return not any(_series_norm(row) > tol for row in sups.tolist())
 
 
 class IndicatorFamily:
@@ -159,15 +189,19 @@ def random_commutant_element(sys: DynSys, rng: random.Random,
                              data_radius: Optional[int] = None) -> Element:
     """Random linear combination of spanning commutant elements.
 
-    On the integer-shift backend the default data radius leaves room for
+    The picked basis elements, each scaled by its weight, are added into
+    the rows of their indices in pick order, one scatter that rounds as
+    the sum of the scaled elements taken one after another.  On the
+    integer-shift backend the default data radius leaves room for
     two subsequent products with elements of the same degree bound.
     """
     room = sys.space.room(2 * degree_bound)
     if data_radius is None and room is not None:
         data_radius = max(0, room)
-    basis = commutant_basis(sys, degree_bound, data_radius)
-    out = Element(sys.space, {})
-    count = rng.randint(1, min(6, len(basis)))
-    for b in rng.sample(basis, count):
-        out = out + b.scale(random_value(rng))
-    return out
+    basis = _commutant_basis(sys, degree_bound, data_radius)
+    picks = rng.sample(basis, rng.randint(1, min(6, len(basis))))
+    weights = [random_value(rng) for _ in picks]
+    ks = sorted({b.degrees[0] for b in picks})
+    rows = FunRows.from_functions(sys.space, [b.rows.row(0) for b in picks])
+    return Element.from_rows(sys.space, tuple(ks), rows.scatter(
+        [ks.index(b.degrees[0]) for b in picks], weights, len(ks)))

@@ -47,9 +47,17 @@ def random_ctsfun(space: Space, rng: random.Random, *,
     """A random continuous function: one random value per atom of the
     space within ``radius``, then one for the limit point (see
     :func:`_draw_row` for sparse mode)."""
-    count = len(space.atom_slots(radius)[1])
-    values, limits = _draw_row(space, rng, count, sparse)
-    return FunRows.from_atoms(space, radius, [values], [limits]).row(0)
+    return random_rows(space, rng, 1, radius=radius, sparse=sparse).row(0)
+
+
+def random_rows(space: Space, rng: random.Random, count: int, *,
+                radius: Optional[int] = None, sparse: bool = False) -> FunRows:
+    """``count`` random continuous functions as rows, each drawn as
+    :func:`random_ctsfun` draws one, one after another."""
+    atoms = len(space.atom_slots(radius)[1])
+    drawn = [_draw_row(space, rng, atoms, sparse) for _ in range(count)]
+    return FunRows.from_atoms(space, radius, [values for values, _ in drawn],
+                              [limits for _, limits in drawn])
 
 
 def random_element(space: Space, rng: random.Random, degree_bound: int, *,

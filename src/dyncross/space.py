@@ -1048,12 +1048,18 @@ class FunRows:
         rows = cls.zeros(space, len(atom_values))
         vals = rows.vals
         if space.limit_names:
-            limit_values = np.asarray(limit_values, dtype=complex)
+            limit_values = np.asarray(limit_values, dtype=complex).reshape(
+                len(vals), len(space.limit_names))
             vals[:, nw:] = limit_values
             vals[:, :nw] = limit_values[:, :1]
         vals[:, slots] = np.repeat(np.asarray(atom_values, dtype=complex)
                                    .reshape(len(vals), len(sizes)), sizes, axis=1)
         return rows
+
+    def concat(self, other: "FunRows") -> "FunRows":
+        """The rows of ``self`` followed by those of ``other``."""
+        self._check(other)
+        return FunRows._of(self.space, np.concatenate((self.vals, other.vals)))
 
     # -- views --
 
@@ -1150,6 +1156,16 @@ class FunRows:
         out.vals[q] += other.vals * complex(b)
         return out
 
+    def scatter(self, targets, weights, count: int) -> "FunRows":
+        """``count`` rows where row ``targets[i]`` adds
+        ``weights[i] * self[i]``, in the order of i (zero where none
+        lands)."""
+        out = FunRows.zeros(self.space, count)
+        w = np.asarray(weights, dtype=complex)
+        np.add.at(out.vals, np.asarray(targets, dtype=np.intp),
+                  self.vals * w[:, np.newaxis])
+        return out
+
     # -- the homeomorphism --
 
     def compose(self, ms) -> "FunRows":
@@ -1179,3 +1195,34 @@ class FunRows:
         for row, m, rows in zip(self.vals[:, np.newaxis], shifts, targets):
             out[rows] += row * _gather(sp, other.vals, m)
         return FunRows._of(sp, out)
+
+    def commutator_sups(self, shifts, family: "FunRows", eps: float) -> np.ndarray:
+        """The sup norms of ``g * f_i - f_i * (g o sigma^shifts[i])`` for
+        every row g of ``family`` and f_i of ``self``, as a
+        ``len(family) x len(self)`` array.
+
+        With ``shifts[i] = -n_i``, entry (g, i) is the coefficient at n_i
+        of the commutator ``g x - x g`` of g with ``x = sum_i f_i d^(n_i)``
+        under the product of ``dyncross.algebra``, rounded as that product
+        and its difference round it, with the same ``eps`` pruning: a
+        product's row and a difference's row whose sup norm is at most
+        ``eps`` read as zero.  One exact gather of all family rows per
+        shift (see :meth:`compose`), then two products and one subtraction
+        over all rows at once.
+        """
+        self._check(family)
+        sp = self.space
+        g = family.vals
+        moved = np.stack([_gather(sp, g, m) for m in shifts])
+        f = self.vals[:, np.newaxis]
+        diff = _pruned(g * f, eps) - _pruned(f * moved, eps)
+        sups = np.maximum.reduce(np.abs(diff), axis=2)
+        sups[sups <= eps] = 0.0
+        return sups.T
+
+
+def _pruned(vals: np.ndarray, eps: float) -> np.ndarray:
+    """``vals`` with every row (along the last axis) whose sup norm is at
+    most ``eps`` set to zero, in place."""
+    vals[np.maximum.reduce(np.abs(vals), axis=-1) <= eps] = 0.0
+    return vals

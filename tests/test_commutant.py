@@ -1,13 +1,18 @@
 """Commutant membership, the commutator oracle, indicator family, and the
 norm-one projection."""
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
+from test_space import finite_spaces
 
-from dyncross.algebra import coefficient, delta, embed, identity, zero
+from dyncross.algebra import EPS_ZERO, coefficient, delta, embed, identity, zero
 from dyncross.commutant import (
     _functions_supported_in,
+    _oracle_family,
     commutant_basis,
     commutes_oracle,
     indicator_family,
@@ -16,10 +21,20 @@ from dyncross.commutant import (
     random_commutant_element,
 )
 from dyncross.characters import CircleGrid, TorusCharacter, character_grid, eval_character
-from dyncross.dynamics import minimal_interior_order
-from dyncross.errors import ProjectionUnavailable
+from dyncross.dynamics import make_dynsys, minimal_interior_order
+from dyncross.errors import ProjectionUnavailable, WindowOverflow
+from dyncross.fixtures import FIXTURES
 from dyncross.sampling import random_ctsfun, random_element, random_value
-from dyncross.space import ATail, CtsFun, FinitePoint, IntPoint, ORIGIN
+from dyncross.space import (
+    ATail,
+    CtsFun,
+    FinitePoint,
+    FunRows,
+    IntPoint,
+    IntShiftSpace,
+    ORIGIN,
+    PairSwapTailsSpace,
+)
 
 
 def fun2(space, va, vb):
@@ -54,6 +69,96 @@ class TestMembership:
             else:
                 x = random_commutant_element(system, rng, 2)
             assert is_in_commutant(system, x) == commutes_oracle(system, x)
+
+    @pytest.mark.parametrize("trials", [0, 4])
+    def test_window_edge_on_int_shift(self, int_shift8, trials):
+        """Up to the window radius the commutators are representable; one
+        past it the oracle refuses, even when the family is the constant
+        alone, whose gathers lose nothing."""
+        sp = int_shift8.space
+        assert not commutes_oracle(int_shift8, delta(sp, 7), trials=trials)
+        assert not commutes_oracle(int_shift8, delta(sp, 8), trials=trials)
+        with pytest.raises(WindowOverflow):
+            commutes_oracle(int_shift8, delta(sp, 9), trials=trials)
+
+
+def reference_oracle_functions(sys, degree, trials, rng):
+    """The oracle family one function at a time: the constant, the
+    indicator of every atom within ``room(degree)``, then ``trials`` random
+    functions."""
+    space = sys.space
+    room = space.room(degree)
+    out = [CtsFun.constant(space, 1.0)]
+    out.extend(CtsFun.indicator(space, space.set_of(atom))
+               for atom in space.atoms(room))
+    radius = None if room is None else max(0, room)
+    out.extend(random_ctsfun(space, rng, radius=radius) for _ in range(trials))
+    return out
+
+
+@st.composite
+def oracle_cases(draw):
+    """A system, an element of degree at most 3 that fits its window, an
+    oracle size and seed.  Scaling by 1e-14 puts rows of the element, of
+    its products and of its commutators on both sides of the pruning
+    threshold."""
+    kind = draw(st.sampled_from(["fixture", "finite", "int_shift", "pair_swap"]))
+    if kind == "fixture":
+        system = FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))]()
+    elif kind == "finite":
+        system = make_dynsys(draw(finite_spaces()))
+    elif kind == "int_shift":
+        system = make_dynsys(IntShiftSpace(draw(st.sampled_from([3, 8]))))
+    else:
+        # a pair-swap window is even
+        system = make_dynsys(PairSwapTailsSpace(draw(st.sampled_from([4, 8]))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    degree = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        x = random_element(system.space, rng, degree, multiply_slack=1,
+                           sparse_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    else:
+        x = random_commutant_element(system, rng, degree)
+    x = x.scale(draw(st.sampled_from([1.0, 1e-14])))
+    return system, x, draw(st.integers(0, 4)), draw(st.integers(0, 2 ** 32))
+
+
+class TestArrayOracle:
+    @given(oracle_cases())
+    def test_commutators_are_the_products(self, case):
+        """Every family function's commutator norm is that of the two
+        explicit products, to the bit, and the family is the one built a
+        function at a time."""
+        system, x, trials, seed = case
+        family = _oracle_family(system, x.degree, trials, random.Random(seed))
+        reference = reference_oracle_functions(system, x.degree, trials,
+                                               random.Random(seed))
+        assert len(family) == len(reference)
+        assert all(family.row(i).vec.tobytes() == g.vec.tobytes()
+                   for i, g in enumerate(reference))
+        norms = []
+        for g in reference:
+            ge = embed(g)
+            norms.append((ge * x - x * ge).ell1_norm())
+        if x.degrees:
+            sups = x.rows.commutator_sups([-n for n in x.degrees], family, EPS_ZERO)
+            assert [math.fsum(row) for row in sups.tolist()] == norms
+        assert commutes_oracle(system, x, trials=trials, seed=seed) == all(
+            n <= 1e-9 for n in norms)
+
+    def test_rows_at_most_eps_read_as_zero(self, swap2):
+        """As in an element, a row whose sup norm is at most EPS_ZERO is
+        zero: with f = 1.2e-14 at one point, both products with
+        g = (0.75, -0.75) are, though their difference is not; with
+        f = 1e-13 and g = (0.5, 0.5 + 5e-14) neither product is, but their
+        difference is."""
+        sp = swap2.space
+        for f, g in [(fun2(sp, 1.2e-14, 0), fun2(sp, 0.75, -0.75)),
+                     (fun2(sp, 1e-13, 0), fun2(sp, 0.5, 0.5 + 5e-14))]:
+            x, ge = embed(f, 1), embed(g)
+            family = FunRows.from_functions(sp, [g])
+            assert x.rows.commutator_sups([-1], family, EPS_ZERO).tolist() == [[0.0]]
+            assert (ge * x - x * ge).ell1_norm() == 0.0
 
 
 class TestIndicatorFamily:
@@ -269,22 +374,30 @@ class TestBasisMemo:
         assert all(same_element(a, b) for a, b in zip(memo, fresh))
 
     def test_random_elements_draw_as_from_a_fresh_basis(self, system):
-        """The draw of a random commutant element sees the same sequence as
-        when the basis was rebuilt on every call."""
-        def reference(rng, degree_bound):
-            room = system.space.room(2 * degree_bound)
-            basis = fresh_basis(system, degree_bound,
-                                None if room is None else max(0, room))
+        """A random commutant element is, to the bit, the sum of scaled
+        basis elements taken one after another from a basis rebuilt on
+        every call, and leaves the generator in the same state."""
+        def reference(rng, basis):
             out = zero(system.space)
             for b in rng.sample(basis, rng.randint(1, min(6, len(basis)))):
                 out = out + b.scale(random_value(rng))
             return out
 
-        for seed in (7, 8):
-            memo_rng, ref_rng = random.Random(seed), random.Random(seed)
-            for _ in range(10):
-                assert same_element(random_commutant_element(system, memo_rng, 2),
-                                    reference(ref_rng, 2))
+        for degree_bound, data_radius in itertools.product(range(4), (None, 2)):
+            room = system.space.room(2 * degree_bound)
+            radius = data_radius
+            if radius is None and room is not None:
+                radius = max(0, room)
+            basis = fresh_basis(system, degree_bound, radius)
+            for seed in range(50):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                for _ in range(2):
+                    got = random_commutant_element(system, rng, degree_bound,
+                                                   data_radius)
+                    want = reference(ref_rng, basis)
+                    assert got.degrees == want.degrees
+                    assert got.rows.vals.tobytes() == want.rows.vals.tobytes()
+                    assert rng.getstate() == ref_rng.getstate()
 
     def test_swap_draws_are_pinned(self, swap2):
         rng = random.Random(7)
