@@ -9,7 +9,9 @@ Writes to OUT.json, for every bundled fixture and seed, the exit code and
 the check records of ``dyncross verify all --json --seed S``, and
 ``dyncross norms --json`` on two elements drawn on each fixture at each
 seed (a general one and a commutant one, where the fixture has a
-projection).  ``--norms-inputs CASES.json`` adds ``norms --json`` on each
+projection).  It also writes the exact output of ``describe --json`` and
+``charspace --json`` on every fixture and on the systems of
+``topology_specs()``.  ``--norms-inputs CASES.json`` adds ``norms --json`` on each
 case of that file, a JSON list of ``{"name", "space", "element", "grid"}``
 objects whose paths are relative to the file.  ``--src`` names the
 ``src`` directory to import dyncross from (default: the one next to this
@@ -17,8 +19,8 @@ script), so the same script records any checkout.
 
 With ``--against OTHER.json`` it then compares the two records: exit codes,
 check names and their order, ``passed`` flags, every ``data.measured`` (at
-most ``MEASURED_TOL`` apart) and every norm field (within its tolerance in
-``NORM_TOL``).  It prints each mismatch, each norm field that moved within
+most ``MEASURED_TOL`` apart), every norm field (within its tolerance in
+``NORM_TOL``) and the ``describe`` and ``charspace`` output, byte for byte.  It prints each mismatch, each norm field that moved within
 its tolerance, the largest difference of each kind, and exits 1 on any
 mismatch.
 """
@@ -60,6 +62,68 @@ def _norms(space_path, elem_path, grid):
             "error": err.strip()}
 
 
+def _finite_spec(perm, nbhd, prefix):
+    labels = [f"{prefix}{i}" for i in range(len(perm))]
+    return {"kind": "finite", "points": labels,
+            "min_open_nbhd": {labels[i]: [labels[j] for j in sorted(u)]
+                              for i, u in enumerate(nbhd)},
+            "sigma": {labels[i]: labels[j] for i, j in enumerate(perm)}}
+
+
+def _cycles(lengths):
+    perm = []
+    for n in lengths:
+        start = len(perm)
+        perm.extend(start + (i + 1) % n for i in range(n))
+    return _finite_spec(perm, [{i} for i in range(len(perm))], "m")
+
+
+def _paired(cycle_lengths, fans):
+    """Pair cycles u_j, v_j with U(u_j) = {u_j, v_j}, rotated together, and
+    fans: a fixed point v below two swapped points, U(u_i) = {u_i, v}."""
+    perm, nbhd = [], []
+    for length in cycle_lengths:
+        base = len(perm)
+        for j in range(length):
+            nxt = base + 2 * ((j + 1) % length)
+            perm += [nxt, nxt + 1]
+            nbhd += [{base + 2 * j, base + 2 * j + 1}, {base + 2 * j + 1}]
+    for _ in range(fans):
+        v = len(perm)
+        perm += [v, v + 2, v + 1]
+        nbhd += [{v}, {v + 1, v}, {v + 2, v}]
+    return _finite_spec(perm, nbhd, "q")
+
+
+def topology_specs() -> dict:
+    """Systems of the shapes of the ``topology`` benchmark: a 30-cycle,
+    120 points on cycles of lengths 1 to 12, a non-Hausdorff 60-point
+    system of pair cycles and fans, and both tail spaces at W=1024."""
+    return {"cycle30": _cycles([30]),
+            "mixed120": _cycles([12] * 4 + [6] * 4 + [4] * 3 + [3] * 4 + [2] * 6
+                                + [1] * 12),
+            "paired60": _paired([3, 4, 5], 12),
+            "int_shift1024": {"kind": "int_shift", "window": 1024},
+            "tails1024": {"kind": "pair_swap_tails", "window": 1024}}
+
+
+def _topology(tmp) -> dict:
+    """The exact output of ``describe --json`` and ``charspace --json``."""
+    from dyncross.fixtures import FIXTURES
+
+    spaces = {name: name for name in sorted(FIXTURES)}
+    for name, spec in topology_specs().items():
+        spaces[name] = os.path.join(tmp, f"{name}.space.json")
+        with open(spaces[name], "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+    out = {}
+    for name, space in spaces.items():
+        for verb in ("describe", "charspace"):
+            code, text, err = _cli([verb, "--space", space, "--json"])
+            out[f"{name}.{verb}"] = {"code": code, "out": text, "error": err.strip()}
+    return out
+
+
 def record(seeds, cases_path) -> dict:
     from dyncross.commutant import random_commutant_element
     from dyncross.dynamics import projection_condition
@@ -69,6 +133,7 @@ def record(seeds, cases_path) -> dict:
 
     verify, norms = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
+        topology = _topology(tmp)
         for name in sorted(FIXTURES):
             system = FIXTURES[name]()
             for seed in seeds:
@@ -94,7 +159,7 @@ def record(seeds, cases_path) -> dict:
                 norms[case["name"]] = _norms(os.path.join(base, case["space"]),
                                              os.path.join(base, case["element"]),
                                              case["grid"])
-    return {"verify": verify, "norms": norms}
+    return {"verify": verify, "norms": norms, "topology": topology}
 
 
 def _field(doc, path):
@@ -159,6 +224,10 @@ def compare(mine: dict, other: dict) -> int:
             (moved if delta <= tol * scale else bad).append(line)
             if not delta <= worst_norm[field][0]:
                 worst_norm[field] = (delta, key)
+    topo_a, topo_b = mine.get("topology", {}), other.get("topology", {})
+    for key in sorted(set(topo_a) | set(topo_b)):
+        if topo_a.get(key) != topo_b.get(key):
+            bad.append(f"topology {key}: output differs")
     for line in moved:
         print("MOVED", line)
     for line in bad:
@@ -168,6 +237,7 @@ def compare(mine: dict, other: dict) -> int:
           f"|delta measured| {worst_measured[0]:.3g} ({worst_measured[1]})")
     print(f"norms: {len(mine['norms'])} runs, {len(moved)} fields moved within "
           f"their tolerance")
+    print(f"topology: {len(topo_a)} outputs compared byte for byte")
     for field, (delta, key) in worst_norm.items():
         if key is not None:
             print(f"  largest |delta {field}| {delta:.3g} ({key})")

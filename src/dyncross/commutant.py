@@ -8,6 +8,12 @@ family of indicator functions of fixed-point-set interiors, and the
 induced norm-one projection onto the commutant together with a spanning
 family of commutant elements.
 
+Every set here is a boolean mask over the space's set slots (see
+:class:`~dyncross.space.SetRep`): the supports of all coefficients come
+from one threshold and one closure over the rows, each is compared with
+the fixed-point mask of its index, and the indicators are the interior
+masks read as functions.
+
 The oracle takes the commutator of x = sum_n f_n d^n with a separating
 family of functions g in closed form, [g, x]_n = (g - g o sigma^-n) f_n:
 one gather of every family function per index n, then products.  It
@@ -59,8 +65,8 @@ from .space import CtsFun, FunRows
 
 def is_in_commutant(sys: DynSys, x: Element, eps: float = EPS_SUPP) -> bool:
     """Exact membership: every coefficient's numerical support (threshold
-    eps, then topological closure) lies inside the matching fixed-point
-    set."""
+    eps, then topological closure, over all rows at once) lies inside the
+    matching fixed-point set."""
     return all(s.is_subset(fix_set(sys, k))
                for k, s in zip(x.degrees, x.rows.supports(eps)))
 
@@ -110,7 +116,8 @@ def commutes_oracle(sys: DynSys, x: Element, trials: int = 4,
 
 
 class IndicatorFamily:
-    """Indicators of the fixed-point-set interiors, one per reduced index.
+    """Indicators of the fixed-point-set interiors, one per reduced index,
+    each read off its interior mask.
 
     Available only when each of those interiors is clopen; lookups for
     arbitrary k resolve through gcd reduction.

@@ -6,6 +6,11 @@ k-th power depends only on gcd(k, L) with L the least common multiple of
 the realized periods; on the integer-shift backend the fixed-point sets
 for k != 0 all coincide, so the single index 1 suffices.  Density is
 always decided exactly via closure = whole space, never sampled.
+
+Every set here is a mask over the space's set slots (see
+:class:`~dyncross.space.SetRep`): the fixed-point and period sets come
+from the period of each slot, and every union, interior and closure is
+bitwise.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional
 
-from .errors import ForeignPoint
+import numpy as np
+
 from .space import Point, SetRep, Space
 
 
@@ -31,22 +37,16 @@ class DynSys:
     lcm_period: Optional[int]
 
 
-def _walk(space: Space) -> list:
-    """Limit points, window points, then one probe per tail: between them
-    they realize every period of the space."""
-    return ([space.limit_point(n) for n in space.limit_names]
-            + list(space.window_points)
-            + [space.tail_probe(t) for t in space.tail_names])
-
-
 def make_dynsys(space: Space) -> DynSys:
-    lcm = 1
-    for x in _walk(space):
-        p = space.period(x)
-        if p is None:
-            return DynSys(space, None)
-        lcm = math.lcm(lcm, p)
-    return DynSys(space, lcm)
+    periods = space.slot_periods()
+    if not periods.all():
+        return DynSys(space, None)
+    return DynSys(space, math.lcm(*_distinct(periods)))
+
+
+def _distinct(periods: np.ndarray) -> list:
+    """The distinct positive periods, ascending."""
+    return (np.flatnonzero(np.bincount(periods)[1:]) + 1).tolist()
 
 
 def divisors(n: int) -> tuple:
@@ -62,9 +62,8 @@ def reduced_indices(sys: DynSys) -> tuple:
 
 def period_of(sys: DynSys, x: Point) -> Optional[int]:
     """Exact period of a point, or None for an aperiodic point."""
-    if not sys.space.contains(x):
-        raise ForeignPoint(f"{x} not in this space")
-    return sys.space.period(x)
+    sp = sys.space
+    return int(sp.slot_periods()[sp.set_slot(x)]) or None
 
 
 def periodic_orbit_reps(sys: DynSys) -> List[tuple]:
@@ -73,10 +72,12 @@ def periodic_orbit_reps(sys: DynSys) -> List[tuple]:
     window points and tail probes.  On the tail backends the probes stand
     for the beyond-window orbits, which realize the limit values."""
     sp = sys.space
+    nw, nv = len(sp.window_points), len(sp.representative_points())
+    periods = sp.slot_periods().tolist()
     reps, seen = [], set()
-    for x in _walk(sp):
-        p = sp.period(x)
-        if p is not None and x not in seen:
+    for i in [*range(nw, nv), *range(nw), *range(nv, len(periods))]:
+        x, p = sp.slot_point(i), periods[i]
+        if p and x not in seen:
             seen.update(sp.sigma_apply(x, j) for j in range(p))
             reps.append((x, p))
     return reps
@@ -85,18 +86,14 @@ def periodic_orbit_reps(sys: DynSys) -> List[tuple]:
 @lru_cache(maxsize=None)
 def fix_set(sys: DynSys, k: int) -> SetRep:
     """The set of points fixed by the k-th power of the homeomorphism: the
-    window points, tails and limit points whose period divides k."""
+    set slots whose period divides k."""
     sp = sys.space
     if k == 0:
         return sp.full_set()
-
-    def fixed(x: Point) -> bool:
-        p = sp.period(x)
-        return p is not None and k % p == 0
-
-    return sp.set_of(filter(fixed, sp.window_points),
-                     [t for t in sp.tail_names if fixed(sp.tail_probe(t))],
-                     [n for n in sp.limit_names if fixed(sp.limit_point(n))])
+    periods = sp.slot_periods()
+    divides = np.zeros(periods.max() + 1, dtype=bool)    # by period; 0 never
+    divides[[p for p in _distinct(periods) if k % p == 0]] = True
+    return SetRep(sp, divides[periods])
 
 
 @lru_cache(maxsize=None)
@@ -104,18 +101,11 @@ def per_set(sys: DynSys, p: int) -> SetRep:
     """Points of exact period p."""
     if p < 1:
         raise ValueError("period must be >= 1")
-    out = fix_set(sys, p)
-    for d in range(1, p):
-        if p % d == 0:
-            out = out.difference(fix_set(sys, d))
-    return out
+    return SetRep(sys.space, sys.space.slot_periods() == p)
 
 
 def aperiodic_set(sys: DynSys) -> SetRep:
-    union = sys.space.empty_set()
-    for k in reduced_indices(sys):
-        union = union.union(fix_set(sys, k))
-    return union.complement()
+    return SetRep(sys.space, sys.space.slot_periods() == 0)
 
 
 @lru_cache(maxsize=None)
@@ -126,13 +116,15 @@ def fix_interior(sys: DynSys, k: int) -> SetRep:
 def minimal_interior_order(sys: DynSys, x: Point) -> Optional[int]:
     """Least n >= 1 with x in the interior of the n-th fixed-point set,
     or None when no such n exists.  The search over all n reduces to the
-    backend's finite index set."""
-    if not sys.space.contains(x):
-        raise ForeignPoint(f"{x} not in this space")
-    for n in reduced_indices(sys):
-        if fix_interior(sys, n).contains(x):
-            return n
-    return None
+    backend's finite index set, and is done once per system for every set
+    slot."""
+    sp = sys.space
+
+    def orders():
+        idx = reduced_indices(sys)
+        return np.array(idx + (0,))[sp.first_holding([fix_interior(sys, n) for n in idx])]
+
+    return int(sp.table("interior_order", orders)[sp.set_slot(x)]) or None
 
 
 def projection_witness(sys: DynSys) -> Optional[tuple]:

@@ -16,22 +16,22 @@ Three backends are supported:
   ``BTail(2m)``.  The window radius must be even so the swap never
   straddles the window edge.
 
-Sets (``SetRep``) are window-representable: explicit window points plus
-tail/limit flags.  A function (``CtsFun``) is one complex vector over the
-representative points, the window points followed by the limit points;
-every tail point beyond the window takes the value of its limit.  All
-topology operations are exact within this class; scalars are complex
-doubles but the set calculus itself involves no floating point.
+A set (``SetRep``) is one boolean vector over the set slots: the window
+points, then the limit points, then one slot per tail that stands for
+every tail point beyond the window.  A function (``CtsFun``) is one
+complex vector over the representative points, the window points
+followed by the limit points; every tail point beyond the window takes
+the value of its limit.  All topology operations are exact within this
+class; scalars are complex doubles but the set calculus is bitwise.
 
 This module is the only place that knows the backends apart.  The rest
 of the package reaches them through one protocol: the point structure
 (``window_points``, ``representative_points``, ``index_of`` and its
-array form ``slots_of``, ``tail_names``/``tail_probe``/``tail_of``,
-``limit_names``/``limit_point``/``limit_name_of``, ``contains``), the
-dynamics (``sigma_apply``, ``sigma_set``, the gather map ``sigma_index``
-and ``period``, where every point of a tail shares the period of its
-probe), the topology (``interior``, ``closure``, ``is_continuous``), the
-free data of a continuous function (``atoms``), the room an operand
+array form ``slots_of``, ``set_slot``, ``tail_names``/``tail_probe``/
+``tail_of``, ``limit_names``/``limit_point``, ``contains``), the dynamics (``sigma_apply``, ``sigma_set``, the gather
+map ``sigma_index`` and ``slot_periods``, the period of each set slot),
+the topology (``interior``, ``closure``, ``is_continuous``), the free
+data of a continuous function (``atoms``), the room an operand
 leaves inside the window (``room``, ``radius_of``), the aperiodic orbit
 representatives with their model radius (``aperiodic_reps``,
 ``default_truncation``), and the JSON spelling (``point_name``,
@@ -123,55 +123,66 @@ def point_key(p: Point) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SetRep:
-    """A window-representable subset of a space.
+    """A window-representable subset of a space: one read-only boolean
+    vector ``mask`` over the space's set slots, the window points in
+    vector-slot order (ascending :func:`point_key`), the limit points, then
+    one slot per tail name that stands for *all* tail points beyond the
+    window.  Build one with ``set_of`` or from a boolean vector over the
+    set slots (which it makes read-only); every operation is bitwise."""
 
-    ``members`` are explicit window points.  A tail name in ``tails``
-    means the set contains *all* tail points beyond the window; a limit
-    name in ``limits`` means the corresponding limit point is a member.
-    Finite spaces use neither tails nor limits.
-    """
+    __slots__ = ("space", "mask")
 
-    space: "Space"
-    members: frozenset
-    tails: frozenset = frozenset()
-    limits: frozenset = frozenset()
+    def __init__(self, space: "Space", mask: np.ndarray):
+        mask.setflags(write=False)
+        self.space = space
+        self.mask = mask
 
-    def __post_init__(self):
-        sp = self.space
-        if not self.members <= sp.window_set:
-            p = next(iter(self.members - sp.window_set))
-            raise ForeignPoint(f"{p} is not a window point of {sp.kind}")
-        if not self.tails <= frozenset(sp.tail_names):
-            raise ForeignPoint("unknown tail flag")
-        if not self.limits <= frozenset(sp.limit_names):
-            raise ForeignPoint("unknown limit flag")
+    # -- read-only views, built on demand --
+
+    @property
+    def members(self) -> frozenset:
+        points = self.space.window_points
+        return frozenset(points[i] for i in np.flatnonzero(self.mask[:len(points)]))
+
+    @property
+    def limits(self) -> frozenset:
+        names, nw = self.space.limit_names, len(self.space.window_points)
+        return frozenset(n for n, b in zip(names, self.mask[nw:]) if b)
+
+    @property
+    def tails(self) -> frozenset:
+        names, nv = self.space.tail_names, len(self.space.representative_points())
+        return frozenset(t for t, b in zip(names, self.mask[nv:]) if b)
 
     # -- membership and basic predicates --
 
     def contains(self, p: Point) -> bool:
-        tail = self.space.tail_of(p)
-        if tail is not None:
-            return tail in self.tails
-        if self.space.limit_name_of(p) is not None:
-            return self.space.limit_name_of(p) in self.limits
-        return p in self.members
+        try:
+            return bool(self.mask[self.space.set_slot(p)])
+        except ForeignPoint:
+            return False
 
     def is_empty(self) -> bool:
-        return not self.members and not self.tails and not self.limits
+        return not self.mask.any()
 
     def sample_point(self) -> Optional[Point]:
-        """A deterministic witness point, or None for the empty set."""
-        if self.members:
-            return min(self.members, key=point_key)
-        for name in self.space.limit_names:
-            if name in self.limits:
-                return self.space.limit_point(name)
-        for name in self.space.tail_names:
-            if name in self.tails:
-                return self.space.tail_probe(name)
-        return None
+        """A deterministic witness point (the first set slot), or None for
+        the empty set."""
+        i = int(self.mask.argmax())
+        return self.space.slot_point(i) if self.mask[i] else None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SetRep):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.mask, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.mask.tobytes()))
+
+    def __repr__(self):
+        return (f"SetRep({self.space.kind}, {sorted(self.members, key=point_key)}, "
+                f"tails={sorted(self.tails)}, limits={sorted(self.limits)})")
 
     # -- boolean algebra (exact) --
 
@@ -181,29 +192,22 @@ class SetRep:
 
     def union(self, other: "SetRep") -> "SetRep":
         self._check(other)
-        return SetRep(self.space, self.members | other.members,
-                      self.tails | other.tails, self.limits | other.limits)
+        return SetRep(self.space, self.mask | other.mask)
 
     def intersect(self, other: "SetRep") -> "SetRep":
         self._check(other)
-        return SetRep(self.space, self.members & other.members,
-                      self.tails & other.tails, self.limits & other.limits)
+        return SetRep(self.space, self.mask & other.mask)
 
     def difference(self, other: "SetRep") -> "SetRep":
         self._check(other)
-        return SetRep(self.space, self.members - other.members,
-                      self.tails - other.tails, self.limits - other.limits)
+        return SetRep(self.space, self.mask & ~other.mask)
 
     def complement(self) -> "SetRep":
-        sp = self.space
-        return SetRep(sp, sp.window_set - self.members,
-                      frozenset(sp.tail_names) - self.tails,
-                      frozenset(sp.limit_names) - self.limits)
+        return SetRep(self.space, ~self.mask)
 
     def is_subset(self, other: "SetRep") -> bool:
         self._check(other)
-        return (self.members <= other.members and self.tails <= other.tails
-                and self.limits <= other.limits)
+        return not (self.mask & ~other.mask).any()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +216,7 @@ class SetRep:
 
 
 class _SpaceOps:
-    """Operations shared by all backends (closure, set builders, sweeps)."""
+    """Operations shared by all backends (set slots, set calculus, tables)."""
 
     tail_names: tuple = ()
     limit_names: tuple = ()
@@ -220,50 +224,94 @@ class _SpaceOps:
     def is_hausdorff(self) -> bool:
         return True
 
+    # -- sets: each backend supplies a period per set slot and an interior
+    # rule (:meth:`_interior_mask`); the rest is bitwise --
+
+    def slot_periods(self) -> np.ndarray:
+        """The exact period of the points at each set slot (see
+        :class:`SetRep`), 0 where aperiodic; every point of a tail shares
+        the period of its probe."""
+        return self.table("periods", self._slot_periods)
+
+    def _interior_mask(self, masks: np.ndarray) -> np.ndarray:
+        # Window and tail points are isolated; the limit point is interior
+        # only when the set contains every tail entirely.
+        out = masks.copy()
+        out[..., len(self.window_points)] &= masks[..., len(self._points):].all(axis=-1)
+        return out
+
+    def interior(self, s: SetRep) -> SetRep:
+        return SetRep(self, self._interior_mask(s.mask))
+
     def closure(self, s: SetRep) -> SetRep:
         """Closure, computed exactly as the complement of the interior of
         the complement."""
-        return self.interior(s.complement()).complement()
+        return SetRep(self, ~self._interior_mask(~s.mask))
+
+    def _closed_supports(self, big: np.ndarray) -> np.ndarray:
+        """The closures of the sets whose vector slots are set in ``big`` (a
+        vector or rows of them), as set-slot masks; a limit point's slot
+        also sets the tails that accumulate at it."""
+        nv = len(self._points)
+        return ~self._interior_mask(~big[..., np.minimum(np.arange(nv + len(self.tail_names)), nv - 1)])
 
     def empty_set(self) -> SetRep:
-        return SetRep(self, frozenset())
+        return self.set_of()
 
     def full_set(self) -> SetRep:
-        return SetRep(self, self.window_set,
-                      frozenset(self.tail_names), frozenset(self.limit_names))
+        return self.set_of().complement()
 
     def set_of(self, points: Iterable[Point] = (), tails: Iterable[str] = (),
                limits: Iterable[str] = ()) -> SetRep:
-        return SetRep(self, frozenset(points), frozenset(tails), frozenset(limits))
+        """The set of these window points, tails and limit points."""
+        nw, nv = len(self.window_points), len(self._points)
+        mask = np.zeros(nv + len(self.tail_names), dtype=bool)
+        for p in points:
+            i = self._index.get(p, nw)
+            if i >= nw:
+                raise ForeignPoint(f"{p} is not a window point of {self.kind}")
+            mask[i] = True
+        for names, known, first, what in ((tails, self.tail_names, nv, "tail"),
+                                          (limits, self.limit_names, nw, "limit")):
+            for name in names:
+                if name not in known:
+                    raise ForeignPoint(f"unknown {what} flag")
+                mask[first + known.index(name)] = True
+        return SetRep(self, mask)
+
+    def first_holding(self, sets) -> np.ndarray:
+        """For each set slot, the position of the first of ``sets`` (over
+        this space) that holds it, or ``len(sets)`` where none does."""
+        return np.array([s.mask for s in sets] + [self.full_set().mask]).argmax(axis=0)
 
     def sigma_set(self, s: SetRep, m: int = 1) -> SetRep:
-        """Image of a set under the m-th power of the homeomorphism.
+        """Image of a set under the m-th power of the homeomorphism: one
+        gather along sigma^-m, where window points map among themselves
+        and each tail onto itself.  The shift backend overrides this."""
+        nv = len(self._points)
+        return SetRep(self, np.concatenate((s.mask[self.sigma_map(-m)], s.mask[nv:])))
 
-        The finite and pair-swap backends map window points among
-        themselves and each tail onto itself, so the image is always
-        representable.  The shift backend overrides this.
-        """
-        members = frozenset(self.sigma_apply(p, m) for p in s.members)
-        return SetRep(self, members, s.tails, s.limits)
+    def contains(self, p: Point) -> bool:
+        return p in self._index or self.tail_of(p) is not None
 
-    def limit_name_of(self, p: Point) -> Optional[str]:
-        return None
+    def set_slot(self, p: Point) -> int:
+        """The set slot of a point: its vector slot for a representative
+        point, its tail's slot for a tail point beyond the window."""
+        i = self._index.get(p)
+        if i is None:
+            tail = self.tail_of(p)
+            if tail is None:
+                raise ForeignPoint(f"{p} not in this space")
+            i = len(self._points) + self.tail_names.index(tail)
+        return i
+
+    def slot_point(self, i: int) -> Point:
+        """The point at a set slot; a tail's probe for a tail slot."""
+        nv = len(self._points)
+        return self._points[i] if i < nv else self.tail_probe(self.tail_names[i - nv])
 
     def tail_of(self, p: Point) -> Optional[str]:
         return None
-
-    def tail_limit_name(self, tail: str) -> str:
-        """The limit point a tail accumulates at (the tail backends have
-        exactly one)."""
-        if tail not in self.tail_names:
-            raise ForeignPoint(f"unknown tail {tail!r}")
-        return self.limit_names[0]
-
-    def interior(self, s: SetRep) -> SetRep:
-        # Window and tail points are isolated; the limit point is interior
-        # only when the set contains every tail entirely.
-        limits = s.limits if s.tails == frozenset(self.tail_names) else frozenset()
-        return SetRep(self, s.members, s.tails, limits)
 
     def atoms(self, radius: Optional[int] = None) -> list:
         """Groups of window points on which a continuous function takes one
@@ -305,10 +353,6 @@ class _SpaceOps:
         return {p: i for i, p in enumerate(self._points)}
 
     @cached_property
-    def window_set(self) -> frozenset:
-        return frozenset(self.window_points)
-
-    @cached_property
     def window_points(self) -> tuple:
         return self._points[:len(self._points) - len(self.limit_names)]
 
@@ -320,14 +364,10 @@ class _SpaceOps:
 
     def index_of(self, p: Point) -> int:
         """The vector slot of a point: its own for a representative point,
-        its limit's for a tail point beyond the window."""
+        its limit's for a tail point beyond the window (a space with tails
+        has one limit point, in the last vector slot)."""
         i = self._index.get(p)
-        if i is None:
-            tail = self.tail_of(p)
-            if tail is None or not self.contains(p):
-                raise ForeignPoint(f"{p} not in this space")
-            i = self._index[self.limit_point(self.tail_limit_name(tail))]
-        return i
+        return i if i is not None else min(self.set_slot(p), len(self._points) - 1)
 
     def slots_of(self, points: Iterable[Point]) -> np.ndarray:
         """The vector slots of these points (see :meth:`index_of`) as one
@@ -340,34 +380,36 @@ class _SpaceOps:
         invariant."""
         return 0
 
-    # -- read-only tables built once per space and argument --
+    # -- read-only tables built once per space and key --
 
     @cached_property
     def _tables(self) -> dict:
         return {}
 
+    def table(self, key, build):
+        """The array, or tuple of arrays, that ``build()`` returns, built
+        once per space and ``key`` and read-only."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build()
+            for a in table if isinstance(table, tuple) else (table,):
+                a.setflags(write=False)
+        return table
+
     def sigma_map(self, m: int) -> np.ndarray:
         """:meth:`sigma_index` of m, built once per space and read-only."""
-        idx = self._tables.get(("sigma", m))
-        if idx is None:
-            idx = self.sigma_index(m)
-            idx.setflags(write=False)
-            self._tables["sigma", m] = idx
-        return idx
+        idx = self._tables.get(("sigma", m))     # the hot path: one lookup
+        return self.table(("sigma", m), lambda: self.sigma_index(m)) if idx is None else idx
 
     def atom_slots(self, radius: Optional[int] = None) -> tuple:
         """The atoms of :meth:`atoms` as vector slots: one read-only array
         of their slots, atom after atom, and one of the atom sizes; built
         once per radius."""
-        table = self._tables.get(("atoms", radius))
-        if table is None:
+        def build():
             atoms = self.atoms(radius)
-            table = (self.slots_of(p for atom in atoms for p in atom),
-                     np.array([len(atom) for atom in atoms], dtype=np.intp))
-            for a in table:
-                a.setflags(write=False)
-            self._tables["atoms", radius] = table
-        return table
+            return (self.slots_of(p for atom in atoms for p in atom),
+                    np.array([len(atom) for atom in atoms], dtype=np.intp))
+        return self.table(("atoms", radius), build)
 
 
 @dataclass(frozen=True)
@@ -411,17 +453,18 @@ class FiniteSpace(_SpaceOps):
             if image != self.nbhd[self.perm[i]]:
                 raise NotHomeomorphism(
                     f"sigma does not map U({self.labels[i]}) onto U(sigma(x))")
-        # orbit table: each index's cycle, in sigma order, and its place in it
-        place = [None] * n
+        # orbit table: the cycles in sigma order laid end to end, and per
+        # index the start and length of its cycle and its place in it
+        order, start, length, place = [], [0] * n, [0] * n, [0] * n
         for i in range(n):
-            if place[i] is None:
+            if not length[i]:
                 cycle = [i]
                 while self.perm[cycle[-1]] != i:
                     cycle.append(self.perm[cycle[-1]])
-                cycle = tuple(cycle)
                 for pos, j in enumerate(cycle):
-                    place[j] = (cycle, pos)
-        object.__setattr__(self, "_place", tuple(place))
+                    start[j], length[j], place[j] = len(order), len(cycle), pos
+                order.extend(cycle)
+        object.__setattr__(self, "_orbits", (order, start, length, place))
 
     # -- points --
 
@@ -431,9 +474,6 @@ class FiniteSpace(_SpaceOps):
     @cached_property
     def _label_index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
-
-    def contains(self, p: Point) -> bool:
-        return isinstance(p, FinitePoint) and 0 <= p.index < len(self.labels)
 
     def point(self, label: str) -> FinitePoint:
         i = self._label_index.get(label)
@@ -466,47 +506,41 @@ class FiniteSpace(_SpaceOps):
     # -- dynamics --
 
     def sigma_apply(self, p: Point, m: int = 1) -> Point:
-        if not self.contains(p):
-            raise ForeignPoint(f"{p} not in this space")
-        cycle, pos = self._place[p.index]
-        return FinitePoint(cycle[(pos + m) % len(cycle)])
+        order, start, length, place = self._orbits
+        i = self.index_of(p)
+        return FinitePoint(order[start[i] + (place[i] + m) % length[i]])
 
     @cached_property
     def _orbit_arrays(self) -> tuple:
-        """The orbit table as arrays: the cycles laid end to end, and per
-        index the start and length of its cycle and its place in it."""
-        order, start = [], [0] * len(self._place)
-        for cycle, place in self._place:
-            if place == 0:
-                for j in cycle:
-                    start[j] = len(order)
-                order.extend(cycle)
-        length = [len(cycle) for cycle, place in self._place]
-        pos = [place for cycle, place in self._place]
-        return tuple(np.array(a, dtype=np.int64) for a in (order, start, length, pos))
+        """The orbit table as arrays."""
+        return tuple(np.array(a, dtype=np.int64) for a in self._orbits)
 
     def sigma_index(self, m: int) -> np.ndarray:
         """Gather map of x -> sigma^m(x) over the vector slots."""
         order, start, length, pos = self._orbit_arrays
         return order[start + (pos + m % length) % length]
 
-    def period(self, p: FinitePoint) -> int:
-        return len(self._place[p.index][0])
+    def _slot_periods(self) -> np.ndarray:
+        return self._orbit_arrays[2]
 
     def is_hausdorff(self) -> bool:
         """A finite space is Hausdorff exactly when it is discrete."""
         return all(u == frozenset({i}) for i, u in enumerate(self.nbhd))
 
-    def orbits(self):
-        """Cycle decomposition of the permutation, as lists of indices."""
-        return [list(cycle) for cycle, pos in self._place if pos == 0]
-
     # -- topology --
 
-    def interior(self, s: SetRep) -> SetRep:
-        idx = frozenset(p.index for p in s.members)
-        inner = frozenset(FinitePoint(i) for i in idx if self.nbhd[i] <= idx)
-        return SetRep(self, inner)
+    def _nbhd_table(self) -> tuple:
+        """The minimal open neighbourhoods laid end to end, and the start
+        of each one."""
+        return self.table("nbhd", lambda: (
+            np.fromiter((j for u in self.nbhd for j in u), dtype=np.intp),
+            np.cumsum([0] + [len(u) for u in self.nbhd[:-1]])))
+
+    def _interior_mask(self, masks: np.ndarray) -> np.ndarray:
+        # x is interior exactly when its minimal open neighbourhood is
+        # inside the set: one AND over each neighbourhood
+        flat, starts = self._nbhd_table()
+        return np.logical_and.reduceat(masks[..., flat], starts, axis=-1)
 
     # -- continuity --
 
@@ -536,16 +570,12 @@ class FiniteSpace(_SpaceOps):
 
     def is_continuous(self, values: Mapping[Point, complex],
                       limits: Mapping[str, complex] = {}) -> bool:
-        if limits:
+        # continuous exactly when constant on each minimal open neighbourhood
+        if limits or set(values) != set(self.window_points):
             return False
-        if set(values) != set(self.window_points):
-            return False
-        for i in range(len(self.labels)):
-            base = values[FinitePoint(i)]
-            for j in self.nbhd[i]:
-                if values[FinitePoint(j)] != base:
-                    return False
-        return True
+        vec = np.array([values[p] for p in self.window_points])
+        flat, starts = self._nbhd_table()
+        return bool((vec[flat] == np.repeat(vec, np.diff(starts, append=len(flat)))).all())
 
 
 @dataclass(frozen=True)
@@ -567,16 +597,10 @@ class IntShiftSpace(_SpaceOps):
         w = self.window
         return (IntPoint(v) for v in range(-w, w + 1))
 
-    def contains(self, p: Point) -> bool:
-        return isinstance(p, (IntPoint, Infinity))
-
     def limit_point(self, name):
         if name != "inf":
             raise ForeignPoint(f"unknown limit {name!r}")
         return INFINITY
-
-    def limit_name_of(self, p: Point) -> Optional[str]:
-        return "inf" if isinstance(p, Infinity) else None
 
     def tail_of(self, p: Point) -> Optional[str]:
         if isinstance(p, IntPoint) and p.value > self.window:
@@ -611,8 +635,9 @@ class IntShiftSpace(_SpaceOps):
     def radius_of(self, slots) -> int:
         return int(np.abs(slots - self.window).max(initial=0))
 
-    def period(self, p: Point) -> Optional[int]:
-        return 1 if isinstance(p, Infinity) else None
+    def _slot_periods(self) -> np.ndarray:
+        # the window points, the point at infinity, then the two tails
+        return np.array([0] * (2 * self.window + 1) + [1, 0, 0])
 
     def point_name(self, p: Point) -> str:
         return "inf" if isinstance(p, Infinity) else str(p.value)
@@ -634,30 +659,26 @@ class IntShiftSpace(_SpaceOps):
         return self.window + degree + 1
 
     def sigma_set(self, s: SetRep, m: int = 1) -> SetRep:
-        """Exact image under the m-th shift power.
-
-        Window members may be absorbed into a tail and tail points may
-        enter the window; a tail only partially contained in the image is
-        not representable and raises :class:`WindowOverflow`.
-        """
-        w = self.window
-        members = frozenset(p for p in self.window_points
-                            if s.contains(self.sigma_apply(p, -m)))
-        tails = set()
-        for name, sign in (("pos", 1), ("neg", -1)):
-            # beyond-window points whose preimage is not yet deep in the
-            # same tail need individual membership checks
-            count = max(sign * m, 0)
-            statuses = [s.contains(IntPoint(sign * (w + 1 + j) - m))
-                        for j in range(count)]
-            statuses.append(name in s.tails)
-            if all(statuses):
-                tails.add(name)
-            elif any(statuses):
+        """Exact image under the m-th shift power: one gather along the
+        line of preimages (the neg tail, the window, the pos tail).  A tail
+        only partially contained in the image is not representable and
+        raises :class:`WindowOverflow`."""
+        n = 2 * self.window + 1
+        line = s.mask[np.r_[n + 1, :n, n + 2]]
+        shift = max(-n - 1, min(m, n + 1))     # a longer shift moves the same
+        out = np.empty_like(s.mask)
+        out[:n] = line[np.clip(np.arange(1 - shift, n + 1 - shift), 0, n + 1)]
+        out[n] = s.mask[n]
+        # the image holds a whole tail exactly when the tail and the points
+        # that the shift moves into it all lie in the set
+        for name, slot, moved in (("pos", n + 2, line[n + 1 - max(shift, 0):]),
+                                  ("neg", n + 1, line[:1 - min(shift, 0)])):
+            if moved.all() != moved.any():
                 raise WindowOverflow(
                     f"image of the set under shift^{m} cuts the {name} tail "
                     "inside the window")
-        return SetRep(self, members, frozenset(tails), s.limits)
+            out[slot] = moved[0]
+        return SetRep(self, out)
 
     def is_continuous(self, values: Mapping[Point, complex],
                       limits: Mapping[str, complex] = {}) -> bool:
@@ -690,18 +711,10 @@ class PairSwapTailsSpace(_SpaceOps):
         return tuple(ATail(n) for n in range(1, w + 1)) + tuple(
             BTail(n) for n in range(1, w + 1))
 
-    def contains(self, p: Point) -> bool:
-        if isinstance(p, (ATail, BTail)):
-            return p.n >= 1
-        return isinstance(p, Origin)
-
     def limit_point(self, name):
         if name != "origin":
             raise ForeignPoint(f"unknown limit {name!r}")
         return ORIGIN
-
-    def limit_name_of(self, p: Point) -> Optional[str]:
-        return "origin" if isinstance(p, Origin) else None
 
     def tail_of(self, p: Point) -> Optional[str]:
         if isinstance(p, ATail) and p.n > self.window:
@@ -718,16 +731,11 @@ class PairSwapTailsSpace(_SpaceOps):
         raise ForeignPoint(f"unknown tail {tail!r}")
 
     def sigma_apply(self, p: Point, m: int = 1) -> Point:
-        if isinstance(p, (Origin, ATail)):
-            if not self.contains(p):
-                raise ForeignPoint(f"{p} not in this space")
-            return p
-        if isinstance(p, BTail) and p.n >= 1:
-            if m % 2 == 0:
-                return p
-            partner = p.n + 1 if p.n % 2 == 1 else p.n - 1
-            return BTail(partner)
-        raise ForeignPoint(f"{p} not in this space")
+        if not self.contains(p):
+            raise ForeignPoint(f"{p} not in this space")
+        if isinstance(p, BTail) and m % 2:
+            return BTail(p.n + 1 if p.n % 2 == 1 else p.n - 1)
+        return p
 
     def sigma_index(self, m: int) -> np.ndarray:
         """Gather map of x -> sigma^m(x); it depends only on the parity of
@@ -738,8 +746,9 @@ class PairSwapTailsSpace(_SpaceOps):
             idx[self.window:2 * self.window] ^= 1
         return idx
 
-    def period(self, p: Point) -> int:
-        return 2 if isinstance(p, BTail) else 1
+    def _slot_periods(self) -> np.ndarray:
+        # the a-ray, the b-ray, the origin, then the a and b tails
+        return np.array([1] * self.window + [2] * self.window + [1, 1, 2])
 
     def point_name(self, p: Point) -> str:
         if isinstance(p, Origin):
@@ -878,10 +887,7 @@ class CtsFun:
             raise SpaceMismatch("indicator of a set over a different space")
         if space.interior(s) != s or space.closure(s) != s:
             raise NotContinuous("indicator of a set that is not clopen")
-        vec = np.zeros(len(space.representative_points()), dtype=complex)
-        vec[[space.index_of(p) for p in s.members]] = 1.0
-        vec[[space.index_of(space.limit_point(n)) for n in s.limits]] = 1.0
-        return cls._of(space, vec)
+        return cls._of(space, s.mask[:len(space.representative_points())].astype(complex))
 
     # -- evaluation --
 
@@ -957,7 +963,7 @@ class CtsFun:
 
     def support(self, eps: float) -> SetRep:
         """Topological closure of ``{x : |f(x)| > eps}``, exactly."""
-        return _support_of(self.space, np.abs(self.vec) > eps)
+        return SetRep(self.space, self.space._closed_supports(np.abs(self.vec) > eps))
 
     def __repr__(self):
         values, limits = self.data()
@@ -983,18 +989,6 @@ def _gather(sp: Space, vals: np.ndarray, m: int) -> np.ndarray:
             raise WindowOverflow(
                 f"composing with sigma^{m} pushes window data outside the window")
     return out
-
-
-def _support_of(sp: Space, big: np.ndarray) -> SetRep:
-    """The topological closure of the points whose slot is set in the
-    boolean vector ``big``, exactly; a limit point's slot also stands for
-    the tails that accumulate at it."""
-    points = sp.window_points
-    nw = len(points)
-    limits = [n for n, b in zip(sp.limit_names, big[nw:]) if b]
-    tails = [t for t in sp.tail_names if sp.tail_limit_name(t) in limits]
-    members = [points[i] for i in np.flatnonzero(big[:nw])]
-    return sp.closure(sp.set_of(members, tails, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -1109,11 +1103,11 @@ class FunRows:
         differ = (self.vals[:, :nw] != self.vals[:, nw:nw + 1]).any(axis=0)
         return sp.radius_of(differ.nonzero()[0])
 
-    def supports(self, eps: float):
+    def supports(self, eps: float) -> list:
         """The support of each row (see :meth:`CtsFun.support`), in row
-        order, from one threshold over all rows."""
+        order, from one threshold and one closure over all rows."""
         sp = self.space
-        return (_support_of(sp, big) for big in np.abs(self.vals) > eps)
+        return [SetRep(sp, mask) for mask in sp._closed_supports(np.abs(self.vals) > eps)]
 
     # -- arithmetic --
 

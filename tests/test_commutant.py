@@ -5,11 +5,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from test_space import finite_spaces
+from test_space import RefSet, finite_spaces, ref_closure, ref_interior
 
-from dyncross.algebra import EPS_ZERO, coefficient, delta, embed, identity, zero
+from dyncross.algebra import EPS_SUPP, EPS_ZERO, coefficient, delta, embed, identity, zero
 from dyncross.commutant import (
     _functions_supported_in,
     _oracle_family,
@@ -21,7 +22,12 @@ from dyncross.commutant import (
     random_commutant_element,
 )
 from dyncross.characters import CircleGrid, TorusCharacter, character_grid, eval_character
-from dyncross.dynamics import make_dynsys, minimal_interior_order
+from dyncross.dynamics import (
+    make_dynsys,
+    minimal_interior_order,
+    projection_witness,
+    reduced_indices,
+)
 from dyncross.errors import ProjectionUnavailable, WindowOverflow
 from dyncross.fixtures import FIXTURES
 from dyncross.sampling import random_ctsfun, random_element, random_value
@@ -34,6 +40,7 @@ from dyncross.space import (
     IntShiftSpace,
     ORIGIN,
     PairSwapTailsSpace,
+    finite_space,
 )
 
 
@@ -412,3 +419,160 @@ class TestBasisMemo:
              2: (-1.2943794815224912 - 0.5818550107957698j),
              -2: (1.0855618635076387 + 0.8615823559445663j)},
         ]
+
+
+# ---------------------------------------------------------------------------
+# membership, indicators and witness against the point-by-point definitions
+# ---------------------------------------------------------------------------
+
+
+def paired(cycle_lengths, fans):
+    """A non-Hausdorff finite system.  A pair cycle of length L rotates
+    points u_j, v_j with U(u_j) = {u_j, v_j} and U(v_j) = {v_j}; a fan is a
+    fixed point v below two swapped points u1, u2, U(u_i) = {u_i, v}, so
+    Fix(sigma) is not closed there and no projection exists."""
+    perm, nbhd = [], []
+    for length in cycle_lengths:
+        base = len(perm)
+        for j in range(length):
+            nxt = base + 2 * ((j + 1) % length)
+            perm += [nxt, nxt + 1]
+            nbhd += [{base + 2 * j, base + 2 * j + 1}, {base + 2 * j + 1}]
+    for _ in range(fans):
+        v = len(perm)
+        perm += [v, v + 2, v + 1]
+        nbhd += [{v}, {v + 1, v}, {v + 2, v}]
+    labels = [f"q{i}" for i in range(len(perm))]
+    return make_dynsys(finite_space(
+        labels, {labels[i]: [labels[j] for j in u] for i, u in enumerate(nbhd)},
+        {labels[i]: labels[j] for i, j in enumerate(perm)}))
+
+
+def point_period(sp, x):
+    """The period of x by walking sigma, None past every finite orbit."""
+    y, p = sp.sigma_apply(x, 1), 1
+    while y != x:
+        if p > len(sp.representative_points()) + 2:
+            return None
+        y, p = sp.sigma_apply(y, 1), p + 1
+    return p
+
+
+def point_fix_set(sys, k):
+    """Fix(sigma^k) point by point: the window points, tails (by their
+    probes) and limit points whose period divides k."""
+    sp = sys.space
+    if k == 0:
+        return RefSet(frozenset(sp.window_points), frozenset(sp.tail_names),
+                      frozenset(sp.limit_names))
+
+    def fixed(x):
+        p = point_period(sp, x)
+        return p is not None and k % p == 0
+
+    return RefSet(frozenset(filter(fixed, sp.window_points)),
+                  frozenset(t for t in sp.tail_names if fixed(sp.tail_probe(t))),
+                  frozenset(n for n in sp.limit_names if fixed(sp.limit_point(n))))
+
+
+def point_support(sp, values, eps):
+    """The closure of {|f| > eps} for the values of f at the representative
+    points; a limit point in it brings the tails that accumulate at it."""
+    big = {p for p, v in zip(sp.representative_points(), values) if abs(v) > eps}
+    limits = frozenset(n for n in sp.limit_names if sp.limit_point(n) in big)
+    return ref_closure(sp, RefSet(frozenset(p for p in sp.window_points if p in big),
+                                  frozenset(sp.tail_names) if limits else frozenset(),
+                                  limits))
+
+
+def point_membership(sys, x, eps=EPS_SUPP):
+    slots = np.arange(len(sys.space.representative_points()))
+    return all(point_support(sys.space, x.coefficient(k).take(slots), eps)
+               .is_subset(point_fix_set(sys, k)) for k in x.degrees)
+
+
+def point_witness(sys):
+    sp = sys.space
+    for k in (0,) + reduced_indices(sys):
+        inner = ref_interior(sp, point_fix_set(sys, k))
+        boundary = ref_closure(sp, inner).difference(inner)
+        if boundary != RefSet(frozenset()):
+            return k, boundary.sample_point(sp)
+    return None
+
+
+def point_indicator(sys, k):
+    """The indicator of int Fix(sigma^k) at the representative points."""
+    sp = sys.space
+    inner = ref_interior(sp, point_fix_set(sys, k))
+    return np.array([1.0 if inner.contains(sp, p) else 0.0
+                     for p in sp.representative_points()])
+
+
+POINT_MODEL_SYSTEMS = {
+    **{name: FIXTURES[name] for name in sorted(FIXTURES)},
+    "int_shift64": lambda: make_dynsys(IntShiftSpace(64)),
+    "tails64": lambda: make_dynsys(PairSwapTailsSpace(64)),
+    "paired_cycles": lambda: paired([2, 3, 4], 0),
+    "paired_fans": lambda: paired([3], 2),
+    "paired_fan": lambda: paired([], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_MODEL_SYSTEMS))
+class TestAgainstPointModel:
+    """Membership, the indicator rows, the projection and its witness
+    agree with their definitions evaluated point by point on frozensets
+    (``test_space.RefSet``)."""
+
+    def test_membership(self, name):
+        sys = POINT_MODEL_SYSTEMS[name]()
+        rng = random.Random(11)
+        sp = sys.space
+        radius = sp.room(3)
+        for i in range(30):
+            if i % 3 == 0:
+                x = random_commutant_element(sys, rng, 3)
+            else:
+                x = random_element(sp, rng, 3, radius=radius,
+                                   sparse_prob=[0.0, 0.5, 1.0][i % 3])
+            if i % 5 == 4:
+                x = x.scale(1e-12)      # rows on both sides of EPS_SUPP
+            assert is_in_commutant(sys, x) == point_membership(sys, x)
+
+    def test_supports_of_any_rows(self, name):
+        # rows that need not be continuous, so the closure adds points
+        sp = POINT_MODEL_SYSTEMS[name]().space
+        rng = np.random.default_rng(5)
+        vals = rng.choice([0.0, 0.5, 2.0], size=(40, len(sp.representative_points())))
+        rows = FunRows._of(sp, vals.astype(complex))
+        for s, row in zip(rows.supports(1.0), vals):
+            assert RefSet.of(s) == point_support(sp, row, 1.0)
+
+    def test_witness_indicators_and_projection(self, name):
+        sys = POINT_MODEL_SYSTEMS[name]()
+        sp = sys.space
+        witness = point_witness(sys)
+        assert projection_witness(sys) == witness
+        if witness is not None:
+            with pytest.raises(ProjectionUnavailable):
+                project_to_commutant(sys, identity(sp))
+            return
+        fam = indicator_family(sys)
+        slots = np.arange(len(sp.representative_points()))
+        ks = range(-2 * (sys.lcm_period or 1) - 1, 2 * (sys.lcm_period or 1) + 2)
+        for k in ks:
+            assert np.array_equal(fam.get(k).take(slots), point_indicator(sys, k))
+        rng = random.Random(12)
+        for _ in range(10):
+            x = random_element(sp, rng, 3, radius=sp.room(3))
+            px = project_to_commutant(sys, x)
+            for k in x.degrees:
+                want = x.coefficient(k).take(slots) * point_indicator(sys, k)
+                if np.abs(want).max() <= EPS_ZERO:
+                    want = np.zeros_like(want)
+                assert np.array_equal(px.coefficient(k).take(slots), want)
+
+
+def test_tails8_witness_is_the_origin(tails8):
+    assert projection_witness(tails8) == point_witness(tails8) == (1, ORIGIN)

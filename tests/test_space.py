@@ -11,6 +11,7 @@ import itertools
 import pathlib
 import random
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from dyncross.space import (
     SetRep,
     build_space,
     finite_space,
+    point_key,
 )
 
 
@@ -96,6 +98,103 @@ def brute_is_continuous(space, values):
     return True
 
 
+# ---------------------------------------------------------------------------
+# reference model: sets as frozensets of points
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RefSet:
+    """A set as the frozenset representation that the slot masks replaced:
+    explicit window points, the names of the tails it holds entirely and
+    the names of its limit points.  Every operation walks points."""
+
+    members: frozenset
+    tails: frozenset = frozenset()
+    limits: frozenset = frozenset()
+
+    @classmethod
+    def of(cls, s):
+        return cls(s.members, s.tails, s.limits)
+
+    def union(self, o):
+        return RefSet(self.members | o.members, self.tails | o.tails,
+                      self.limits | o.limits)
+
+    def intersect(self, o):
+        return RefSet(self.members & o.members, self.tails & o.tails,
+                      self.limits & o.limits)
+
+    def difference(self, o):
+        return RefSet(self.members - o.members, self.tails - o.tails,
+                      self.limits - o.limits)
+
+    def complement(self, sp):
+        return RefSet(frozenset(sp.window_points) - self.members,
+                      frozenset(sp.tail_names) - self.tails,
+                      frozenset(sp.limit_names) - self.limits)
+
+    def is_subset(self, o):
+        return (self.members <= o.members and self.tails <= o.tails
+                and self.limits <= o.limits)
+
+    def contains(self, sp, p):
+        tail = sp.tail_of(p)
+        if tail is not None:
+            return tail in self.tails
+        limits = {sp.limit_point(n): n for n in sp.limit_names}
+        if p in limits:
+            return limits[p] in self.limits
+        return p in self.members
+
+    def sample_point(self, sp):
+        if self.members:
+            return min(self.members, key=point_key)
+        for name in sp.limit_names:
+            if name in self.limits:
+                return sp.limit_point(name)
+        for name in sp.tail_names:
+            if name in self.tails:
+                return sp.tail_probe(name)
+        return None
+
+
+def ref_interior(sp, s):
+    """Interior point by point: on a finite space the points whose minimal
+    open neighbourhood lies in the set; on a tail space every window and
+    tail point, and the limit point when every tail is held entirely."""
+    if isinstance(sp, FiniteSpace):
+        idx = frozenset(p.index for p in s.members)
+        return RefSet(frozenset(FinitePoint(i) for i in idx if sp.nbhd[i] <= idx))
+    limits = s.limits if s.tails == frozenset(sp.tail_names) else frozenset()
+    return RefSet(s.members, s.tails, limits)
+
+
+def ref_closure(sp, s):
+    return ref_interior(sp, s.complement(sp)).complement(sp)
+
+
+def ref_sigma_set(sp, s, m):
+    """The image under sigma^m point by point; on the shift, a tail the
+    image holds only in part raises WindowOverflow."""
+    if not isinstance(sp, IntShiftSpace):
+        return RefSet(frozenset(sp.sigma_apply(p, m) for p in s.members),
+                      s.tails, s.limits)
+    w = sp.window
+    members = frozenset(p for p in sp.window_points
+                        if s.contains(sp, sp.sigma_apply(p, -m)))
+    tails = set()
+    for name, sign in (("pos", 1), ("neg", -1)):
+        statuses = [s.contains(sp, IntPoint(sign * (w + 1 + j) - m))
+                    for j in range(max(sign * m, 0))]
+        statuses.append(name in s.tails)
+        if all(statuses):
+            tails.add(name)
+        elif any(statuses):
+            raise WindowOverflow("the image cuts a tail")
+    return RefSet(members, frozenset(tails), s.limits)
+
+
 def random_preorder_space(draw, n):
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
     reach = [{i} for i in range(n)]
@@ -137,7 +236,7 @@ def space_and_set(draw):
     members = draw(st.sets(st.sampled_from(sp.window_points)))
     tails = draw(st.sets(st.sampled_from(sp.tail_names))) if sp.tail_names else set()
     limits = draw(st.sets(st.sampled_from(sp.limit_names))) if sp.limit_names else set()
-    return sp, SetRep(sp, frozenset(members), frozenset(tails), frozenset(limits))
+    return sp, sp.set_of(frozenset(members), frozenset(tails), frozenset(limits))
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +581,9 @@ class TestSetRep:
     def test_members_must_be_window_points(self):
         sp = IntShiftSpace(2)
         with pytest.raises(ForeignPoint):
-            SetRep(sp, frozenset({IntPoint(5)}))
+            sp.set_of(frozenset({IntPoint(5)}))
         with pytest.raises(ForeignPoint):
-            SetRep(sp, frozenset({INFINITY}))
+            sp.set_of(frozenset({INFINITY}))
 
     def test_sample_point_prefers_members(self):
         sp = IntShiftSpace(2)
@@ -505,6 +604,84 @@ class TestSetRep:
         assert s.union(s.complement()) == sp.full_set()
 
 
+@st.composite
+def ref_sets(draw, sp):
+    """A set of the reference model: a few window points or a run of them,
+    perhaps complemented, with tails and limit points."""
+    points = sp.window_points
+    if draw(st.booleans()):
+        i, j = sorted(draw(st.integers(0, len(points))) for _ in range(2))
+        members = frozenset(points[i:j])
+    else:
+        members = frozenset(draw(st.sets(st.sampled_from(points), max_size=6)))
+    s = RefSet(members, frozenset(draw(st.sets(st.sampled_from(sp.tail_names))))
+               if sp.tail_names else frozenset(),
+               frozenset(draw(st.sets(st.sampled_from(sp.limit_names))))
+               if sp.limit_names else frozenset())
+    return s.complement(sp) if draw(st.booleans()) else s
+
+
+@st.composite
+def set_algebra_cases(draw):
+    """A space (random finite, non-Hausdorff ones included, or a tail space
+    at W in {2, 8, 64}), two sets, a power of sigma and probe points: every
+    set slot, tail points deeper in, and points of no slot."""
+    kind = draw(st.sampled_from(["finite", "int_shift", "pair_swap_tails"]))
+    if kind == "finite":
+        sp = draw(finite_spaces())
+        reach = 6
+        probes = [FinitePoint(len(sp.labels)), IntPoint(0)]
+    else:
+        w = draw(st.sampled_from([2, 8, 64]))
+        sp = build_space({"kind": kind, "window": w})
+        reach = 2 * w + 4
+        probes = ([IntPoint(w + 7), IntPoint(-w - 9), ORIGIN] if kind == "int_shift"
+                  else [ATail(w + 7), BTail(w + 8), ATail(0), BTail(-1), INFINITY])
+        probes += [sp.tail_probe(t) for t in sp.tail_names]
+    probes += list(sp.representative_points())
+    a = draw(ref_sets(sp))
+    b = a if draw(st.integers(0, 4)) == 0 else draw(ref_sets(sp))
+    return sp, a, b, draw(st.integers(-reach, reach)), probes
+
+
+@given(set_algebra_cases())
+def test_set_algebra_matches_the_frozenset_model(case):
+    sp, a, b, m, probes = case
+    s, t = (sp.set_of(r.members, r.tails, r.limits) for r in (a, b))
+    assert (RefSet.of(s), RefSet.of(t)) == (a, b)
+    for got, want in ((s.union(t), a.union(b)), (s.intersect(t), a.intersect(b)),
+                      (s.difference(t), a.difference(b)),
+                      (s.complement(), a.complement(sp)),
+                      (sp.interior(s), ref_interior(sp, a)),
+                      (sp.closure(s), ref_closure(sp, a))):
+        assert RefSet.of(got) == want
+    assert s.is_subset(t) == a.is_subset(b)
+    assert (s == t) == (a == b) and (s != t) == (a != b)
+    assert s.is_empty() == (a == RefSet(frozenset()))
+    assert s.sample_point() == a.sample_point(sp)
+    assert [s.contains(p) for p in probes] == [a.contains(sp, p) for p in probes]
+    if isinstance(sp, FiniteSpace):
+        assert ref_interior(sp, a) == RefSet.of(brute_interior(sp, a))
+        assert ref_closure(sp, a) == RefSet.of(brute_closure(sp, a))
+    try:
+        want = ref_sigma_set(sp, a, m)
+    except WindowOverflow:
+        with pytest.raises(WindowOverflow):
+            sp.sigma_set(s, m)
+    else:
+        assert RefSet.of(sp.sigma_set(s, m)) == want
+    if isinstance(sp, IntShiftSpace) and abs(m) > 2 * sp.window + 1:
+        # a longer shift moves the window past both tails the same way
+        far = m * 10 ** 12
+        try:
+            want = sp.sigma_set(s, m)
+        except WindowOverflow:
+            with pytest.raises(WindowOverflow):
+                sp.sigma_set(s, far)
+        else:
+            assert sp.sigma_set(s, far) == want
+
+
 # ---------------------------------------------------------------------------
 # the backend boundary
 # ---------------------------------------------------------------------------
@@ -517,14 +694,14 @@ BACKEND_BRANCH = re.compile(
 
 
 FUNCTION_STORAGE = re.compile(r"\.(" + "|".join(
-    slot for cls in (CtsFun, FunRows) for slot in cls.__slots__
+    slot for cls in (CtsFun, FunRows, SetRep) for slot in cls.__slots__
     if slot != "space") + r")\b")
 
 
 def test_backends_differ_only_in_space_module():
     """Outside ``space.py`` no module tests a backend or point class,
-    reads a window radius or reads the storage of a ``CtsFun`` or a
-    ``FunRows``; constructing a backend stays allowed."""
+    reads a window radius or reads the storage of a ``CtsFun``, a
+    ``FunRows`` or a ``SetRep``; constructing a backend stays allowed."""
     package = pathlib.Path(space_module.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -540,6 +717,9 @@ def test_storage_guard_names_the_row_storage():
     assert FUNCTION_STORAGE.search("rows.vals[0]")
     assert FUNCTION_STORAGE.search("f.vec")
     assert not FUNCTION_STORAGE.search("x.rows.take(slots)")
+    # the boolean vector of a set
+    assert FUNCTION_STORAGE.search("fix_set(sys, k).mask[i]")
+    assert not FUNCTION_STORAGE.search("fix_set(sys, k).contains(p)")
 
 
 # ---------------------------------------------------------------------------
