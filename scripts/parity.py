@@ -9,19 +9,20 @@ Writes to OUT.json, for every bundled fixture and seed, the exit code and
 the check records of ``dyncross verify all --json --seed S``, and
 ``dyncross norms --json`` on two elements drawn on each fixture at each
 seed (a general one and a commutant one, where the fixture has a
-projection).  It also writes the exact output of ``describe --json`` and
+projection), and the exact output of ``describe --json`` and
 ``charspace --json`` on every fixture and on the systems of
-``topology_specs()``.  ``--norms-inputs CASES.json`` adds ``norms --json`` on each
-case of that file, a JSON list of ``{"name", "space", "element", "grid"}``
-objects whose paths are relative to the file.  ``--src`` names the
+``topology_specs()``.  ``--norms-inputs CASES.json`` adds ``norms --json``
+on each case of that file, a JSON list of ``{"name", "space", "element",
+"grid"}`` objects whose paths are relative to the file.  ``--src`` names the
 ``src`` directory to import dyncross from (default: the one next to this
 script), so the same script records any checkout.
 
 With ``--against OTHER.json`` it then compares the two records: exit codes,
 check names and their order, ``passed`` flags, every ``data.measured`` (at
 most ``MEASURED_TOL`` apart), every norm field (within its tolerance in
-``NORM_TOL``) and the ``describe`` and ``charspace`` output, byte for byte.  It prints each mismatch, each norm field that moved within
-its tolerance, the largest difference of each kind, and exits 1 on any
+``NORM_TOL``) and the ``describe`` and ``charspace`` output, byte for
+byte.  It prints each mismatch, each norm field that moved within its
+tolerance, the largest difference of each kind, and exits 1 on any
 mismatch.
 """
 

@@ -1,6 +1,7 @@
 """Commutant membership, the commutator oracle, indicator family, and the
 norm-one projection."""
 
+import functools
 import itertools
 import math
 import random
@@ -458,6 +459,7 @@ def point_period(sp, x):
     return p
 
 
+@functools.lru_cache(maxsize=None)
 def point_fix_set(sys, k):
     """Fix(sigma^k) point by point: the window points, tails (by their
     probes) and limit points whose period divides k."""

@@ -4,7 +4,8 @@ The finite backend is cross-checked against a brute-force oracle that
 enumerates all open sets.  The infinite backends are cross-checked by
 finitization: a window-representable set maps to a finite preorder model
 with two beyond-window points per tail, where the same brute-force
-oracle applies.
+oracle applies.  The set calculus is also checked against the frozenset
+representation that the slot masks replaced (``RefSet``).
 """
 
 import itertools
