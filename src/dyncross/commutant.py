@@ -71,16 +71,18 @@ def is_in_commutant(sys: DynSys, x: Element, eps: float = EPS_SUPP) -> bool:
                for k, s in zip(x.degrees, x.rows.supports(eps)))
 
 
-def _oracle_family(sys: DynSys, degree: int, trials: int,
-                   rng: random.Random) -> FunRows:
+@lru_cache(maxsize=None)
+def _oracle_family(sys: DynSys, room: Optional[int], trials: int,
+                   seed: int) -> FunRows:
     """A separating family of continuous functions for the commutator
     test, as rows: the constant, the indicator of every atom within
-    ``room(degree)`` (so that the commutators stay representable), and
-    ``trials`` random functions.  On a finite space the atom indicators
-    span the whole function algebra; on the tail backends they and the
-    constant separate all window-realized coefficient data."""
+    ``room`` (so that the commutators stay representable), and ``trials``
+    random functions drawn from ``random.Random(seed)``.  On a finite space
+    the atom indicators span the whole function algebra; on the tail
+    backends they and the constant separate all window-realized
+    coefficient data.  Built once per (system, room, trials, seed); the
+    rows are shared, so never write into them."""
     space = sys.space
-    room = space.room(degree)
     count = len(space.atom_slots(room)[1])
     # row 0 the constant, row i + 1 the indicator of atom i
     atoms = np.eye(count + 1, count, k=-1)
@@ -89,7 +91,7 @@ def _oracle_family(sys: DynSys, degree: int, trials: int,
     limits[0] = 1.0
     radius = None if room is None else max(0, room)
     return FunRows.from_atoms(space, room, atoms, limits).concat(
-        random_rows(space, rng, trials, radius=radius))
+        random_rows(space, random.Random(seed), trials, radius=radius))
 
 
 def commutes_oracle(sys: DynSys, x: Element, trials: int = 4,
@@ -103,13 +105,15 @@ def commutes_oracle(sys: DynSys, x: Element, trials: int = 4,
     once, each series norm equal to that of ``embed(g) * x - x * embed(g)``
     to the bit.  It reads only sigma-gathers and products, never a support,
     closure or fixed-point set, which keeps it independent of
-    :func:`is_in_commutant`.  Raises
+    :func:`is_in_commutant`.  The family depends on the degree only
+    through ``room(degree)`` and is built once per (system, room, trials,
+    seed).  Raises
     :class:`~dyncross.errors.WindowOverflow` where those products would
     leave the window, as the products themselves do.
     """
     if not x.degrees:
         return True
-    family = _oracle_family(sys, x.degree, trials, random.Random(seed))
+    family = _oracle_family(sys, sys.space.room(x.degree), trials, seed)
     _check_room(sys.space, x.degree, family.data_radius())
     sups = x.rows.commutator_sups([-n for n in x.degrees], family, EPS_ZERO)
     return not any(_series_norm(row) > tol for row in sups.tolist())

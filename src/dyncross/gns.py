@@ -32,10 +32,21 @@ torus parameter are taken on the unit circle, exp(i w t), so that they
 keep modulus 1 for every index up to 2**53.
 
 The C*-norm of an element is the sup of the representation norms over
-orbit representatives and the torus parameter; the torus sweep carries
-the same certified grid bound as the character module, polished by
-:func:`~dyncross.numerics.bracket_max`, and everything is dominated by the
-series norm.
+orbit representatives and the torus parameter lam = exp(i t), dominated by
+the series norm.  The sweep over t is certified in the mu gauge: with
+mu^p = lam and V = diag(mu^n), V S_lam V^-1 = mu S_1 for the lam-twisted
+cyclic shift S_lam, and V commutes with every diagonal D_k, so the model
+norm is ||sum_k exp(i k t / p) D_k S_1^k||.  Its first derivative in t is
+at most sum |k|/p sup|f_k| and its second at most sum (k/p)^2 sup|f_k|,
+where the lam gauge gives sum ceil(|k|/p) sup|f_k| and
+sum ceil(|k|/p)^2 sup|f_k|, larger by about p/|k| on a long cycle.  So
+each period sweeps the coarsest sub-grid (a divisor G' of the grid
+resolution G, at least 4 unless the element has degree 0) whose certified
+excess is at most that of the full grid in the lam gauge; the models
+evaluated are the lam-models at the sub-grid angles.
+:func:`~dyncross.numerics.bracket_max` then polishes the best point of
+every period whose sub-grid max plus excess exceeds the value attained so
+far, each over its own sub-grid spacing.
 """
 
 from __future__ import annotations
@@ -65,7 +76,13 @@ from .dynamics import (
     periodic_orbit_reps,
 )
 from .errors import ForeignPoint, NotInCommutant, TooLarge, TruncationTooSmall
-from .numerics import NormEstimate, bracket_max, grid_excess
+from .numerics import (
+    BRACKET_POINTS,
+    BRACKET_ROUNDS,
+    NormEstimate,
+    bracket_max,
+    grid_excess,
+)
 from .space import Point
 
 UNIT_MODULUS_TOL = 1e-12
@@ -76,8 +93,9 @@ BATCH_ENTRIES = 1 << 16
 MAX_MODEL_ENTRIES = 1 << 23
 # work of the torus sweep of cstar_norm, counted as p**3 per evaluation of a
 # non-diagonal cyclic model of size p (a LAPACK SVD) and p**2 per diagonal
-# one: about 80 s of SVDs on one core (the largest cycle admitted at
-# G = 1024 has 406 points); a 1500-cycle at G = 1024 would need 50 times it
+# one: about 80 s of SVDs on one core; the largest cycle admitted for
+# delta + 1 has 1197 points (4 sub-grid and 36 refinement angles), and a
+# 1500-cycle needs 2 times it
 MAX_SWEEP_WORK = 1 << 36
 
 
@@ -270,18 +288,22 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     """Sup of representation norms over orbit representatives and the
     torus parameter.
 
-    On all-periodic backends the estimate is two-sided (grid bound plus a
-    batched bracket search at the best grid point; ``refine=False`` keeps
-    the plain grid sup).  Where aperiodic orbits exist and the element has
-    positive degree, the truncated norms are certified lower bounds only,
-    and the series norm caps the excess.
+    On all-periodic backends the estimate is two-sided.  Each period
+    sweeps the coarsest G'-point sub-grid of ``grid`` that its mu-gauge
+    certificate allows (:func:`_sub_grid`; see the module docstring), and
+    a batched bracket search (:func:`~dyncross.numerics.bracket_max`) then
+    polishes the best point of every period whose certified bound,
+    sub-grid max plus excess, exceeds the value attained so far, the
+    periods taken in decreasing order of their sub-grid max, each over
+    2 pi/G' either side of its best sub-grid angle; ``refine=False``
+    returns the sub-grid max.  Where aperiodic orbits exist and the element
+    has positive degree, the truncated norms are certified lower bounds
+    only, and the series norm caps the excess.
     """
     if not x_elem.coeffs:
         return NormEstimate(0.0, 0.0)
-    h = grid.half_spacing
     value = 0.0
     upper = 0.0
-    best = None  # (grid max, entry plan of the best point, best angle)
     by_period = {}
     for x, p in periodic_orbit_reps(sys):
         by_period.setdefault(p, []).append(x)
@@ -291,33 +313,39 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
         _check_model_size(f"the cyclic model of period {p}", p)
     plans = {p: _entry_plan(sys, points, p, x_elem)
              for p, points in by_period.items()}
-    _check_sweep_work(plans, g)
+    sub_grids = {p: _sub_grid(sups, p, g) for p in plans}
+    _check_sweep_work(plans, sub_grids, refine)
+    # per period: (sub-grid max, certified bound, entry plan of the best
+    # point, best angle, half-spacing of the sub-grid)
+    swept = []
     for p, plan in plans.items():
+        sub, excess = sub_grids[p]
+        stride = g // sub
         count = plan.values.shape[1]
-        # each wrap of the plan to each grid parameter, U x G
-        table = np.array([grid.powers(w) for w in plan.wraps])
+        # each wrap of the plan to each sub-grid parameter, U x G'
+        table = np.array([grid.powers(w)[::stride] for w in plan.wraps])
         # the models of one period, a slice of torus parameters at a time;
         # its terms (E per point and parameter) and its models (p * p) each
         # stay within BATCH_ENTRIES
         step = max(1, BATCH_ENTRIES // (count * max(p * p, len(plan.positions))))
         chunks = []
-        for lo in range(0, g, step):
+        for lo in range(0, sub, step):
             mats = _cyclic_matrices(plan, table[:, lo:lo + step])
             chunks.append(_batched_norms(mats.reshape(-1, p, p))
                           .reshape(count, -1))
         norms = np.concatenate(chunks, axis=1)
         grid_max = float(np.max(norms))
-        lip = sum(math.ceil(k / p) * sup for k, sup in sups)
-        curv = sum(math.ceil(k / p) ** 2 * sup for k, sup in sups)
-        upper = max(upper, grid_max + grid_excess(lip, curv, h))
+        upper = max(upper, grid_max + excess)
         value = max(value, grid_max)
-        if best is None or grid_max > best[0]:
-            i, best_j = np.unravel_index(int(np.argmax(norms)), norms.shape)
-            best = (grid_max, plan.point(i), 2 * math.pi * best_j / g)
-    if best is not None and refine:
-        _, plan, angle = best
-        value = max(value, bracket_max(lambda ts: _batched_norms(
-            _cyclic_matrices(plan, _circle_powers(plan.wraps, ts))[0]), angle, 2 * h))
+        i, j = np.unravel_index(int(np.argmax(norms)), norms.shape)
+        swept.append((grid_max, grid_max + excess, plan.point(i),
+                      2 * math.pi * (j * stride) / g, math.pi / sub))
+    if refine:
+        for _, bound, plan, angle, h in sorted(swept, key=lambda s: -s[0]):
+            if bound > value:
+                value = max(value, bracket_max(lambda ts, plan=plan: _batched_norms(
+                    _cyclic_matrices(plan, _circle_powers(plan.wraps, ts))[0]),
+                    angle, 2 * h))
     loose = False
     for x in aperiodic_reps(sys):
         m = radius if radius is not None else default_truncation(sys, x_elem)
@@ -340,14 +368,48 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     return NormEstimate(value, max(0.0, upper - value) + slop)
 
 
-def _check_sweep_work(plans: dict, evaluations: int) -> None:
+def _sub_grid(sups: list, p: int, g: int) -> tuple:
+    """The sub-grid that the sweep of period p evaluates, as (G', excess):
+    the smallest divisor G' of the resolution g whose mu-gauge excess at
+    half-spacing pi/G' is at most the lam-gauge excess of the full grid,
+    and G' >= 4 (the least resolution of a :class:`CircleGrid`) unless that
+    excess is 0.  ``sups`` pairs each |k| with sup|f_k|; the constants of
+    both gauges are in the module docstring, and the stationary-point
+    argument of :func:`~dyncross.numerics.grid_excess` holds in either.
+    The refinement searches 2 pi/G' either side of the best sub-grid
+    angle; below four angles its bracket would span the circle and its
+    first parabola would come from spacings of pi/4 or more.  A degree-0
+    element has no torus dependence and gets G' = 1, excess 0."""
+    target = grid_excess(sum(math.ceil(k / p) * sup for k, sup in sups),
+                         sum(math.ceil(k / p) ** 2 * sup for k, sup in sups),
+                         math.pi / g)
+    lip = sum(k / p * sup for k, sup in sups)
+    curv = sum((k / p) ** 2 * sup for k, sup in sups)
+    small = [d for d in range(1, math.isqrt(g) + 1) if g % d == 0]
+    divisors = sorted(set(small + [g // d for d in small]))
+    for sub in divisors[:-1]:
+        excess = grid_excess(lip, curv, math.pi / sub)
+        if excess <= target and (sub >= 4 or excess == 0):
+            return sub, float(excess)
+    # the full grid: each mu-gauge constant is at most its lam-gauge one
+    return g, float(grid_excess(lip, curv, math.pi / g))
+
+
+def _check_sweep_work(plans: dict, sub_grids: dict, refine: bool) -> None:
     """Refuse a torus sweep whose cyclic models would cost more than
-    ``MAX_SWEEP_WORK`` (see there) before any model is built."""
+    ``MAX_SWEEP_WORK`` (see there) before any model is built: each period
+    evaluates its G' sub-grid angles at every point and, where it has a
+    positive excess and may be refined, ``BRACKET_POINTS * BRACKET_ROUNDS``
+    angles at one point."""
     work = 0
     for p, plan in plans.items():
+        sub, excess = sub_grids[p]
+        evaluations = plan.values.shape[1] * sub
+        if refine and excess > 0:
+            evaluations += BRACKET_POINTS * BRACKET_ROUNDS
         # an off-diagonal position of a p x p model is not a multiple of p + 1
         dense = np.count_nonzero(plan.values[plan.positions % (p + 1) != 0])
-        work += plan.values.shape[1] * evaluations * p ** (3 if dense else 2)
+        work += evaluations * p ** (3 if dense else 2)
     if work > MAX_SWEEP_WORK:
         raise TooLarge(f"the torus sweep over the cyclic models would cost "
                        f"{work} operations, more than {MAX_SWEEP_WORK}")

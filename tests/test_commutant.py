@@ -5,12 +5,14 @@ import functools
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from test_space import RefSet, finite_spaces, ref_closure, ref_interior
 
+from dyncross import commutant
 from dyncross.algebra import EPS_SUPP, EPS_ZERO, coefficient, delta, embed, identity, zero
 from dyncross.commutant import (
     _functions_supported_in,
@@ -138,7 +140,7 @@ class TestArrayOracle:
         explicit products, to the bit, and the family is the one built a
         function at a time."""
         system, x, trials, seed = case
-        family = _oracle_family(system, x.degree, trials, random.Random(seed))
+        family = _oracle_family(system, system.space.room(x.degree), trials, seed)
         reference = reference_oracle_functions(system, x.degree, trials,
                                                random.Random(seed))
         assert len(family) == len(reference)
@@ -153,6 +155,25 @@ class TestArrayOracle:
             assert [math.fsum(row) for row in sups.tolist()] == norms
         assert commutes_oracle(system, x, trials=trials, seed=seed) == all(
             n <= 1e-9 for n in norms)
+
+    def test_family_is_drawn_once_per_room(self):
+        """The family depends on the degree only through room(degree): on a
+        finite space every degree shares one, on int_shift each room has its
+        own, and a repeated call draws nothing."""
+        # systems and seeds no other test uses, so the first call misses
+        labels = [f"once{i}" for i in range(5)]
+        cycle = make_dynsys(finite_space(labels, {a: [a] for a in labels},
+                                         {a: labels[(i + 1) % 5] for i, a in enumerate(labels)}))
+        shift = make_dynsys(IntShiftSpace(13))
+        with mock.patch.object(commutant, "random_rows",
+                               wraps=commutant.random_rows) as spy:
+            for degree in (1, 2, 3, 1):
+                commutes_oracle(cycle, delta(cycle.space, degree), trials=3, seed=77)
+            for degree in (1, 2, 1, 2):
+                commutes_oracle(shift, delta(shift.space, degree), trials=2, seed=77)
+        assert [call.args[2] for call in spy.call_args_list] == [3, 2, 2]
+        assert (_oracle_family(shift, shift.space.room(1), 2, 77)
+                is _oracle_family(shift, shift.space.room(1), 2, 77))
 
     def test_rows_at_most_eps_read_as_zero(self, swap2):
         """As in an element, a row whose sup norm is at most EPS_ZERO is
