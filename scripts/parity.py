@@ -11,25 +11,30 @@ the check records of ``dyncross verify all --json --seed S``, and
 seed (a general one and a commutant one, where the fixture has a
 projection), and the exact output of ``describe --json`` and
 ``charspace --json`` on every fixture and on the systems of
-``topology_specs()``.  ``--norms-inputs CASES.json`` adds ``norms --json``
-on each case of that file, a JSON list of ``{"name", "space", "element",
-"grid"}`` objects whose paths are relative to the file.  ``--src`` names the
+``topology_specs()``.  For every fixture and for ``int_shift64`` and
+``tails64`` it also records the spanning family ``commutant_basis(sys, 2,
+4)`` and, at each seed, 20 random commutant elements of degree bound 2:
+the indices of each element and a sha256 of the bytes of all their rows.
+``--norms-inputs CASES.json`` adds ``norms --json`` on each case of that
+file, a JSON list of ``{"name", "space", "element", "grid"}`` objects
+whose paths are relative to the file.  ``--src`` names the
 ``src`` directory to import dyncross from (default: the one next to this
 script), so the same script records any checkout.
 
 With ``--against OTHER.json`` it then compares the two records: exit codes,
 check names and their order, ``passed`` flags, every ``data.measured`` (at
 most ``MEASURED_TOL`` apart), every norm field (within its tolerance in
-``NORM_TOL``) and the ``describe`` and ``charspace`` output, byte for
-byte.  It prints each mismatch, each norm field that moved within its
-tolerance, the largest difference of each kind, and exits 1 on any
-mismatch.
+``NORM_TOL``), the ``describe`` and ``charspace`` output and the commutant
+records, byte for byte.  It prints each mismatch, each norm field that
+moved within its tolerance, the largest difference of each kind, and
+exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -125,6 +130,35 @@ def _topology(tmp) -> dict:
     return out
 
 
+def _rows_record(elements) -> dict:
+    """The indices of each element and a sha256 of all their row bytes."""
+    digest = hashlib.sha256()
+    for x in elements:
+        digest.update(x.rows.vals.tobytes())
+    return {"degrees": [list(x.degrees) for x in elements], "sha256": digest.hexdigest()}
+
+
+def _commutant(seeds) -> dict:
+    """The spanning family and 20 random commutant elements per seed, on
+    every fixture and on ``int_shift64`` and ``tails64``."""
+    from dyncross.commutant import commutant_basis, random_commutant_element
+    from dyncross.dynamics import make_dynsys
+    from dyncross.fixtures import FIXTURES
+    from dyncross.space import IntShiftSpace, PairSwapTailsSpace
+
+    systems = {name: FIXTURES[name]() for name in sorted(FIXTURES)}
+    systems["int_shift64"] = make_dynsys(IntShiftSpace(64))
+    systems["tails64"] = make_dynsys(PairSwapTailsSpace(64))
+    out = {}
+    for name, system in systems.items():
+        out[f"{name}.basis"] = _rows_record(commutant_basis(system, 2, 4))
+        for seed in seeds:
+            rng = random.Random(seed)
+            out[f"{name}@{seed}.random"] = _rows_record(
+                [random_commutant_element(system, rng, 2) for _ in range(20)])
+    return out
+
+
 def record(seeds, cases_path) -> dict:
     from dyncross.commutant import random_commutant_element
     from dyncross.dynamics import projection_condition
@@ -160,7 +194,8 @@ def record(seeds, cases_path) -> dict:
                 norms[case["name"]] = _norms(os.path.join(base, case["space"]),
                                              os.path.join(base, case["element"]),
                                              case["grid"])
-    return {"verify": verify, "norms": norms, "topology": topology}
+    return {"verify": verify, "norms": norms, "topology": topology,
+            "commutant": _commutant(seeds)}
 
 
 def _field(doc, path):
@@ -225,10 +260,11 @@ def compare(mine: dict, other: dict) -> int:
             (moved if delta <= tol * scale else bad).append(line)
             if not delta <= worst_norm[field][0]:
                 worst_norm[field] = (delta, key)
-    topo_a, topo_b = mine.get("topology", {}), other.get("topology", {})
-    for key in sorted(set(topo_a) | set(topo_b)):
-        if topo_a.get(key) != topo_b.get(key):
-            bad.append(f"topology {key}: output differs")
+    for section in ("topology", "commutant"):
+        sec_a, sec_b = mine.get(section, {}), other.get(section, {})
+        for key in sorted(set(sec_a) | set(sec_b)):
+            if sec_a.get(key) != sec_b.get(key):
+                bad.append(f"{section} {key}: output differs")
     for line in moved:
         print("MOVED", line)
     for line in bad:
@@ -238,7 +274,8 @@ def compare(mine: dict, other: dict) -> int:
           f"|delta measured| {worst_measured[0]:.3g} ({worst_measured[1]})")
     print(f"norms: {len(mine['norms'])} runs, {len(moved)} fields moved within "
           f"their tolerance")
-    print(f"topology: {len(topo_a)} outputs compared byte for byte")
+    print(f"topology: {len(mine.get('topology', {}))} outputs, commutant: "
+          f"{len(mine['commutant'])} records, compared byte for byte")
     for field, (delta, key) in worst_norm.items():
         if key is not None:
             print(f"  largest |delta {field}| {delta:.3g} ({key})")

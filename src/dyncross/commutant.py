@@ -12,7 +12,8 @@ Every set here is a boolean mask over the space's set slots (see
 :class:`~dyncross.space.SetRep`): the supports of all coefficients come
 from one threshold and one closure over the rows, each is compared with
 the fixed-point mask of its index, and the indicators are the interior
-masks read as functions.
+masks read as functions.  The spanning family is one (index, atom) table
+whose rows, like the oracle family's, come from ``FunRows.atom_indicators``.
 
 The oracle takes the commutator of x = sum_n f_n d^n with a separating
 family of functions g in closed form, [g, x]_n = (g - g o sigma^-n) f_n:
@@ -41,15 +42,12 @@ import random
 from functools import lru_cache
 from typing import List, Optional
 
-import numpy as np
-
 from .algebra import (
     EPS_SUPP,
     EPS_ZERO,
     Element,
     _check_room,
     _series_norm,
-    embed,
 )
 from .dynamics import (
     DynSys,
@@ -83,14 +81,9 @@ def _oracle_family(sys: DynSys, room: Optional[int], trials: int,
     coefficient data.  Built once per (system, room, trials, seed); the
     rows are shared, so never write into them."""
     space = sys.space
-    count = len(space.atom_slots(room)[1])
-    # row 0 the constant, row i + 1 the indicator of atom i
-    atoms = np.eye(count + 1, count, k=-1)
-    atoms[0] = 1.0
-    limits = np.zeros((count + 1, len(space.limit_names)))
-    limits[0] = 1.0
     radius = None if room is None else max(0, room)
-    return FunRows.from_atoms(space, room, atoms, limits).concat(
+    atoms = range(-1, len(space.atom_slots(room)[1]))    # -1: the constant
+    return FunRows.atom_indicators(space, room, atoms).concat(
         random_rows(space, random.Random(seed), trials, radius=radius))
 
 
@@ -120,25 +113,16 @@ def commutes_oracle(sys: DynSys, x: Element, trials: int = 4,
 
 
 class IndicatorFamily:
-    """Indicators of the fixed-point-set interiors, one per reduced index,
-    each read off its interior mask.
-
-    Available only when each of those interiors is clopen; lookups for
-    arbitrary k resolve through gcd reduction.
-    """
+    """Indicators of the fixed-point-set interiors at index 0 and each
+    reduced index, read off the interior masks; available only when each
+    interior is clopen.  ``get(k)`` reads ``k and gcd(k, lcm_period or 1)``."""
 
     def __init__(self, sys: DynSys, table):
         self.sys = sys
         self._table = table  # index -> CtsFun, index 0 included
-        self._one = CtsFun.constant(sys.space, 1.0)
-        self._zero = CtsFun.zero(sys.space)
 
     def get(self, k: int) -> CtsFun:
-        if k == 0:
-            return self._one
-        if self.sys.lcm_period is None:
-            return self._table[1]
-        return self._table[math.gcd(abs(k), self.sys.lcm_period)]
+        return self._table[k and math.gcd(k, self.sys.lcm_period or 1)]
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +130,8 @@ def indicator_family(sys: DynSys) -> IndicatorFamily:
     witness = projection_witness(sys)
     if witness is not None:
         raise ProjectionUnavailable(*witness)
-    table = {}
-    for k in reduced_indices(sys):
-        table[k] = CtsFun.indicator(sys.space, fix_interior(sys, k))
-    return IndicatorFamily(sys, table)
+    return IndicatorFamily(sys, {k: CtsFun.indicator(sys.space, fix_interior(sys, k))
+                                 for k in (0,) + reduced_indices(sys)})
 
 
 def project_to_commutant(sys: DynSys, x: Element) -> Element:
@@ -161,38 +143,32 @@ def project_to_commutant(sys: DynSys, x: Element) -> Element:
     return Element.from_rows(sys.space, x.degrees, x.rows.mul(indicators))
 
 
-def commutant_basis(sys: DynSys, degree_bound: int,
-                    data_radius: Optional[int] = None) -> List[Element]:
-    """A spanning family g d^k with supp(g) inside the k-th fixed-point
-    set, |k| <= degree_bound, over the functions of
-    :func:`_functions_supported_in`; a new list of the elements built once
-    per (system, degree bound, data radius)."""
-    return list(_commutant_basis(sys, degree_bound, data_radius))
+def supported_atoms(sys: DynSys, k: int, radius: Optional[int]) -> List[int]:
+    """The spanning functions at index k as ``FunRows.atom_indicators``
+    entries: -1, the constant, where Fix(sigma^k) holds every tail and limit
+    point (else continuity zeroes the limit value), then the atoms inside it."""
+    space, target = sys.space, fix_set(sys, k)
+    beyond = space.set_of(tails=space.tail_names, limits=space.limit_names)
+    constant = [-1] if space.limit_names and beyond.is_subset(target) else []
+    return constant + space.atoms_inside(target, radius).tolist()
 
 
 @lru_cache(maxsize=None)
-def _commutant_basis(sys: DynSys, degree_bound: int,
-                     data_radius: Optional[int]) -> tuple:
-    return tuple(embed(g, k) for k in range(-degree_bound, degree_bound + 1)
-                 for g in _functions_supported_in(sys, k, data_radius))
+def _basis_table(sys: DynSys, degree_bound: int,
+                 data_radius: Optional[int]) -> tuple:
+    """The index and the :func:`supported_atoms` entry of each basis element."""
+    return tuple([(k, a) for k in range(-degree_bound, degree_bound + 1)
+                  for a in supported_atoms(sys, k, data_radius)])
 
 
-def _functions_supported_in(sys: DynSys, k: int,
-                            data_radius: Optional[int]) -> List[CtsFun]:
-    """The constant, when the k-th fixed-point set holds every tail and
-    limit point of a space that has them, then the indicators of the atoms
-    inside that set.  Where a tail is missing, continuity forces the limit
-    value of a function supported in the set to zero."""
-    space = sys.space
-    target = fix_set(sys, k)
-    out = []
-    beyond = space.set_of(tails=space.tail_names, limits=space.limit_names)
-    if space.limit_names and beyond.is_subset(target):
-        out.append(CtsFun.constant(space, 1.0))
-    out.extend(CtsFun.indicator(space, space.set_of(atom))
-               for atom in space.atoms(data_radius)
-               if all(target.contains(p) for p in atom))
-    return out
+def commutant_basis(sys: DynSys, degree_bound: int,
+                    data_radius: Optional[int] = None) -> List[Element]:
+    """A spanning family g d^k, |k| <= degree_bound, g each function of
+    :func:`supported_atoms` (supp g in Fix(sigma^k)); a new list on every call."""
+    entries = _basis_table(sys, degree_bound, data_radius)
+    rows = FunRows.atom_indicators(sys.space, data_radius, [a for _, a in entries])
+    return [Element.from_rows(sys.space, (k,), rows.select(slice(i, i + 1)))
+            for i, (k, _) in enumerate(entries)]
 
 
 def random_commutant_element(sys: DynSys, rng: random.Random,
@@ -200,19 +176,19 @@ def random_commutant_element(sys: DynSys, rng: random.Random,
                              data_radius: Optional[int] = None) -> Element:
     """Random linear combination of spanning commutant elements.
 
-    The picked basis elements, each scaled by its weight, are added into
-    the rows of their indices in pick order, one scatter that rounds as
-    the sum of the scaled elements taken one after another.  On the
-    integer-shift backend the default data radius leaves room for
-    two subsequent products with elements of the same degree bound.
+    Only the picked indicator rows are built; each, scaled by its weight,
+    is added into the row of its index in pick order, one scatter that
+    rounds as the sum of the scaled basis elements taken one after
+    another.  On the integer-shift backend the default data radius leaves
+    room for two later products with elements of the same degree bound.
     """
     room = sys.space.room(2 * degree_bound)
     if data_radius is None and room is not None:
         data_radius = max(0, room)
-    basis = _commutant_basis(sys, degree_bound, data_radius)
-    picks = rng.sample(basis, rng.randint(1, min(6, len(basis))))
+    entries = _basis_table(sys, degree_bound, data_radius)
+    picks = rng.sample(entries, rng.randint(1, min(6, len(entries))))
     weights = [random_value(rng) for _ in picks]
-    ks = sorted({b.degrees[0] for b in picks})
-    rows = FunRows.from_functions(sys.space, [b.rows.row(0) for b in picks])
+    ks = sorted({k for k, _ in picks})
+    rows = FunRows.atom_indicators(sys.space, data_radius, [a for _, a in picks])
     return Element.from_rows(sys.space, tuple(ks), rows.scatter(
-        [ks.index(b.degrees[0]) for b in picks], weights, len(ks)))
+        [ks.index(k) for k, _ in picks], weights, len(ks)))

@@ -411,6 +411,31 @@ class _SpaceOps:
                     np.array([len(atom) for atom in atoms], dtype=np.intp))
         return self.table(("atoms", radius), build)
 
+    def atom_table(self, radius: Optional[int] = None) -> np.ndarray:
+        """Each vector slot's atom, as its position in :meth:`atoms` (-2 for
+        none); built once per radius, after checking every atom is clopen."""
+        def build():
+            slots, sizes = self.atom_slots(radius)
+            table = np.full(len(self._points), -2, dtype=np.intp)
+            table[slots] = np.repeat(np.arange(len(sizes)), sizes)
+            # the atom of each set slot, -2 for none (the tails too): mask row
+            # -2 is the rest and row -1 stays empty, and with every atom and
+            # the rest open, so is each atom's complement
+            owner = np.append(table, np.full(len(self.tail_names), -2))
+            masks = np.zeros((len(sizes) + 2, len(owner)), dtype=bool)
+            masks[owner, np.arange(len(owner))] = True
+            if not np.array_equal(self._interior_mask(masks), masks):
+                raise NotContinuous("an atom of the space is not clopen")
+            return table
+        return self.table(("atom_of", radius), build)
+
+    def atoms_inside(self, s: SetRep, radius: Optional[int] = None) -> np.ndarray:
+        """The positions in :meth:`atoms` of the atoms that ``s`` holds."""
+        table = self.atom_table(radius)
+        outside = np.bincount(table[~s.mask[:len(table)]] + 2,   # no atom: bin 0
+                              minlength=len(self.atom_slots(radius)[1]) + 2)
+        return np.flatnonzero(outside[2:] == 0)
+
 
 @dataclass(frozen=True)
 class FiniteSpace(_SpaceOps):
@@ -1049,6 +1074,17 @@ class FunRows:
         vals[:, slots] = np.repeat(np.asarray(atom_values, dtype=complex)
                                    .reshape(len(vals), len(sizes)), sizes, axis=1)
         return rows
+
+    @classmethod
+    def atom_indicators(cls, space: Space, radius: Optional[int], atoms) -> "FunRows":
+        """Row i the indicator of atom ``atoms[i]`` of ``space.atoms(radius)``,
+        the constant where that is -1: one comparison with the atom table."""
+        table, picks = space.atom_table(radius), np.array(atoms, dtype=np.intp)
+        rows = np.equal(table, picks[:, np.newaxis], out=np.empty((len(picks), len(table)), complex))
+        for i, atom in enumerate(atoms):
+            if atom == -1:
+                rows[i] = 1.0       # a row at a time: a masked write costs more
+        return cls._of(space, rows)
 
     def concat(self, other: "FunRows") -> "FunRows":
         """The rows of ``self`` followed by those of ``other``."""

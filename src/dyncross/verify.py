@@ -49,13 +49,13 @@ from .characters import (
     separating_family,
 )
 from .commutant import (
-    _functions_supported_in,
     commutant_basis,
     commutes_oracle,
     indicator_family,
     is_in_commutant,
     project_to_commutant,
     random_commutant_element,
+    supported_atoms,
 )
 from .dynamics import (
     DynSys,
@@ -71,7 +71,7 @@ from .dynamics import (
 )
 from .errors import ProjectionUnavailable
 from .sampling import random_ctsfun, random_element
-from .space import Point
+from .space import FunRows, Point
 
 
 @dataclass
@@ -210,16 +210,12 @@ def algebra_suite(sys: DynSys, seed: int = 0, trials: int = 40,
     dev = 0.0
     checked = 0
     ks = reduced_indices(sys) if sys.lcm_period else (1, 2)
-    for p in sp.representative_points():
-        n = minimal_interior_order(sys, p)
-        if n is None:
-            continue
-        for m in ks:
-            if m % n == 0:
-                continue
-            for f in _functions_supported_in(sys, m, None):
-                dev = max(dev, abs(f(p)))
-                checked += 1
+    orders = [minimal_interior_order(sys, p) for p in sp.representative_points()]
+    for m in ks:
+        rows = FunRows.atom_indicators(sp, None, supported_atoms(sys, m, None))
+        vals = rows.take(np.array([i for i, n in enumerate(orders) if n and m % n], dtype=np.intp))
+        dev = max(dev, float(np.abs(vals).max(initial=0.0)))
+        checked += vals.size
     out.append(_check("algebra", "interior-order-vanishing", dev, 0.0,
                       f"{checked} cases, max |f(x)| = {dev:.2e}"))
 
@@ -442,12 +438,12 @@ def nonunimodular_growth(sys: DynSys) -> List[CheckRecord]:
     reached by a function supported in its fixed-point set; ``probed``
     says whether one was found."""
     probe = None
-    for p in sys.space.representative_points():
+    for i, p in enumerate(sys.space.representative_points()):
         n = minimal_interior_order(sys, p)
         if n is None:
             continue
-        probe = next(((p, n, f) for f in _functions_supported_in(sys, n, None)
-                      if abs(f(p)) > 0.5), None)
+        rows = FunRows.atom_indicators(sys.space, None, supported_atoms(sys, n, None))
+        probe = next(((p, n, rows.row(j)) for j in np.flatnonzero(np.abs(rows.take(i)) > 0.5)), None)
         if probe:
             break
     if probe is None:

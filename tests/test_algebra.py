@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import functions_supported_in
 from hypothesis import given, strategies as st
 
 from dyncross.algebra import (
@@ -28,7 +29,6 @@ from dyncross.algebra import (
     random_positive_element,
     zero,
 )
-from dyncross.commutant import _functions_supported_in
 from dyncross.dynamics import minimal_interior_order, reduced_indices
 from dyncross.errors import SpaceMismatch, WindowOverflow
 from dyncross.fixtures import FIXTURES
@@ -295,7 +295,7 @@ class TestInteriorOrderVanishing:
             for m in ks:
                 if m % n == 0:
                     continue
-                for f in _functions_supported_in(system, m, None):
+                for f in functions_supported_in(system, m, None):
                     assert f(p) == 0
 
     def test_pair_swap_concrete(self, tails8):
@@ -303,7 +303,7 @@ class TestInteriorOrderVanishing:
         # fixed ray, whose functions vanish at the boundary
         from dyncross.space import BTail, ORIGIN
 
-        for f in _functions_supported_in(tails8, 1, None):
+        for f in functions_supported_in(tails8, 1, None):
             assert f(ORIGIN) == 0
             assert f(BTail(3)) == 0
 

@@ -5,6 +5,7 @@ import cmath
 import random
 
 import pytest
+from conftest import functions_supported_in
 
 from dyncross.algebra import delta, embed, identity, zero
 from dyncross.characters import (
@@ -196,9 +197,7 @@ class TestNonUnimodularGrowth:
                 break
         if probe is None:
             pytest.skip("no interior points on this fixture")
-        from dyncross.commutant import _functions_supported_in
-
-        f0 = next(f for f in _functions_supported_in(system, probe.order, None)
+        f0 = next(f for f in functions_supported_in(system, probe.order, None)
                   if abs(f(probe.x)) > 0.5)
         base = abs(f0(probe.x))
         prev = base

@@ -5,17 +5,18 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import functions_supported_in
 from hypothesis import given, strategies as st
 from test_space import RefSet, finite_spaces, ref_closure, ref_interior
 
 from dyncross import commutant
 from dyncross.algebra import EPS_SUPP, EPS_ZERO, coefficient, delta, embed, identity, zero
 from dyncross.commutant import (
-    _functions_supported_in,
     _oracle_family,
     commutant_basis,
     commutes_oracle,
@@ -377,11 +378,20 @@ class TestBasis:
 def fresh_basis(system, degree_bound, data_radius):
     """The spanning family built from scratch, as before it was memoised."""
     return [embed(g, k) for k in range(-degree_bound, degree_bound + 1)
-            for g in _functions_supported_in(system, k, data_radius)]
+            for g in functions_supported_in(system, k, data_radius)]
 
 
 def same_element(x, y):
     return x.coeffs.keys() == y.coeffs.keys() and (x - y).ell1_norm() == 0
+
+
+def reference_draw(space, rng, basis):
+    """A random commutant element as the sum of scaled basis elements
+    taken one after another."""
+    out = zero(space)
+    for b in rng.sample(basis, rng.randint(1, min(6, len(basis)))):
+        out = out + b.scale(random_value(rng))
+    return out
 
 
 class TestBasisMemo:
@@ -406,12 +416,6 @@ class TestBasisMemo:
         """A random commutant element is, to the bit, the sum of scaled
         basis elements taken one after another from a basis rebuilt on
         every call, and leaves the generator in the same state."""
-        def reference(rng, basis):
-            out = zero(system.space)
-            for b in rng.sample(basis, rng.randint(1, min(6, len(basis)))):
-                out = out + b.scale(random_value(rng))
-            return out
-
         for degree_bound, data_radius in itertools.product(range(4), (None, 2)):
             room = system.space.room(2 * degree_bound)
             radius = data_radius
@@ -423,7 +427,7 @@ class TestBasisMemo:
                 for _ in range(2):
                     got = random_commutant_element(system, rng, degree_bound,
                                                    data_radius)
-                    want = reference(ref_rng, basis)
+                    want = reference_draw(system.space, ref_rng, basis)
                     assert got.degrees == want.degrees
                     assert got.rows.vals.tobytes() == want.rows.vals.tobytes()
                     assert rng.getstate() == ref_rng.getstate()
@@ -441,6 +445,67 @@ class TestBasisMemo:
              2: (-1.2943794815224912 - 0.5818550107957698j),
              -2: (1.0855618635076387 + 0.8615823559445663j)},
         ]
+
+
+@st.composite
+def basis_cases(draw):
+    """A system, a degree bound and a data radius for the spanning family:
+    discrete finite systems, non-Hausdorff ``paired`` ones, and both tail
+    spaces at W in {2, 8, 64}."""
+    kind = draw(st.sampled_from(["discrete", "paired", "int_shift", "pair_swap"]))
+    if kind == "discrete":
+        perm = draw(st.permutations(range(draw(st.integers(1, 8)))))
+        labels = [f"d{i}" for i in range(len(perm))]
+        system = make_dynsys(finite_space(labels, {a: [a] for a in labels},
+                                          {a: labels[j] for a, j in zip(labels, perm)}))
+    elif kind == "paired":
+        cycles = draw(st.lists(st.integers(1, 4), max_size=3))
+        system = paired(cycles, draw(st.integers(0 if cycles else 1, 2)))
+    else:
+        space = IntShiftSpace if kind == "int_shift" else PairSwapTailsSpace
+        system = make_dynsys(space(draw(st.sampled_from([2, 8, 64]))))
+    return system, draw(st.integers(0, 4)), draw(st.sampled_from([None, 0, 2]))
+
+
+class TestBasisTable:
+    @given(basis_cases(), st.integers(0, 2 ** 32))
+    def test_basis_and_draws_are_the_reference(self, case, seed):
+        """The spanning family is the one built a function at a time, in
+        order and to the bit, and a random element draws as from it and
+        leaves the generator in the same state."""
+        system, degree_bound, data_radius = case
+        basis = commutant_basis(system, degree_bound, data_radius)
+        fresh = fresh_basis(system, degree_bound, data_radius)
+        assert [b.degrees for b in basis] == [b.degrees for b in fresh]
+        assert [b.rows.vals.tobytes() for b in basis] == [
+            b.rows.vals.tobytes() for b in fresh]
+        room = system.space.room(2 * degree_bound)
+        radius = data_radius
+        if radius is None and room is not None:
+            radius = max(0, room)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = random_commutant_element(system, rng, degree_bound, data_radius)
+        want = reference_draw(system.space, ref_rng,
+                              fresh_basis(system, degree_bound, radius))
+        assert got.degrees == want.degrees
+        assert got.rows.vals.tobytes() == want.rows.vals.tobytes()
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_cold_draw_keeps_no_dense_basis(self):
+        """A random element builds only the rows it picks: on a cold tails
+        space at W=256 the draw at degree bound 8 stays under 4 MB of
+        allocations and keeps under 2 MB alive."""
+        system = make_dynsys(PairSwapTailsSpace(256))
+        commutant._basis_table.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            random_commutant_element(system, random.Random(3), 8)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4 * 2 ** 20
+        assert retained - before < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

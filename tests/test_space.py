@@ -714,6 +714,25 @@ def test_backends_differ_only_in_space_module():
     assert not found, "backend dispatch outside space.py:\n" + "\n".join(found)
 
 
+def _sierpinski():
+    # {v} is open but not closed, {u} closed but not open
+    return finite_space(["v", "u"], {"v": ["v"], "u": ["u", "v"]}, {"v": "v", "u": "u"})
+
+
+@pytest.mark.parametrize("sp,atoms", [
+    (_sierpinski(), [(FinitePoint(0),), (FinitePoint(1),)]),
+    (_sierpinski(), [(FinitePoint(0),)]),
+    (IntShiftSpace(3), [(IntPoint(0),), (INFINITY,)]),
+    (PairSwapTailsSpace(2), [(ATail(1),), (ORIGIN,)]),
+], ids=["finite", "finite-open-atom", "int_shift", "pair_swap_tails"])
+def test_atom_table_refuses_an_atom_that_is_not_clopen(monkeypatch, sp, atoms):
+    monkeypatch.setattr(type(sp), "atoms", lambda self, radius=None: atoms)
+    with pytest.raises(NotContinuous):
+        sp.atom_table()
+    with pytest.raises(NotContinuous):
+        FunRows.atom_indicators(sp, None, [0])
+
+
 def test_storage_guard_names_the_row_storage():
     assert FUNCTION_STORAGE.search("rows.vals[0]")
     assert FUNCTION_STORAGE.search("f.vec")
@@ -773,6 +792,22 @@ class TestFunRows:
             want = CtsFun(sp, {p: v for atom, v in zip(atoms, vals[i]) for p in atom},
                           dict(zip(sp.limit_names, lims[i])))
             assert np.array_equal(rows.row(i).take(_slots(sp)), want.take(_slots(sp)))
+
+    def test_atom_indicators_are_the_clopen_indicators(self, sp):
+        """Row by row the constant or an atom's clopen-checked indicator,
+        and the atoms inside a set are those whose points it holds."""
+        radius = sp.room(2)
+        atoms = sp.atoms(radius)
+        picks = [-1] + list(range(len(atoms)))[::-1]
+        rows = FunRows.atom_indicators(sp, radius, picks)
+        want = [CtsFun.constant(sp, 1.0)] + [
+            CtsFun.indicator(sp, sp.set_of(atoms[i])) for i in picks[1:]]
+        assert rows.take(_slots(sp)).tobytes() == FunRows.from_functions(
+            sp, want).take(_slots(sp)).tobytes()
+        s = SetRep(sp, np.random.default_rng(1).random(
+            len(sp.full_set().mask)) < 0.7)
+        assert sp.atoms_inside(s, radius).tolist() == [
+            i for i, atom in enumerate(atoms) if all(s.contains(p) for p in atom)]
 
     def test_prune_keeps_nan_and_drops_small_rows(self, sp):
         funs = [CtsFun.constant(sp, 1e-14), CtsFun.constant(sp, float("nan")),
