@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .errors import DyncrossError, NotInCommutant, ParseError, ProjectionUnavailable
 from .fixtures import FIXTURES
-from .gns import cstar_norm, default_truncation
+from .gns import cstar_norm
 from .serialize import (
     element_from_json,
     element_to_json,
@@ -213,7 +213,7 @@ def _dispatch(args) -> int:
         c = cstar_norm(sys, elem, grid, args.trunc)
         doc["cstar"] = {"value": c.value, "error_bound": c.error_bound}
         doc["trunc"] = (args.trunc if args.trunc is not None
-                        else default_truncation(sys, elem))
+                        else sys.space.default_truncation(elem.degree))
         print(_render(doc, args.json))
         return 0
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from .characters import (
     CircleGrid,
     PointCharacter,
     TorusCharacter,
+    UNIT_MODULUS_TOL,
     character_family,
     eval_family,
     gelfand_norm,
@@ -85,7 +86,6 @@ from .numerics import (
 )
 from .space import Point
 
-UNIT_MODULUS_TOL = 1e-12
 # matrix entries (16 bytes each) of one batch of cyclic models in cstar_norm
 BATCH_ENTRIES = 1 << 16
 # matrix entries of one model (128 MiB): int_shift W=1024 at degree 8
@@ -265,19 +265,6 @@ def _gram_top(parts: list) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Orbit representatives
-# ---------------------------------------------------------------------------
-
-
-def aperiodic_reps(sys: DynSys) -> List[Point]:
-    return list(sys.space.aperiodic_reps())
-
-
-def default_truncation(sys: DynSys, x_elem: Element) -> int:
-    return sys.space.default_truncation(x_elem.degree)
-
-
-# ---------------------------------------------------------------------------
 # C*-norm
 # ---------------------------------------------------------------------------
 
@@ -347,8 +334,8 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
                     _cyclic_matrices(plan, _circle_powers(plan.wraps, ts))[0]),
                     angle, 2 * h))
     loose = False
-    for x in aperiodic_reps(sys):
-        m = radius if radius is not None else default_truncation(sys, x_elem)
+    for x in sys.space.aperiodic_reps():
+        m = radius if radius is not None else sys.space.default_truncation(x_elem.degree)
         norm = operator_norm(rep_matrix(sys, TruncatedRep(x, m), x_elem))
         value = max(value, norm)
         if x_elem.degree > 0:

@@ -13,10 +13,11 @@ Element description (complex numbers as [re, im] pairs)::
     {"terms": [{"k": 2, "values": {"a": [4, 0], "b": [6, 0]}},
                {"k": 0, "values": {"a": [1, 0], "b": [1, 0]}}]}
 
-Point keys are labels on a finite space; decimal strings ("-3") plus
-"inf" on the integer-shift backend; "a1".."aW", "b1".."bW" and "origin"
-on the pair-swap backend.  Limit values may be given inside "values" or
-in a separate "limits" object; they default to zero.
+Point keys are labels on a finite space; on a tail space, limit names and
+a tail name followed by a decimal n ("-3" and "inf" on int_shift, "a1",
+"b2" and "origin" on pair_swap_tails), spelt only as ``point_name`` prints
+them.  Limit values may be given inside "values" or in a separate
+"limits" object; they default to zero.
 """
 
 from __future__ import annotations

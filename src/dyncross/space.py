@@ -1,20 +1,21 @@
 """Compact-space backends with exact point, set, and function calculus.
 
-Three backends are supported:
+Two backends are supported:
 
 * ``FiniteSpace`` -- a finite set whose topology is generated by a
   minimal-open-neighbourhood map ``U`` (equivalently, a preorder), with a
   permutation acting as homeomorphism.  Interior is computed as
   ``{x : U(x) <= S}``; no enumeration of open sets is ever needed.
-* ``IntShiftSpace`` -- the one-point compactification of the integers with
-  the shift ``n -> n + 1`` fixing the point at infinity.  Exceptional data
-  lives on the window ``[-W, W]``; beyond it, functions equal their limit
-  value and set membership is decided by per-tail flags.
-* ``PairSwapTailsSpace`` -- two discrete rays ``ATail(n)``, ``BTail(n)``
-  accumulating at a single boundary point ``Origin``.  The homeomorphism
-  fixes ``Origin`` and every ``ATail(n)`` and swaps ``BTail(2m-1)`` with
-  ``BTail(2m)``.  The window radius must be even so the swap never
-  straddles the window edge.
+* ``TailSpace`` -- discrete tails ``TailPoint(tail, n)`` accumulating at
+  one fixed ``LimitPoint``.  Exceptional data lives on the window;
+  beyond it, functions equal their limit value and set membership is
+  decided by per-tail flags.  Its presets are ``PairSwapTailsSpace``
+  (tail ``a`` fixed, tail ``b`` swapping ``b<2m-1>`` with ``b<2m>``, at
+  ``origin``; the window radius is even) and ``IntShiftSpace`` (the
+  integers, tail ``""``, under ``n -> n + 1`` fixing ``inf``).
+
+Every backend reads its dynamics from one orbit table: the finite
+cycles, the tails' blocks, or the shift's window as one aperiodic segment.
 
 A set (``SetRep``) is one boolean vector over the set slots: the window
 points, then the limit points, then one slot per tail that stands for
@@ -41,9 +42,11 @@ has at most ``MAX_POINTS`` representative points.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -72,50 +75,40 @@ class FinitePoint:
     index: int
 
 
-@dataclass(frozen=True)
-class IntPoint:
-    value: int
+# The tail points are tuples: a tail space of W = 1024 builds and hashes
+# thousands of them per call, which takes twice as long with dataclasses.
+class TailPoint(NamedTuple):
+    """Point ``n`` of a tail; the integer line's tail is "" and its n is
+    signed."""
 
-
-@dataclass(frozen=True)
-class Infinity:
-    pass
-
-
-@dataclass(frozen=True)
-class ATail:
+    tail: str
     n: int
 
-
-@dataclass(frozen=True)
-class BTail:
-    n: int
-
-
-@dataclass(frozen=True)
-class Origin:
-    pass
+    def __repr__(self):
+        # the spelling of the point classes this one replaced, which verify
+        # details, error messages and perfbench's witness check read
+        return f"{self.tail.upper()}Tail(n={self.n})" if self.tail else f"IntPoint(value={self.n})"
 
 
-INFINITY = Infinity()
-ORIGIN = Origin()
+class LimitPoint(NamedTuple):
+    """The point that the tails accumulate at."""
 
-Point = Union[FinitePoint, IntPoint, Infinity, ATail, BTail, Origin]
+    name: str
+
+    def __repr__(self):
+        return "Infinity()" if self.name == "inf" else f"{self.name.title()}()"
+
+
+Point = Union[FinitePoint, TailPoint, LimitPoint]
 
 
 def point_key(p: Point) -> tuple:
     """Deterministic sort key across all point kinds."""
     if isinstance(p, FinitePoint):
-        return (0, p.index)
-    if isinstance(p, IntPoint):
-        return (1, p.value)
-    if isinstance(p, Infinity):
-        return (2, 0)
-    if isinstance(p, ATail):
-        return (3, p.n)
-    if isinstance(p, BTail):
-        return (4, p.n)
-    return (5, 0)
+        return (0, "", p.index)
+    if isinstance(p, TailPoint):
+        return (1, p.tail, p.n)
+    return (2, p.name, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +209,10 @@ class SetRep:
 
 
 class _SpaceOps:
-    """Operations shared by all backends (set slots, set calculus, tables)."""
+    """Operations shared by all backends (set slots, set calculus, orbits, tables)."""
 
     tail_names: tuple = ()
+    tail_periods: tuple = ()        # the period of each tail's points, 0 aperiodic
     limit_names: tuple = ()
 
     def is_hausdorff(self) -> bool:
@@ -232,6 +226,9 @@ class _SpaceOps:
         :class:`SetRep`), 0 where aperiodic; every point of a tail shares
         the period of its probe."""
         return self.table("periods", self._slot_periods)
+
+    def _slot_periods(self) -> np.ndarray:
+        return np.concatenate((self._orbits[4], np.array(self.tail_periods, dtype=np.int64)))
 
     def _interior_mask(self, masks: np.ndarray) -> np.ndarray:
         # Window and tail points are isolated; the limit point is interior
@@ -313,6 +310,17 @@ class _SpaceOps:
     def tail_of(self, p: Point) -> Optional[str]:
         return None
 
+    def tail_probe(self, tail: str) -> Point:
+        """The first point of a tail beyond the window."""
+        if tail not in self.tail_names:
+            raise ForeignPoint(f"unknown tail {tail!r}")
+        return TailPoint(tail, self.window + 1)
+
+    def limit_point(self, name: str) -> LimitPoint:
+        if name not in self.limit_names:
+            raise ForeignPoint(f"unknown limit {name!r}")
+        return LimitPoint(name)
+
     def atoms(self, radius: Optional[int] = None) -> list:
         """Groups of window points on which a continuous function takes one
         free value each; ``radius`` bounds the data radius where the space
@@ -331,10 +339,6 @@ class _SpaceOps:
     def default_truncation(self, degree: int) -> int:
         """Shift-model radius for an element of the given degree."""
         return max(1, degree)
-
-    def spec(self) -> dict:
-        """The JSON description that :func:`build_space` reads back."""
-        return {"kind": self.kind, "window": self.window}
 
     # -- the representative points and their index table, built once --
 
@@ -395,6 +399,28 @@ class _SpaceOps:
             for a in table if isinstance(table, tuple) else (table,):
                 a.setflags(write=False)
         return table
+
+    # -- the dynamics: one orbit table over the vector slots --
+
+    @cached_property
+    def _orbits(self) -> tuple:
+        """The vector slots segment after segment (see :meth:`_segments`),
+        and per slot its segment's start there and length, its place in it,
+        its period, and the steps after which it wraps (2**62 if never)."""
+        order, lengths, periods = (np.asarray(a, dtype=np.int64) for a in self._segments())
+        first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        start, place, length, period = np.empty((4, len(order)), dtype=np.int64)
+        start[order], place[order] = first, np.arange(len(order)) - first
+        length[order], period[order] = np.repeat(lengths, lengths), np.repeat(periods, lengths)
+        return order, start, place, length, period, np.where(period > 0, period, 1 << 62)
+
+    def sigma_index(self, m: int) -> np.ndarray:
+        """Gather map of x -> sigma^m(x) over the vector slots: m steps
+        along each slot's segment, around it on a cycle; a step off an
+        aperiodic segment reads the last slot of the table, the limit."""
+        order, start, place, length, _, wrap = self._orbits
+        pos = (place + m) % wrap
+        return order[np.where(pos < length, start + pos, -1)]
 
     def sigma_map(self, m: int) -> np.ndarray:
         """:meth:`sigma_index` of m, built once per space and read-only."""
@@ -478,18 +504,6 @@ class FiniteSpace(_SpaceOps):
             if image != self.nbhd[self.perm[i]]:
                 raise NotHomeomorphism(
                     f"sigma does not map U({self.labels[i]}) onto U(sigma(x))")
-        # orbit table: the cycles in sigma order laid end to end, and per
-        # index the start and length of its cycle and its place in it
-        order, start, length, place = [], [0] * n, [0] * n, [0] * n
-        for i in range(n):
-            if not length[i]:
-                cycle = [i]
-                while self.perm[cycle[-1]] != i:
-                    cycle.append(self.perm[cycle[-1]])
-                for pos, j in enumerate(cycle):
-                    start[j], length[j], place[j] = len(order), len(cycle), pos
-                order.extend(cycle)
-        object.__setattr__(self, "_orbits", (order, start, length, place))
 
     # -- points --
 
@@ -522,31 +536,25 @@ class FiniteSpace(_SpaceOps):
             "sigma": {labels[i]: labels[j] for i, j in enumerate(self.perm)},
         }
 
-    def limit_point(self, name):
-        raise ForeignPoint("finite spaces have no limit points")
-
-    def tail_probe(self, name):
-        raise ForeignPoint("finite spaces have no tails")
-
     # -- dynamics --
 
+    def _segments(self) -> tuple:
+        # the cycles of the permutation, each from its least index
+        order, lengths, seen = [], [], set()
+        for i in range(len(self.perm)):
+            if i not in seen:
+                cycle = [i]
+                while self.perm[cycle[-1]] != i:
+                    cycle.append(self.perm[cycle[-1]])
+                seen.update(cycle)
+                order += cycle
+                lengths.append(len(cycle))
+        return order, lengths, lengths
+
     def sigma_apply(self, p: Point, m: int = 1) -> Point:
-        order, start, length, place = self._orbits
+        order, start, place, length = self._orbits[:4]
         i = self.index_of(p)
-        return FinitePoint(order[start[i] + (place[i] + m) % length[i]])
-
-    @cached_property
-    def _orbit_arrays(self) -> tuple:
-        """The orbit table as arrays."""
-        return tuple(np.array(a, dtype=np.int64) for a in self._orbits)
-
-    def sigma_index(self, m: int) -> np.ndarray:
-        """Gather map of x -> sigma^m(x) over the vector slots."""
-        order, start, length, pos = self._orbit_arrays
-        return order[start + (pos + m % length) % length]
-
-    def _slot_periods(self) -> np.ndarray:
-        return self._orbit_arrays[2]
+        return FinitePoint(int(order[start[i] + (int(place[i]) + m) % int(length[i])]))
 
     def is_hausdorff(self) -> bool:
         """A finite space is Hausdorff exactly when it is discrete."""
@@ -604,81 +612,129 @@ class FiniteSpace(_SpaceOps):
 
 
 @dataclass(frozen=True)
-class IntShiftSpace(_SpaceOps):
-    """One-point compactification of the integers under the shift."""
+class TailSpace(_SpaceOps):
+    """Tails of discrete points accumulating at one limit point.  A
+    subclass names its tails and their periods: the points ``n >= 1`` of a
+    tail of period q fall into blocks of q that the map rotates, and the
+    window ``1..W`` of each tail is a whole number of blocks."""
 
     window: int
 
-    kind = "int_shift"
-    tail_names = ("neg", "pos")
-    limit_names = ("inf",)
-
     def __post_init__(self):
-        if self.window < 1:
-            raise BadWindow("int_shift window radius must be >= 1")
-        self._check_budget(2 * self.window + 2)
+        step = math.lcm(*(q for q in self.tail_periods if q))
+        if self.window < 1 or self.window % step:
+            raise BadWindow(f"{self.kind} window radius must be a positive multiple of {step}")
+        self._check_budget(sum(run[2] for run in self._runs()) + len(self.limit_names))
+
+    def _runs(self) -> tuple:
+        """(tail, first n, count, period) of each run of window points, in
+        vector-slot order."""
+        return tuple((t, 1, self.window, q) for t, q in zip(self.tail_names, self.tail_periods))
 
     def _window_points(self):
-        w = self.window
-        return (IntPoint(v) for v in range(-w, w + 1))
+        return (TailPoint(t, n) for t, first, count, _ in self._runs()
+                for n in range(first, first + count))
 
-    def limit_point(self, name):
-        if name != "inf":
-            raise ForeignPoint(f"unknown limit {name!r}")
-        return INFINITY
+    def _segments(self) -> tuple:
+        # a run of period q is count/q blocks, an aperiodic run one
+        # segment; the limit point is last and fixed
+        _, _, count, q = zip(*self._runs())
+        size = [p or c for c, p in zip(count, q)]
+        blocks = [c // s for c, s in zip(count, size)] + [1]
+        return np.arange(sum(count) + 1), np.repeat(size + [1], blocks), np.repeat(q + (1,), blocks)
+
+    def spec(self) -> dict:
+        return {"kind": self.kind, "window": self.window}
 
     def tail_of(self, p: Point) -> Optional[str]:
-        if isinstance(p, IntPoint) and p.value > self.window:
-            return "pos"
-        if isinstance(p, IntPoint) and p.value < -self.window:
-            return "neg"
+        if isinstance(p, TailPoint) and p.tail in self.tail_names and p.n > self.window:
+            return p.tail
+        return None
+
+    def sigma_apply(self, p: Point, m: int = 1) -> Point:
+        # a point of period q turns m steps around its block, an aperiodic
+        # one moves m steps along its tail
+        q = int(self.slot_periods()[self.set_slot(p)])
+        if q == 1:
+            return p
+        return TailPoint(p.tail, p.n + m if q == 0 else p.n - (p.n - 1) % q + (p.n - 1 + m) % q)
+
+    def point_name(self, p: Point) -> str:
+        return p.name if isinstance(p, LimitPoint) else f"{p.tail}{p.n}"
+
+    @cached_property
+    def _named(self) -> dict:
+        return {self.point_name(p): p for p in self._points}
+
+    def parse_point(self, name: str) -> Point:
+        """The point that :meth:`point_name` spells ``name``; no other
+        spelling names a point.  A representative point is one lookup."""
+        p = self._named.get(name)
+        if p is None:
+            found = _TAIL_POINT_NAME.fullmatch(name)
+            p = found and TailPoint(found[1], int(found[2]))
+            if not p or self.tail_of(p) is None or self.point_name(p) != name:
+                raise ValueError(f"no point of {self.kind} is named so")
+        return p
+
+    def is_continuous(self, values: Mapping[Point, complex],
+                      limits: Mapping[str, complex] = {}) -> bool:
+        # a tail point beyond the window takes its limit's value, so values
+        # at window points with one value per limit are continuous
+        nw = len(self.window_points)
+        return set(limits) == set(self.limit_names) and all(
+            self._index.get(p, nw) < nw for p in values)
+
+
+_TAIL_POINT_NAME = re.compile(r"([^0-9-]*)(-?[0-9]+)")
+
+
+class PairSwapTailsSpace(TailSpace):
+    """Two discrete rays accumulating at one boundary point; the map fixes
+    the first ray pointwise and swaps consecutive pairs on the second."""
+
+    kind = "pair_swap_tails"
+    tail_names = ("a", "b")
+    tail_periods = (1, 2)
+    limit_names = ("origin",)
+
+
+class IntShiftSpace(TailSpace):
+    """One-point compactification of the integers under the shift: the
+    window -W..W is one aperiodic segment of the line, whose tails ``neg``
+    and ``pos`` lie beyond it."""
+
+    kind = "int_shift"
+    tail_names = ("neg", "pos")
+    tail_periods = (0, 0)
+    limit_names = ("inf",)
+
+    def _runs(self) -> tuple:
+        return (("", -self.window, 2 * self.window + 1, 0),)
+
+    def tail_of(self, p: Point) -> Optional[str]:
+        if isinstance(p, TailPoint) and not p.tail and abs(p.n) > self.window:
+            return "pos" if p.n > 0 else "neg"
         return None
 
     def tail_probe(self, tail: str) -> Point:
-        if tail == "pos":
-            return IntPoint(self.window + 1)
-        if tail == "neg":
-            return IntPoint(-self.window - 1)
-        raise ForeignPoint(f"unknown tail {tail!r}")
-
-    def sigma_apply(self, p: Point, m: int = 1) -> Point:
-        if isinstance(p, Infinity):
-            return p
-        if isinstance(p, IntPoint):
-            return IntPoint(p.value + m)
-        raise ForeignPoint(f"{p} not in this space")
-
-    def sigma_index(self, m: int) -> np.ndarray:
-        """Gather map of x -> sigma^m(x): window slot i reads slot i + m,
-        or the limit slot 2W+1 once that leaves the window."""
-        n = 2 * self.window + 1
-        idx = np.arange(m, m + n + 1)
-        idx[(idx < 0) | (idx >= n)] = n
-        idx[n] = n
-        return idx
+        sign = {"neg": -1, "pos": 1}.get(tail)
+        if sign is None:
+            raise ForeignPoint(f"unknown tail {tail!r}")
+        return TailPoint("", sign * (self.window + 1))
 
     def radius_of(self, slots) -> int:
         return int(np.abs(slots - self.window).max(initial=0))
 
-    def _slot_periods(self) -> np.ndarray:
-        # the window points, the point at infinity, then the two tails
-        return np.array([0] * (2 * self.window + 1) + [1, 0, 0])
-
-    def point_name(self, p: Point) -> str:
-        return "inf" if isinstance(p, Infinity) else str(p.value)
-
-    def parse_point(self, name: str) -> Point:
-        return INFINITY if name == "inf" else IntPoint(int(name))
-
     def atoms(self, radius: Optional[int] = None) -> list:
         r = self.window if radius is None else radius
-        return [(p,) for p in self.window_points if abs(p.value) <= r]
+        return [(p,) for p in self.window_points if abs(p.n) <= r]
 
     def room(self, margin: int) -> int:
         return self.window - margin
 
     def aperiodic_reps(self) -> tuple:
-        return (IntPoint(0),)
+        return (TailPoint("", 0),)
 
     def default_truncation(self, degree: int) -> int:
         return self.window + degree + 1
@@ -705,98 +761,8 @@ class IntShiftSpace(_SpaceOps):
             out[slot] = moved[0]
         return SetRep(self, out)
 
-    def is_continuous(self, values: Mapping[Point, complex],
-                      limits: Mapping[str, complex] = {}) -> bool:
-        # Tail values equal the limit value by construction, so any window
-        # assignment together with a limit value is continuous.
-        if set(limits) != {"inf"}:
-            return False
-        return all(self.tail_of(p) is None and isinstance(p, IntPoint)
-                   for p in values)
 
-
-@dataclass(frozen=True)
-class PairSwapTailsSpace(_SpaceOps):
-    """Two discrete rays accumulating at one boundary point; the map fixes
-    the first ray pointwise and swaps consecutive pairs on the second."""
-
-    window: int
-
-    kind = "pair_swap_tails"
-    tail_names = ("a", "b")
-    limit_names = ("origin",)
-
-    def __post_init__(self):
-        if self.window < 2 or self.window % 2 != 0:
-            raise BadWindow("pair_swap_tails window radius must be even and >= 2")
-        self._check_budget(2 * self.window + 1)
-
-    def _window_points(self):
-        w = self.window
-        return tuple(ATail(n) for n in range(1, w + 1)) + tuple(
-            BTail(n) for n in range(1, w + 1))
-
-    def limit_point(self, name):
-        if name != "origin":
-            raise ForeignPoint(f"unknown limit {name!r}")
-        return ORIGIN
-
-    def tail_of(self, p: Point) -> Optional[str]:
-        if isinstance(p, ATail) and p.n > self.window:
-            return "a"
-        if isinstance(p, BTail) and p.n > self.window:
-            return "b"
-        return None
-
-    def tail_probe(self, tail: str) -> Point:
-        if tail == "a":
-            return ATail(self.window + 1)
-        if tail == "b":
-            return BTail(self.window + 1)
-        raise ForeignPoint(f"unknown tail {tail!r}")
-
-    def sigma_apply(self, p: Point, m: int = 1) -> Point:
-        if not self.contains(p):
-            raise ForeignPoint(f"{p} not in this space")
-        if isinstance(p, BTail) and m % 2:
-            return BTail(p.n + 1 if p.n % 2 == 1 else p.n - 1)
-        return p
-
-    def sigma_index(self, m: int) -> np.ndarray:
-        """Gather map of x -> sigma^m(x); it depends only on the parity of
-        m.  Slots 0..W-1 hold a1..aW, slots W..2W-1 hold b1..bW, and the
-        even window radius puts each swapped pair at slots 2j, 2j+1."""
-        idx = np.arange(2 * self.window + 1)
-        if m % 2:
-            idx[self.window:2 * self.window] ^= 1
-        return idx
-
-    def _slot_periods(self) -> np.ndarray:
-        # the a-ray, the b-ray, the origin, then the a and b tails
-        return np.array([1] * self.window + [2] * self.window + [1, 1, 2])
-
-    def point_name(self, p: Point) -> str:
-        if isinstance(p, Origin):
-            return "origin"
-        return f"{'a' if isinstance(p, ATail) else 'b'}{p.n}"
-
-    def parse_point(self, name: str) -> Point:
-        if name == "origin":
-            return ORIGIN
-        ray = {"a": ATail, "b": BTail}.get(name[:1])
-        if ray is None:
-            raise ValueError("expected a<n>, b<n> or origin")
-        return ray(int(name[1:]))
-
-    def is_continuous(self, values: Mapping[Point, complex],
-                      limits: Mapping[str, complex] = {}) -> bool:
-        if set(limits) != {"origin"}:
-            return False
-        return all(self.tail_of(p) is None and isinstance(p, (ATail, BTail))
-                   for p in values)
-
-
-Space = Union[FiniteSpace, IntShiftSpace, PairSwapTailsSpace]
+Space = Union[FiniteSpace, TailSpace]
 
 
 def finite_space(points, min_open_nbhd, sigma) -> FiniteSpace:

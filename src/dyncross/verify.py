@@ -625,10 +625,10 @@ def gns_suite(sys: DynSys, seed: int = 0, trials: int = 20,
                       f"adjoint dev {dev_star:.2e}, product dev {dev_mult:.2e}"))
 
     # truncated model: states exact, products exact on the central block
-    if gns.aperiodic_reps(sys):
+    if sys.space.aperiodic_reps():
         x, y = _elements(sys, rng, 2, 2, slack=2)
-        base = gns.aperiodic_reps(sys)[0]
-        m = trunc or gns.default_truncation(sys, x * y)
+        base = sys.space.aperiodic_reps()[0]
+        m = trunc if trunc is not None else sys.space.default_truncation((x * y).degree)
         mx = gns.rep_matrix(sys, gns.TruncatedRep(base, m), x).matrix
         my = gns.rep_matrix(sys, gns.TruncatedRep(base, m), y).matrix
         mxy = gns.rep_matrix(sys, gns.TruncatedRep(base, m), x * y).matrix

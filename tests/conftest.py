@@ -1,9 +1,11 @@
+import functools
+
 import hypothesis
 import pytest
 
 from dyncross.dynamics import fix_set
 from dyncross.fixtures import FIXTURES
-from dyncross.space import CtsFun
+from dyncross.space import CtsFun, TailSpace
 
 hypothesis.settings.register_profile(
     "dyncross", max_examples=40, deadline=None,
@@ -58,3 +60,14 @@ def functions_supported_in(sys, k, data_radius):
                for atom in space.atoms(data_radius)
                if all(target.contains(p) for p in atom))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def block_tails(periods):
+    """A preset of the tail backend that no JSON kind names: tails ``a``,
+    ``b``, ... with these periods at the limit point ``origin``; one class
+    per layout, so that equal layouts give equal spaces."""
+    name = "tails" + "_".join(map(str, periods))
+    return type(name, (TailSpace,), {
+        "kind": name, "tail_names": tuple("abcdef"[:len(periods)]),
+        "tail_periods": tuple(periods), "limit_names": ("origin",)})

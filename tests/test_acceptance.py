@@ -14,7 +14,7 @@ from dyncross.characters import CircleGrid
 from dyncross.dynamics import freeness_report
 from dyncross.fixtures import all_fixtures, fixture
 from dyncross.serialize import element_from_json
-from dyncross.space import INFINITY, IntPoint, ORIGIN
+from dyncross.space import LimitPoint, TailPoint
 
 SEED = 20260809
 
@@ -103,7 +103,7 @@ def test_criterion_06_commutant_projection():
         if name == "tails8":
             w = names["projection-unavailable-witness"].data
             witness_ok = witness_ok and (
-                w["k"], sys.space.parse_point(w["point"])) == (1, ORIGIN)
+                w["k"], sys.space.parse_point(w["point"])) == (1, LimitPoint("origin"))
         else:
             witness_ok = witness_ok and "projection-exists" in names
         records += recs
@@ -143,12 +143,12 @@ def test_criterion_08_restriction_diagrams():
     sys = fixture("int_shift8")
     elems = verify.commutant_elements(sys, random.Random(SEED + 8), 100, 2)
     lams = CircleGrid(16).samples
-    aper = verify.state_restriction(sys, elems, lams, [IntPoint(2)])
-    bdry = verify.state_restriction(sys, elems, lams, [INFINITY])
+    aper = verify.state_restriction(sys, elems, lams, [TailPoint("", 2)])
+    bdry = verify.state_restriction(sys, elems, lams, [LimitPoint("inf")])
 
     tails = fixture("tails8")
     elems = verify.commutant_elements(tails, random.Random(SEED + 88), 100, 3)
-    squared = verify.state_restriction(tails, elems, lams, [ORIGIN])
+    squared = verify.state_restriction(tails, elems, lams, [LimitPoint("origin")])
     row = squared[0].data["points"][0]
     ratio_ok = (row["case"] == "periodic-interior" and row["interior_order"] == 2
                 and row["period"] == 1)

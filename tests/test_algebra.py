@@ -37,9 +37,9 @@ from dyncross.serialize import element_to_json
 from dyncross.space import (
     CtsFun,
     FinitePoint,
-    IntPoint,
     IntShiftSpace,
     PairSwapTailsSpace,
+    TailPoint,
 )
 
 
@@ -117,7 +117,7 @@ class TestMultiply:
 
     def test_window_overflow_up_front(self):
         sp = IntShiftSpace(2)
-        f = CtsFun(sp, {IntPoint(2): 1.0}, {"inf": 0.0})
+        f = CtsFun(sp, {TailPoint("", 2): 1.0}, {"inf": 0.0})
         with pytest.raises(WindowOverflow):
             delta(sp, 1) * embed(f)
 
@@ -301,11 +301,11 @@ class TestInteriorOrderVanishing:
     def test_pair_swap_concrete(self, tails8):
         # order at the boundary point is 2; odd powers only support the
         # fixed ray, whose functions vanish at the boundary
-        from dyncross.space import BTail, ORIGIN
+        from dyncross.space import LimitPoint, TailPoint
 
         for f in functions_supported_in(tails8, 1, None):
-            assert f(ORIGIN) == 0
-            assert f(BTail(3)) == 0
+            assert f(LimitPoint("origin")) == 0
+            assert f(TailPoint("b", 3)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,7 @@ class TestReferenceModel:
     def test_window_overflow_boundary(self):
         sp = IntShiftSpace(8)
         for r in (5, -5):
-            f = CtsFun(sp, {IntPoint(r): 1.0}, {"inf": 0.5})
+            f = CtsFun(sp, {TailPoint("", r): 1.0}, {"inf": 0.5})
             y = embed(f)
             assert y.data_radius() == 5
             for k in (3, -3):

@@ -32,15 +32,12 @@ from dyncross.errors import NotInCommutant
 from dyncross.fixtures import FIXTURES
 from dyncross.sampling import random_ctsfun, random_element
 from dyncross.space import (
-    ATail,
-    BTail,
     CtsFun,
     FinitePoint,
-    INFINITY,
-    IntPoint,
     IntShiftSpace,
-    ORIGIN,
+    LimitPoint,
     PairSwapTailsSpace,
+    TailPoint,
 )
 
 
@@ -50,13 +47,13 @@ def fun2(space, va, vb):
 
 class TestClassify:
     def test_int_shift_points(self, int_shift8):
-        assert classify_point(int_shift8, IntPoint(7)) == PointCharacter(IntPoint(7))
+        assert classify_point(int_shift8, TailPoint("", 7)) == PointCharacter(TailPoint("", 7))
         # the limit point is periodic yet outside every fixed-set interior
-        assert classify_point(int_shift8, INFINITY) == PointCharacter(INFINITY)
+        assert classify_point(int_shift8, LimitPoint("inf")) == PointCharacter(LimitPoint("inf"))
 
     def test_pair_swap_origin(self, tails8):
-        template = classify_point(tails8, ORIGIN)
-        assert template == TorusCharacter(ORIGIN, 2, None)
+        template = classify_point(tails8, LimitPoint("origin"))
+        assert template == TorusCharacter(LimitPoint("origin"), 2, None)
 
     def test_character_at_validation(self, swap2, int_shift8):
         a = swap2.space.point("a")
@@ -67,8 +64,8 @@ class TestClassify:
         with pytest.raises(ValueError):
             character_at(swap2, a, 2.0)       # not unimodular
         with pytest.raises(ValueError):
-            character_at(int_shift8, IntPoint(0), 1j)  # no parameter allowed
-        assert character_at(int_shift8, IntPoint(0)) == PointCharacter(IntPoint(0))
+            character_at(int_shift8, TailPoint("", 0), 1j)  # no parameter allowed
+        assert character_at(int_shift8, TailPoint("", 0)) == PointCharacter(TailPoint("", 0))
 
 
 class TestEval:
@@ -95,8 +92,8 @@ class TestEval:
             assert got == pytest.approx(want)
 
     def test_int_shift_limit_evaluation(self, int_shift8):
-        f = CtsFun(int_shift8.space, {IntPoint(0): 4.0}, {"inf": 2.5})
-        ch = PointCharacter(INFINITY)
+        f = CtsFun(int_shift8.space, {TailPoint("", 0): 4.0}, {"inf": 2.5})
+        ch = PointCharacter(LimitPoint("inf"))
         assert eval_character(int_shift8, ch, embed(f)) == 2.5
 
     def test_requires_commutant(self, swap2):
@@ -141,7 +138,7 @@ class TestCircleQuotient:
     def test_aperiodic_fiber_collapses(self, int_shift8):
         rng = random.Random(19)
         x = random_commutant_element(int_shift8, rng, 2)
-        p = IntPoint(3)
+        p = TailPoint("", 3)
         vals = [eval_on_circle(int_shift8, p, z, x)
                 for z in CircleGrid(16).samples]
         assert max(abs(v - vals[0]) for v in vals) <= 1e-12
@@ -154,12 +151,12 @@ class TestCircleQuotient:
                 assert eval_on_circle(system, p, z, one) == pytest.approx(1.0)
 
     def test_factorization_examples(self, swap2, tails8, int_shift8):
-        assert circle_character(tails8, ORIGIN, 1j) \
-            == TorusCharacter(ORIGIN, 2, pytest.approx(-1))
+        assert circle_character(tails8, LimitPoint("origin"), 1j) \
+            == TorusCharacter(LimitPoint("origin"), 2, pytest.approx(-1))
         a = swap2.space.point("a")
         assert circle_character(swap2, a, 1.0) == TorusCharacter(a, 2, 1.0)
-        assert circle_character(int_shift8, IntPoint(3), -1j) \
-            == PointCharacter(IntPoint(3))
+        assert circle_character(int_shift8, TailPoint("", 3), -1j) \
+            == PointCharacter(TailPoint("", 3))
 
     def test_agreement_on_full_sweep(self, system):
         rng = random.Random(20)
@@ -215,7 +212,7 @@ class TestSeparatingFamily:
         fam = separating_family(int_shift8, CircleGrid(4))
         assert all(isinstance(ch, PointCharacter) for ch in fam)
         xs = {ch.x for ch in fam}
-        assert xs == {IntPoint(v) for v in range(-8, 9)}
+        assert xs == {TailPoint("", v) for v in range(-8, 9)}
 
     def test_two_point_swap_grid_four(self, swap2):
         fam = separating_family(swap2, CircleGrid(4))
@@ -230,8 +227,8 @@ class TestSeparatingFamily:
         orders = {}
         for ch in fam:
             assert isinstance(ch, TorusCharacter)
-            orders.setdefault(type(ch.x).__name__, set()).add(ch.order)
-        assert orders == {"ATail": {1}, "BTail": {2}, "Origin": {2}}
+            orders.setdefault(getattr(ch.x, "tail", ch.x), set()).add(ch.order)
+        assert orders == {"a": {1}, "b": {2}, LimitPoint("origin"): {2}}
 
 
 class TestGelfandNorm:
@@ -294,7 +291,7 @@ class TestReconstruction:
         # an element vanishing on the window but not at the limit point is
         # caught only through the limit-point character
         sp = int_shift8.space
-        f = CtsFun(sp, {IntPoint(v): 0.0 for v in range(-8, 9)}, {"inf": 1.0})
+        f = CtsFun(sp, {TailPoint("", v): 0.0 for v in range(-8, 9)}, {"inf": 1.0})
         x = embed(f)
         vals = [abs(eval_character(int_shift8, ch, x, check=False))
                 for ch in character_grid(int_shift8, CircleGrid(4))]
@@ -363,7 +360,7 @@ class TestCharacterFamily:
                 assert PointCharacter in kinds
             else:
                 assert TorusCharacter in kinds
-        for name, p in (("swap2", FinitePoint(0)), ("tails8", ORIGIN)):
+        for name, p in (("swap2", FinitePoint(0)), ("tails8", LimitPoint("origin"))):
             orders = {ch.order for ch in every_character(KERNEL_SYSTEMS[name]())
                       if ch.x == p}
             assert orders == {2}
@@ -371,7 +368,7 @@ class TestCharacterFamily:
     @pytest.mark.parametrize("name", ["swap2", "tails8"])
     def test_order_two_reads_even_indices(self, name):
         system = FIXTURES[name]()
-        p = FinitePoint(0) if name == "swap2" else ORIGIN
+        p = FinitePoint(0) if name == "swap2" else LimitPoint("origin")
         f = CtsFun.constant(system.space, 1.0)
         x = embed(f.scale(3.0), -2) + embed(f.scale(5.0), 1) + embed(f.scale(7.0))
         fam = character_family(system, [TorusCharacter(p, 2, 1j)])

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import block_tails
 from hypothesis import given, strategies as st
 
 import dyncross
@@ -29,7 +30,7 @@ from dyncross.serialize import (
     space_from_spec,
     space_to_spec,
 )
-from dyncross.space import ATail, BTail, INFINITY, IntPoint, MAX_POINTS, ORIGIN
+from dyncross.space import IntShiftSpace, LimitPoint, MAX_POINTS, PairSwapTailsSpace, TailPoint
 
 
 class TestSpaceRoundTrip:
@@ -50,12 +51,21 @@ class TestPointNames:
             s = point_to_str(system.space, p)
             assert point_from_str(system.space, s) == p
 
+    @given(st.sampled_from([IntShiftSpace, PairSwapTailsSpace, block_tails((3,)),
+                            block_tails((1, 2, 3))]), st.integers(1, 20))
+    def test_every_name_parses_back(self, preset, size):
+        """Every window point, limit point and tail probe parses back from
+        its name."""
+        sp = preset(size * 6)
+        for p in (*sp.representative_points(), *map(sp.tail_probe, sp.tail_names)):
+            assert sp.parse_point(sp.point_name(p)) == p
+
     def test_specific_names(self, int_shift8, tails8):
-        assert point_to_str(int_shift8.space, IntPoint(-3)) == "-3"
-        assert point_to_str(int_shift8.space, INFINITY) == "inf"
-        assert point_to_str(tails8.space, ATail(2)) == "a2"
-        assert point_to_str(tails8.space, BTail(8)) == "b8"
-        assert point_to_str(tails8.space, ORIGIN) == "origin"
+        assert point_to_str(int_shift8.space, TailPoint("", -3)) == "-3"
+        assert point_to_str(int_shift8.space, LimitPoint("inf")) == "inf"
+        assert point_to_str(tails8.space, TailPoint("a", 2)) == "a2"
+        assert point_to_str(tails8.space, TailPoint("b", 8)) == "b8"
+        assert point_to_str(tails8.space, LimitPoint("origin")) == "origin"
         with pytest.raises(ParseError):
             point_from_str(tails8.space, "c3")
 
@@ -213,6 +223,19 @@ def test_verify_records_carry_their_measurement(space, capsys):
     assert measured >= 25
 
 
+@pytest.mark.parametrize("argv", [
+    ["norms", "--element", "{element}"], ["verify", "gns"]], ids=["norms", "verify"])
+def test_truncation_radius_zero_is_refused(argv, tmp_path, capsys):
+    """A radius of 0 is a radius, not a request for the default one."""
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"terms": [{"k": 1, "values": {"0": [1, 0]}}]}))
+    argv = [a.format(element=path) for a in argv]
+    assert main([*argv, "--space", "int_shift8", "--trunc", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "radius 0 < element degree" in err
+
+
 @pytest.mark.parametrize("seed", [21, 25, 28, 29, 32, 1948836727])
 def test_verify_gns_on_int_shift(seed):
     assert main(["verify", "gns", "--space", "int_shift8",
@@ -265,10 +288,20 @@ def test_norms_of_high_degree_monomial(space, k, points, tmp_path, capsys):
      "series norm is beyond the floating-point range"),
     ("int_shift8", [{"k": 10000, "values": {"0": [1, 0]}}], 64,
      "truncated shift model of radius 10009"),
+    # a point has one spelling, the one point_name prints
+    *(("int_shift8", [{"k": 0, "values": {name: [1, 0]}}], 64,
+       f"bad point name {name!r}") for name in ("+3", " 3", "-0", "\u0663", "1_0", "03")),
+    *(("tails8", [{"k": 0, "values": {name: [1, 0]}}], 64,
+       f"bad point name {name!r}") for name in ("b+2", "a 3", "a0")),
+    # a second spelling of the point "3" is refused, not merged into it
+    ("int_shift8", [{"k": 0, "values": {"3": [1, 0], "+3": [5, 0]}}], 64,
+     "bad point name '+3'"),
 ], ids=["grid-3", "values-list", "limits-list", "nan", "inf", "minus-inf",
         "k-fraction", "k-bool", "k-string", "huge-value", "huge-imaginary-part",
         "value-bool", "part-bool", "k-twice", "k-huge", "unknown-label",
-        "ell1-overflow", "model-beyond-budget"])
+        "ell1-overflow", "model-beyond-budget", "name-plus", "name-space",
+        "name-minus-zero", "name-arabic-digit", "name-underscore", "name-leading-zero",
+        "name-b-plus", "name-a-space", "name-a-zero", "name-two-spellings"])
 def test_input_contract(space, terms, grid, message, tmp_path, capsys):
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"terms": terms}))

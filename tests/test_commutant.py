@@ -36,14 +36,13 @@ from dyncross.errors import ProjectionUnavailable, WindowOverflow
 from dyncross.fixtures import FIXTURES
 from dyncross.sampling import random_ctsfun, random_element, random_value
 from dyncross.space import (
-    ATail,
     CtsFun,
     FinitePoint,
     FunRows,
-    IntPoint,
     IntShiftSpace,
-    ORIGIN,
+    LimitPoint,
     PairSwapTailsSpace,
+    TailPoint,
     finite_space,
 )
 
@@ -68,7 +67,7 @@ class TestMembership:
 
     def test_int_shift_window_support_breaks_membership(self, int_shift8):
         sp = int_shift8.space
-        f = CtsFun(sp, {IntPoint(0): 1.0}, {"inf": 0.0})
+        f = CtsFun(sp, {TailPoint("", 0): 1.0}, {"inf": 0.0})
         assert not is_in_commutant(int_shift8, embed(f, 1))
         assert not commutes_oracle(int_shift8, embed(f, 1))
 
@@ -209,7 +208,7 @@ class TestIndicatorFamily:
         with pytest.raises(ProjectionUnavailable) as err:
             indicator_family(tails8)
         assert err.value.k == 1
-        assert err.value.point == ORIGIN
+        assert err.value.point == LimitPoint("origin")
 
     def test_three_cycle(self, cycle3):
         fam = indicator_family(cycle3)
@@ -361,8 +360,8 @@ class TestBasis:
             f = coefficient(b, k)
             if k % 2 == 1:
                 assert all(f(p) == 0 for p in tails8.space.window_points
-                           if not isinstance(p, ATail))
-                assert f(ORIGIN) == 0
+                           if not p.tail == "a")
+                assert f(LimitPoint("origin")) == 0
             assert is_in_commutant(tails8, b)
 
     def test_closed_under_product_and_adjoint(self, system):
@@ -663,4 +662,4 @@ class TestAgainstPointModel:
 
 
 def test_tails8_witness_is_the_origin(tails8):
-    assert projection_witness(tails8) == point_witness(tails8) == (1, ORIGIN)
+    assert projection_witness(tails8) == point_witness(tails8) == (1, LimitPoint("origin"))

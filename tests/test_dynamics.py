@@ -19,11 +19,11 @@ from dyncross.dynamics import (
     projection_witness,
     reduced_indices,
 )
-from dyncross.space import ATail, BTail, INFINITY, IntPoint, ORIGIN, finite_space
+from dyncross.space import LimitPoint, TailPoint, finite_space
 
 
 def a_ray(sp, with_origin=False, cofinal=True):
-    pts = [p for p in sp.window_points if isinstance(p, ATail)]
+    pts = [p for p in sp.window_points if p.tail == "a"]
     return sp.set_of(pts, ["a"] if cofinal else [],
                      ["origin"] if with_origin else [])
 
@@ -70,7 +70,7 @@ class TestPerSets:
 
     def test_pair_swap_period_two_is_other_ray(self, tails8):
         sp = tails8.space
-        expected = sp.set_of([p for p in sp.window_points if isinstance(p, BTail)],
+        expected = sp.set_of([p for p in sp.window_points if p.tail == "b"],
                              ["b"])
         assert per_set(tails8, 2) == expected
 
@@ -90,11 +90,11 @@ class TestPerSets:
             assert union == fix_set(system, k)
 
     def test_period_of(self, tails8, int_shift8):
-        assert period_of(tails8, ORIGIN) == 1
-        assert period_of(tails8, ATail(11)) == 1
-        assert period_of(tails8, BTail(2)) == 2
-        assert period_of(int_shift8, INFINITY) == 1
-        assert period_of(int_shift8, IntPoint(4)) is None
+        assert period_of(tails8, LimitPoint("origin")) == 1
+        assert period_of(tails8, TailPoint("a", 11)) == 1
+        assert period_of(tails8, TailPoint("b", 2)) == 2
+        assert period_of(int_shift8, LimitPoint("inf")) == 1
+        assert period_of(int_shift8, TailPoint("", 4)) is None
 
         # cycles of lengths 1, 2, 3, 5 and 7, against a walk along sigma
         labels = [f"x{i}" for i in range(18)]
@@ -120,13 +120,13 @@ class TestMinimalInteriorOrder:
         assert minimal_interior_order(swap2, swap2.space.point("a")) == 2
 
     def test_pair_swap_origin(self, tails8):
-        assert minimal_interior_order(tails8, ORIGIN) == 2
-        assert minimal_interior_order(tails8, ATail(3)) == 1
-        assert minimal_interior_order(tails8, BTail(5)) == 2
+        assert minimal_interior_order(tails8, LimitPoint("origin")) == 2
+        assert minimal_interior_order(tails8, TailPoint("a", 3)) == 1
+        assert minimal_interior_order(tails8, TailPoint("b", 5)) == 2
 
     def test_int_shift_absent_everywhere(self, int_shift8):
-        assert minimal_interior_order(int_shift8, INFINITY) is None
-        assert minimal_interior_order(int_shift8, IntPoint(0)) is None
+        assert minimal_interior_order(int_shift8, LimitPoint("inf")) is None
+        assert minimal_interior_order(int_shift8, TailPoint("", 0)) is None
 
 
 class TestProjectionCondition:
@@ -135,7 +135,7 @@ class TestProjectionCondition:
         assert projection_condition(system) is expected
 
     def test_pair_swap_witness(self, tails8):
-        assert projection_witness(tails8) == (1, ORIGIN)
+        assert projection_witness(tails8) == (1, LimitPoint("origin"))
 
     def test_int_shift_interiors_closed(self, int_shift8):
         assert projection_witness(int_shift8) is None

@@ -10,13 +10,17 @@ Two hand-picked spaces probe paths the discrete fixtures cannot:
   commutant terms of odd index supported at a single point.
 
 A randomized sweep then runs the full verification suites over small
-random preorder systems.
+random preorder systems, and over tail spaces of 1-3 block tails with
+periods 1, 2 and 3, on both sides of the projection criterion.
 """
 
 import itertools
+import math
 import random
 
 import pytest
+from conftest import block_tails
+from hypothesis import given, settings, strategies as st
 
 from dyncross.characters import (
     CircleGrid,
@@ -26,11 +30,13 @@ from dyncross.characters import (
 )
 from dyncross.commutant import commutant_basis, is_in_commutant, indicator_family
 from dyncross.dynamics import (
+    fix_interior,
     fix_set,
     make_dynsys,
     minimal_interior_order,
     period_of,
     projection_condition,
+    projection_witness,
 )
 from dyncross.errors import NotHomeomorphism
 from dyncross.gns import PeriodicRep, restriction_report, state_eval
@@ -180,3 +186,28 @@ def test_random_finite_systems_pass_all_suites():
         records = run_suites("all", system, seed=trial, grid=CircleGrid(8))
         bad = [(r.suite, r.name, r.detail) for r in records if not r.passed]
         assert not bad, (system.space, bad)
+
+
+@st.composite
+def block_tail_systems(draw):
+    """1-3 block tails with periods in {1, 2, 3} at one limit point, with a
+    window that is a multiple of their lcm, at most 12."""
+    periods = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    step = math.lcm(*periods)
+    return make_dynsys(block_tails(periods)(step * draw(st.integers(1, 12 // step))))
+
+
+@settings(max_examples=12)
+@given(block_tail_systems(), st.integers(0, 2 ** 32))
+def test_block_tail_systems_pass_all_suites(system, seed):
+    """With two distinct periods p < q the limit point is in the closure of
+    the interior of Fix(sigma^p), the p-tails, but not in that interior, so
+    no projection exists; with one period every interior is closed."""
+    sp = system.space
+    periods = sorted(set(sp.tail_periods))
+    inner = fix_interior(system, periods[0])
+    assert (projection_witness(system) is None) == (len(periods) == 1)
+    assert (sp.closure(inner) == inner) == (len(periods) == 1)
+    records = run_suites("all", system, seed=seed, grid=CircleGrid(8))
+    bad = [(r.suite, r.name, r.detail) for r in records if not r.passed]
+    assert not bad, (sp, bad)

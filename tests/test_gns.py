@@ -44,12 +44,11 @@ from dyncross.fixtures import FIXTURES
 from dyncross.numerics import grid_excess
 from dyncross.sampling import random_ctsfun, random_element
 from dyncross.space import (
-    BTail,
     CtsFun,
     FinitePoint,
-    IntPoint,
     IntShiftSpace,
-    ORIGIN,
+    LimitPoint,
+    TailPoint,
     finite_space,
 )
 
@@ -73,7 +72,7 @@ class TestRepMatrix:
         assert np.allclose(rm.matrix, np.diag([3, 7]))
 
     def test_truncated_shift_is_subdiagonal(self, int_shift8):
-        rm = rep_matrix(int_shift8, TruncatedRep(IntPoint(0), 3),
+        rm = rep_matrix(int_shift8, TruncatedRep(TailPoint("", 0), 3),
                         delta(int_shift8.space, 1))
         want = np.zeros((7, 7))
         for n in range(6):
@@ -86,26 +85,26 @@ class TestRepMatrix:
         with pytest.raises(Exception):
             rep_matrix(swap2, PeriodicRep(a, 4, 1.0), identity(swap2.space))
         with pytest.raises(Exception):
-            rep_matrix(tails8, PeriodicRep(BTail(1), 1, 1.0),
+            rep_matrix(tails8, PeriodicRep(TailPoint("b", 1), 1, 1.0),
                        identity(tails8.space))
 
     def test_truncation_too_small(self, int_shift8):
         x = delta(int_shift8.space, 3)
         with pytest.raises(TruncationTooSmall):
-            rep_matrix(int_shift8, TruncatedRep(IntPoint(0), 2), x)
+            rep_matrix(int_shift8, TruncatedRep(TailPoint("", 0), 2), x)
 
     def test_truncated_model_budget(self, int_shift8):
         # the default model of int_shift W=1024 at degree 8 fits
         big = make_dynsys(IntShiftSpace(1024))
         x = delta(big.space, 8)
-        m = gns.default_truncation(big, x)
-        rm = rep_matrix(big, TruncatedRep(IntPoint(0), m), x)
+        m = big.space.default_truncation(x.degree)
+        rm = rep_matrix(big, TruncatedRep(TailPoint("", 0), m), x)
         assert rm.matrix.shape == (2 * 1033 + 1,) * 2
         # a high index asks for a model of size 20019, refused before it is built
         x = delta(int_shift8.space, 10000)
-        m = gns.default_truncation(int_shift8, x)
+        m = int_shift8.space.default_truncation(x.degree)
         with pytest.raises(TooLarge, match="truncated shift model"):
-            rep_matrix(int_shift8, TruncatedRep(IntPoint(0), m), x)
+            rep_matrix(int_shift8, TruncatedRep(TailPoint("", 0), m), x)
 
     def test_star_representation(self, system):
         rng = random.Random(37)
@@ -128,7 +127,7 @@ class TestRepMatrix:
         y = random_element(int_shift8.space, rng, 2, multiply_slack=2)
         xy = x * y
         m = 8 + xy.degree + 1
-        d = TruncatedRep(IntPoint(0), m)
+        d = TruncatedRep(TailPoint("", 0), m)
         mx = rep_matrix(int_shift8, d, x).matrix
         my = rep_matrix(int_shift8, d, y).matrix
         mxy = rep_matrix(int_shift8, d, xy).matrix
@@ -140,8 +139,8 @@ class TestStateEval:
     def test_aperiodic_state_reads_zero_coefficient(self, int_shift8):
         rng = random.Random(39)
         x = random_element(int_shift8.space, rng, 2, multiply_slack=1)
-        got = state_eval(int_shift8, TruncatedRep(IntPoint(2), 4), x)
-        assert got == pytest.approx(x.coefficient(0)(IntPoint(2)))
+        got = state_eval(int_shift8, TruncatedRep(TailPoint("", 2), 4), x)
+        assert got == pytest.approx(x.coefficient(0)(TailPoint("", 2)))
 
     def test_two_point_swap_wraps(self, swap2):
         a = swap2.space.point("a")
@@ -153,7 +152,7 @@ class TestStateEval:
     def test_boundary_point_one_dimensional_model(self, tails8):
         f = CtsFun(tails8.space, {}, {"origin": 3.0})
         lam = cmath.exp(0.61j)
-        got = state_eval(tails8, PeriodicRep(ORIGIN, 1, lam), embed(f, 2))
+        got = state_eval(tails8, PeriodicRep(LimitPoint("origin"), 1, lam), embed(f, 2))
         assert got == pytest.approx(3.0 * lam ** 2)
 
     def test_coefficient_module_property_through_states(self, system):
@@ -367,7 +366,7 @@ class TestCstarNorm:
         rng = random.Random(43)
         x = random_element(int_shift8.space, rng, 2, multiply_slack=1)
         norms = [operator_norm(rep_matrix(int_shift8,
-                                          TruncatedRep(IntPoint(0), m), x))
+                                          TruncatedRep(TailPoint("", 0), m), x))
                  for m in range(x.degree + 1, x.degree + 9)]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -396,7 +395,7 @@ class TestRestriction:
     def test_case_aperiodic(self, int_shift8):
         rng = random.Random(51)
         elems = [random_commutant_element(int_shift8, rng, 2) for _ in range(10)]
-        rep = restriction_report(int_shift8, IntPoint(2), [], elems)
+        rep = restriction_report(int_shift8, TailPoint("", 2), [], elems)
         assert rep.case == "aperiodic"
         assert rep.max_deviation <= 1e-10
 
@@ -404,9 +403,9 @@ class TestRestriction:
         rng = random.Random(52)
         elems = [random_commutant_element(int_shift8, rng, 2) for _ in range(10)]
         lams = CircleGrid(16).samples
-        from dyncross.space import INFINITY
+        from dyncross.space import LimitPoint
 
-        rep = restriction_report(int_shift8, INFINITY, lams, elems)
+        rep = restriction_report(int_shift8, LimitPoint("inf"), lams, elems)
         assert rep.case == "periodic-boundary"
         assert rep.max_deviation <= 1e-10
 
@@ -414,7 +413,7 @@ class TestRestriction:
         rng = random.Random(53)
         elems = [random_commutant_element(tails8, rng, 3) for _ in range(10)]
         lams = CircleGrid(16).samples
-        rep = restriction_report(tails8, ORIGIN, lams, elems)
+        rep = restriction_report(tails8, LimitPoint("origin"), lams, elems)
         assert rep.case == "periodic-interior"
         assert rep.period == 1 and rep.interior_order == 2
         assert rep.max_deviation <= 1e-9
@@ -424,8 +423,8 @@ class TestRestriction:
         f = CtsFun(tails8.space, {}, {"origin": 1.5})
         x = embed(f, 2)
         for lam in CircleGrid(16).samples:
-            got = state_eval(tails8, PeriodicRep(ORIGIN, 1, lam), x)
-            want = eval_character(tails8, TorusCharacter(ORIGIN, 2, lam ** 2), x)
+            got = state_eval(tails8, PeriodicRep(LimitPoint("origin"), 1, lam), x)
+            want = eval_character(tails8, TorusCharacter(LimitPoint("origin"), 2, lam ** 2), x)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_every_representative_point(self, system):
@@ -451,7 +450,7 @@ class TestExtensions:
         # unique one
         if system.space.kind == "pair_swap_tails":
             assert extension_state(
-                system, TorusCharacter(ORIGIN, 2, 1.0), 2) is None
+                system, TorusCharacter(LimitPoint("origin"), 2, 1.0), 2) is None
 
     def test_unique_extension_agreement(self, system):
         if system.space.kind == "pair_swap_tails":

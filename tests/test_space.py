@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from conftest import block_tails
 from hypothesis import assume, given, strategies as st
 
 from dyncross import space as space_module
@@ -32,22 +33,24 @@ from dyncross.errors import (
 from dyncross.fixtures import FIXTURES
 from dyncross.sampling import random_ctsfun
 from dyncross.space import (
-    ATail,
-    BTail,
     CtsFun,
     FinitePoint,
     FiniteSpace,
     FunRows,
-    INFINITY,
-    IntPoint,
     IntShiftSpace,
-    ORIGIN,
+    LimitPoint,
     PairSwapTailsSpace,
     SetRep,
+    TailPoint,
     build_space,
     finite_space,
     point_key,
 )
+
+
+# one layout of the tail backend beyond the two presets: tails of periods
+# 1, 2 and 3 at one limit point
+BLOCKS = block_tails((1, 2, 3))
 
 
 def sierpinski(sigma=None):
@@ -186,7 +189,7 @@ def ref_sigma_set(sp, s, m):
                         if s.contains(sp, sp.sigma_apply(p, -m)))
     tails = set()
     for name, sign in (("pos", 1), ("neg", -1)):
-        statuses = [s.contains(sp, IntPoint(sign * (w + 1 + j) - m))
+        statuses = [s.contains(sp, TailPoint("", sign * (w + 1 + j) - m))
                     for j in range(max(sign * m, 0))]
         statuses.append(name in s.tails)
         if all(statuses):
@@ -227,13 +230,15 @@ def finite_spaces(draw):
 
 @st.composite
 def space_and_set(draw):
-    space = draw(st.sampled_from(["finite", "int_shift", "pair_swap"]))
+    space = draw(st.sampled_from(["finite", "int_shift", "pair_swap", "blocks"]))
     if space == "finite":
         sp = draw(finite_spaces())
     elif space == "int_shift":
         sp = IntShiftSpace(draw(st.integers(1, 4)))
-    else:
+    elif space == "pair_swap":
         sp = PairSwapTailsSpace(2 * draw(st.integers(1, 2)))
+    else:
+        sp = BLOCKS(6 * draw(st.integers(1, 2)))
     members = draw(st.sets(st.sampled_from(sp.window_points)))
     tails = draw(st.sets(st.sampled_from(sp.tail_names))) if sp.tail_names else set()
     limits = draw(st.sets(st.sampled_from(sp.limit_names))) if sp.limit_names else set()
@@ -327,11 +332,11 @@ class TestInteriorClosure:
 
     def test_pair_swap_origin_with_fixed_ray(self):
         sp = PairSwapTailsSpace(4)
-        s = sp.set_of([p for p in sp.window_points if isinstance(p, ATail)],
+        s = sp.set_of([p for p in sp.window_points if p.tail == "a"],
                       ["a"], ["origin"])
         inner = sp.interior(s)
         assert inner == sp.set_of(
-            [p for p in sp.window_points if isinstance(p, ATail)], ["a"])
+            [p for p in sp.window_points if p.tail == "a"], ["a"])
 
     def test_closure_of_empty_is_empty(self, system):
         sp = system.space
@@ -339,15 +344,15 @@ class TestInteriorClosure:
 
     def test_pair_swap_ray_closure_adds_origin(self):
         sp = PairSwapTailsSpace(4)
-        ray = sp.set_of([p for p in sp.window_points if isinstance(p, ATail)],
+        ray = sp.set_of([p for p in sp.window_points if p.tail == "a"],
                         ["a"])
         assert sp.closure(ray) == sp.set_of(
-            [p for p in sp.window_points if isinstance(p, ATail)],
+            [p for p in sp.window_points if p.tail == "a"],
             ["a"], ["origin"])
 
     def test_int_shift_finite_sets_are_closed(self):
         sp = IntShiftSpace(4)
-        s = sp.set_of([IntPoint(0), IntPoint(1)])
+        s = sp.set_of([TailPoint("", 0), TailPoint("", 1)])
         assert sp.closure(s) == s
 
     @given(space_and_set())
@@ -391,7 +396,7 @@ def finitize_int_shift(sp: IntShiftSpace):
     model = finite_space(labels, nbhd, {lab: lab for lab in labels})
 
     def embed_set(s: SetRep):
-        pts = [model.point(str(p.value)) for p in s.members]
+        pts = [model.point(str(p.n)) for p in s.members]
         for name, vals in (("pos", (w + 1, w + 2)), ("neg", (-w - 1, -w - 2))):
             if name in s.tails:
                 pts.extend(model.point(str(v)) for v in vals)
@@ -407,9 +412,9 @@ def test_int_shift_topology_matches_finitization():
     model, embed_set = finitize_int_shift(sp)
     cases = [
         sp.set_of([], [], ["inf"]),
-        sp.set_of([IntPoint(0)], ["pos"], ["inf"]),
-        sp.set_of([IntPoint(v) for v in range(-3, 4)], ["pos", "neg"], ["inf"]),
-        sp.set_of([IntPoint(2)], ["neg"]),
+        sp.set_of([TailPoint("", 0)], ["pos"], ["inf"]),
+        sp.set_of([TailPoint("", v) for v in range(-3, 4)], ["pos", "neg"], ["inf"]),
+        sp.set_of([TailPoint("", 2)], ["neg"]),
         sp.set_of([], ["pos", "neg"]),
     ]
     for s in cases:
@@ -417,34 +422,48 @@ def test_int_shift_topology_matches_finitization():
         assert embed_set(sp.closure(s)) == brute_closure(model, embed_set(s))
 
 
-def test_pair_swap_topology_matches_finitization():
-    sp = PairSwapTailsSpace(2)
-    labels = ["a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4", "origin"]
+def finitize_block_tails(sp):
+    """The window points, two points of each tail beyond the window, and
+    the origin, whose minimal neighbourhood holds those tail points."""
+    w = sp.window
+    beyond = {t: [f"{t}{w + 1}", f"{t}{w + 2}"] for t in sp.tail_names}
+    labels = ([sp.point_name(p) for p in sp.window_points]
+              + [lab for t in sp.tail_names for lab in beyond[t]] + ["origin"])
     nbhd = {lab: [lab] for lab in labels}
-    nbhd["origin"] = ["origin", "a3", "a4", "b3", "b4"]
+    nbhd["origin"] = ["origin"] + [lab for t in sp.tail_names for lab in beyond[t]]
     model = finite_space(labels, nbhd, {lab: lab for lab in labels})
 
     def embed_set(s):
-        pts = [model.point(f"a{p.n}" if isinstance(p, ATail) else f"b{p.n}")
-               for p in s.members]
-        if "a" in s.tails:
-            pts += [model.point("a3"), model.point("a4")]
-        if "b" in s.tails:
-            pts += [model.point("b3"), model.point("b4")]
+        pts = [model.point(sp.point_name(p)) for p in s.members]
+        pts += [model.point(lab) for t in s.tails for lab in beyond[t]]
         if "origin" in s.limits:
             pts.append(model.point("origin"))
         return model.set_of(pts)
 
-    cases = [
-        sp.set_of([ATail(1), ATail(2)], ["a"], ["origin"]),
-        sp.set_of([ATail(1), ATail(2)], ["a"]),
-        sp.set_of([BTail(1)], ["b"], ["origin"]),
+    return model, embed_set
+
+
+def test_pair_swap_topology_matches_finitization():
+    a, b = (lambda n, t=t: TailPoint(t, n) for t in "ab")
+    sp = PairSwapTailsSpace(2)
+    # the brute-force oracle enumerates all 2**n subsets: a small layout
+    blocks = block_tails((1, 3))(3)
+    for sp, cases in ((sp, [
+        sp.set_of([a(1), a(2)], ["a"], ["origin"]),
+        sp.set_of([a(1), a(2)], ["a"]),
+        sp.set_of([b(1)], ["b"], ["origin"]),
         sp.set_of([], ["a", "b"], ["origin"]),
-        sp.set_of([ATail(2), BTail(2)]),
-    ]
-    for s in cases:
-        assert embed_set(sp.interior(s)) == brute_interior(model, embed_set(s))
-        assert embed_set(sp.closure(s)) == brute_closure(model, embed_set(s))
+        sp.set_of([a(2), b(2)]),
+    ]), (blocks, [
+        blocks.set_of([a(1), b(3)], ["a", "b"], ["origin"]),
+        blocks.set_of([b(1), b(2)], ["b"], ["origin"]),
+        blocks.set_of([b(n) for n in range(1, 4)], ["b"]),
+        blocks.set_of([], [], ["origin"]),
+    ])):
+        model, embed_set = finitize_block_tails(sp)
+        for s in cases:
+            assert embed_set(sp.interior(s)) == brute_interior(model, embed_set(s))
+            assert embed_set(sp.closure(s)) == brute_closure(model, embed_set(s))
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +478,15 @@ class TestSigma:
 
     def test_int_shift_examples(self):
         sp = IntShiftSpace(8)
-        assert sp.sigma_apply(IntPoint(5), -2) == IntPoint(3)
-        assert sp.sigma_apply(INFINITY, 17) == INFINITY
+        assert sp.sigma_apply(TailPoint("", 5), -2) == TailPoint("", 3)
+        assert sp.sigma_apply(LimitPoint("inf"), 17) == LimitPoint("inf")
 
     def test_pair_swap_examples(self):
         sp = PairSwapTailsSpace(4)
-        assert sp.sigma_apply(BTail(1), 1) == BTail(2)
-        assert sp.sigma_apply(BTail(1), 2) == BTail(1)
-        assert sp.sigma_apply(ATail(3), 5) == ATail(3)
-        assert sp.sigma_apply(ORIGIN, -1) == ORIGIN
+        assert sp.sigma_apply(TailPoint("b", 1), 1) == TailPoint("b", 2)
+        assert sp.sigma_apply(TailPoint("b", 1), 2) == TailPoint("b", 1)
+        assert sp.sigma_apply(TailPoint("a", 3), 5) == TailPoint("a", 3)
+        assert sp.sigma_apply(LimitPoint("origin"), -1) == LimitPoint("origin")
 
     def test_composition_law(self, system):
         sp = system.space
@@ -480,7 +499,7 @@ class TestSigma:
 
     def test_foreign_point(self, swap2):
         with pytest.raises(ForeignPoint):
-            swap2.space.sigma_apply(IntPoint(0), 1)
+            swap2.space.sigma_apply(TailPoint("", 0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +509,7 @@ class TestSigma:
 
 SPACES = {name: (lambda name=name: FIXTURES[name]().space) for name in FIXTURES}
 SPACES.update(int_shift256=lambda: IntShiftSpace(256),
-              tails256=lambda: PairSwapTailsSpace(256))
+              tails256=lambda: PairSwapTailsSpace(256), blocks12=lambda: BLOCKS(12))
 
 
 def leaves_window(sp, f, m):
@@ -510,8 +529,8 @@ class TestContinuity:
 
     def test_pair_swap_window_values_free(self):
         sp = PairSwapTailsSpace(4)
-        values = {BTail(n): 0.0 for n in range(1, 5)}
-        values[ATail(1)] = 5.0
+        values = {TailPoint("b", n): 0.0 for n in range(1, 5)}
+        values[TailPoint("a", 1)] = 5.0
         assert sp.is_continuous(values, {"origin": 0.0})
 
     @given(finite_spaces(), st.data())
@@ -529,7 +548,7 @@ class TestContinuity:
 
     def test_indicator_of_non_clopen_rejected(self):
         sp = PairSwapTailsSpace(2)
-        ray = sp.set_of([ATail(1), ATail(2)], ["a"])  # not closed
+        ray = sp.set_of([TailPoint("a", 1), TailPoint("a", 2)], ["a"])  # not closed
         with pytest.raises(NotContinuous):
             CtsFun.indicator(sp, ray)
 
@@ -560,38 +579,38 @@ class TestContinuity:
 
     def test_compose_sigma_window_overflow(self):
         sp = IntShiftSpace(2)
-        f = CtsFun(sp, {IntPoint(2): 1.0}, {"inf": 0.0})
+        f = CtsFun(sp, {TailPoint("", 2): 1.0}, {"inf": 0.0})
         with pytest.raises(WindowOverflow):
             f.compose_sigma(-1)
         # a window value equal to the limit carries no data, so this is exact
-        g = CtsFun(sp, {IntPoint(2): 0.0}, {"inf": 0.0})
+        g = CtsFun(sp, {TailPoint("", 2): 0.0}, {"inf": 0.0})
         g.compose_sigma(-1)
 
     def test_support_includes_tails_and_limits(self):
         sp = IntShiftSpace(2)
-        f = CtsFun(sp, {IntPoint(0): 0.5}, {"inf": 2.0})
+        f = CtsFun(sp, {TailPoint("", 0): 0.5}, {"inf": 2.0})
         supp = f.support(1e-12)
-        assert supp.contains(IntPoint(0)) and supp.contains(INFINITY)
+        assert supp.contains(TailPoint("", 0)) and supp.contains(LimitPoint("inf"))
         assert supp.tails == frozenset({"pos", "neg"})
-        g = CtsFun(sp, {IntPoint(1): 3.0}, {"inf": 0.0})
+        g = CtsFun(sp, {TailPoint("", 1): 3.0}, {"inf": 0.0})
         supp = g.support(1e-12)
-        assert supp == sp.set_of([IntPoint(1)])
+        assert supp == sp.set_of([TailPoint("", 1)])
 
 
 class TestSetRep:
     def test_members_must_be_window_points(self):
         sp = IntShiftSpace(2)
         with pytest.raises(ForeignPoint):
-            sp.set_of(frozenset({IntPoint(5)}))
+            sp.set_of(frozenset({TailPoint("", 5)}))
         with pytest.raises(ForeignPoint):
-            sp.set_of(frozenset({INFINITY}))
+            sp.set_of(frozenset({LimitPoint("inf")}))
 
     def test_sample_point_prefers_members(self):
         sp = IntShiftSpace(2)
-        s = sp.set_of([IntPoint(1)], ["pos"], ["inf"])
-        assert s.sample_point() == IntPoint(1)
-        assert sp.set_of([], [], ["inf"]).sample_point() == INFINITY
-        assert sp.set_of([], ["neg"]).sample_point() == IntPoint(-3)
+        s = sp.set_of([TailPoint("", 1)], ["pos"], ["inf"])
+        assert s.sample_point() == TailPoint("", 1)
+        assert sp.set_of([], [], ["inf"]).sample_point() == LimitPoint("inf")
+        assert sp.set_of([], ["neg"]).sample_point() == TailPoint("", -3)
         assert sp.empty_set().sample_point() is None
 
     @given(space_and_set(), st.data())
@@ -625,19 +644,26 @@ def ref_sets(draw, sp):
 @st.composite
 def set_algebra_cases(draw):
     """A space (random finite, non-Hausdorff ones included, or a tail space
-    at W in {2, 8, 64}), two sets, a power of sigma and probe points: every
-    set slot, tail points deeper in, and points of no slot."""
-    kind = draw(st.sampled_from(["finite", "int_shift", "pair_swap_tails"]))
+    at W in {2, 8, 64}, or the block layout at W in {6, 12, 60}), two sets,
+    a power of sigma and probe points: every set slot, tail points deeper
+    in, and points of no slot."""
+    kind = draw(st.sampled_from(["finite", "int_shift", "pair_swap_tails", "blocks"]))
     if kind == "finite":
         sp = draw(finite_spaces())
         reach = 6
-        probes = [FinitePoint(len(sp.labels)), IntPoint(0)]
+        probes = [FinitePoint(len(sp.labels)), TailPoint("", 0)]
     else:
-        w = draw(st.sampled_from([2, 8, 64]))
-        sp = build_space({"kind": kind, "window": w})
+        if kind == "blocks":
+            w = draw(st.sampled_from([6, 12, 60]))
+            sp = BLOCKS(w)
+        else:
+            w = draw(st.sampled_from([2, 8, 64]))
+            sp = build_space({"kind": kind, "window": w})
         reach = 2 * w + 4
-        probes = ([IntPoint(w + 7), IntPoint(-w - 9), ORIGIN] if kind == "int_shift"
-                  else [ATail(w + 7), BTail(w + 8), ATail(0), BTail(-1), INFINITY])
+        probes = ([TailPoint("", w + 7), TailPoint("", -w - 9), LimitPoint("origin")]
+                  if kind == "int_shift" else
+                  [TailPoint("a", w + 7), TailPoint("b", w + 8), TailPoint("c", w + 9),
+                   TailPoint("a", 0), TailPoint("b", -1), TailPoint("", 1), LimitPoint("inf")])
         probes += [sp.tail_probe(t) for t in sp.tail_names]
     probes += list(sp.representative_points())
     a = draw(ref_sets(sp))
@@ -687,9 +713,8 @@ def test_set_algebra_matches_the_frozenset_model(case):
 # the backend boundary
 # ---------------------------------------------------------------------------
 
-BACKEND_CLASSES = ("FiniteSpace", "IntShiftSpace", "PairSwapTailsSpace",
-                   "FinitePoint", "IntPoint", "Infinity", "ATail", "BTail",
-                   "Origin")
+BACKEND_CLASSES = ("FiniteSpace", "TailSpace", "IntShiftSpace", "PairSwapTailsSpace",
+                   "FinitePoint", "TailPoint", "LimitPoint")
 BACKEND_BRANCH = re.compile(
     r"isinstance\([^)]*\b(" + "|".join(BACKEND_CLASSES) + r")\b|\.window\b")
 
@@ -722,8 +747,8 @@ def _sierpinski():
 @pytest.mark.parametrize("sp,atoms", [
     (_sierpinski(), [(FinitePoint(0),), (FinitePoint(1),)]),
     (_sierpinski(), [(FinitePoint(0),)]),
-    (IntShiftSpace(3), [(IntPoint(0),), (INFINITY,)]),
-    (PairSwapTailsSpace(2), [(ATail(1),), (ORIGIN,)]),
+    (IntShiftSpace(3), [(TailPoint("", 0),), (LimitPoint("inf"),)]),
+    (PairSwapTailsSpace(2), [(TailPoint("a", 1),), (LimitPoint("origin"),)]),
 ], ids=["finite", "finite-open-atom", "int_shift", "pair_swap_tails"])
 def test_atom_table_refuses_an_atom_that_is_not_clopen(monkeypatch, sp, atoms):
     monkeypatch.setattr(type(sp), "atoms", lambda self, radius=None: atoms)
@@ -731,6 +756,13 @@ def test_atom_table_refuses_an_atom_that_is_not_clopen(monkeypatch, sp, atoms):
         sp.atom_table()
     with pytest.raises(NotContinuous):
         FunRows.atom_indicators(sp, None, [0])
+
+
+def test_backend_guard_names_the_point_classes():
+    for line in ("isinstance(p, TailPoint)", "isinstance(x, (FinitePoint, LimitPoint))",
+                 "isinstance(sp, TailSpace)", "sp.window + 1"):
+        assert BACKEND_BRANCH.search(line), line
+    assert not BACKEND_BRANCH.search("isinstance(ch, TorusCharacter)")
 
 
 def test_storage_guard_names_the_row_storage():
@@ -747,7 +779,7 @@ def test_storage_guard_names_the_row_storage():
 # ---------------------------------------------------------------------------
 
 ROW_SPACES = [FIXTURES[name]().space for name in sorted(FIXTURES)] + [
-    IntShiftSpace(64), PairSwapTailsSpace(256)]
+    IntShiftSpace(64), PairSwapTailsSpace(256), BLOCKS(60)]
 
 
 def _slots(sp):
@@ -847,7 +879,7 @@ class TestRowGathersOnTheShift:
 
     def test_compose_and_convolve_refuse_lossy_gathers(self):
         sp = IntShiftSpace(8)
-        f = CtsFun(sp, {IntPoint(6): 2.0}, {"inf": 1.0})
+        f = CtsFun(sp, {TailPoint("", 6): 2.0}, {"inf": 1.0})
         rows = FunRows.from_functions(sp, [CtsFun.constant(sp, 1.0), f])
         assert np.array_equal(rows.compose([5, -2]).row(1).take(_slots(sp)),
                               f.compose_sigma(-2).take(_slots(sp)))
@@ -864,7 +896,7 @@ class TestRowGathersOnTheShift:
 
     def test_nan_data_leaving_the_window_is_refused(self):
         sp = IntShiftSpace(8)
-        f = CtsFun(sp, {IntPoint(6): float("nan")}, {"inf": 1.0})
+        f = CtsFun(sp, {TailPoint("", 6): float("nan")}, {"inf": 1.0})
         rows = FunRows.from_functions(sp, [f])
         for lossy in (lambda: f.compose_sigma(-3), lambda: rows.compose([-3]),
                       lambda: rows.convolve([-3], rows, np.array([[0]]), 1),
