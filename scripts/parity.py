@@ -17,7 +17,11 @@ projection), and the exact output of ``describe --json`` and
 the indices of each element and a sha256 of the bytes of all their rows.
 ``--norms-inputs CASES.json`` adds ``norms --json`` on each case of that
 file, a JSON list of ``{"name", "space", "element", "grid"}`` objects
-whose paths are relative to the file.  ``--src`` names the
+whose paths are relative to the file; ``scripts/shift_norms/cases.json``
+holds ``int_shift`` windows 128, 256 and 512 at degrees 2, 4 and 8 and
+one at window 1024, whose truncated shift models lie on both sides of
+``gns.LANCZOS_MIN_SIZE`` (the bundled fixtures' models are all far below
+it).  ``--src`` names the
 ``src`` directory to import dyncross from (default: the one next to this
 script), so the same script records any checkout.
 

@@ -9,13 +9,22 @@ reproduces the pure state extending evaluation at x.
 For an aperiodic point the representation is the two-sided shift with
 diagonal function action; the artifact compresses it to the window
 [-M, M], which is exact for states and matrix products away from the
-edges and yields certified lower bounds for norms.
+edges and yields certified lower bounds for norms.  That model is banded:
+it is kept as one diagonal per index of the element, from one gather of
+the coefficient rows along the orbit, and ``rep_matrix`` scatters it.
 
-Every spectral norm runs through one batched function that picks the
-method per matrix: a diagonal model (a commutant element acts diagonally
-on every model) is normed exactly by its largest entry modulus, a 2x2
-model by the closed form of its Gram matrix, and every other model by
-LAPACK.
+Every dense spectral norm runs through one batched function that picks
+the method per matrix: a diagonal model (a commutant element acts
+diagonally on every model) is normed exactly by its largest entry
+modulus, a 2x2 model by the closed form of its Gram matrix, and every
+other model by LAPACK.  A truncated shift model above
+``LANCZOS_MIN_SIZE`` is normed from its band instead: Lanczos on
+B = A*A, two banded products per step, gives an attained value
+||A y|| / ||y||, and a banded Cholesky factorisation of mu I - B with mu
+just above its square certifies that no singular value lies higher.
+Where the iteration does not settle or the factorisation fails, the
+dense SVD answers, so the value never falls below it by more than the
+certificate's margin.
 
 Every cyclic model is assembled from one array entry plan per (period,
 points, element), independent of the torus parameter: all points of a
@@ -80,6 +89,7 @@ from .errors import ForeignPoint, NotInCommutant, TooLarge, TruncationTooSmall
 from .numerics import (
     BRACKET_POINTS,
     BRACKET_ROUNDS,
+    BRACKET_SHIFTS,
     NormEstimate,
     bracket_max,
     grid_excess,
@@ -94,9 +104,23 @@ MAX_MODEL_ENTRIES = 1 << 23
 # work of the torus sweep of cstar_norm, counted as p**3 per evaluation of a
 # non-diagonal cyclic model of size p (a LAPACK SVD) and p**2 per diagonal
 # one: about 80 s of SVDs on one core; the largest cycle admitted for
-# delta + 1 has 1197 points (4 sub-grid and 36 refinement angles), and a
-# 1500-cycle needs 2 times it
+# delta + 1 has 1119 points (4 sub-grid and at most 45 refinement angles),
+# and a 1500-cycle needs 2.4 times it
 MAX_SWEEP_WORK = 1 << 36
+# truncated shift models larger than this are normed by Lanczos on their
+# band (_lanczos_norm), the others by one dense SVD.  One BLAS thread: the
+# SVD takes 3.5, 8.6, 17, 28 and 47 ms at sizes 147, 211, 275, 339 and 403,
+# Lanczos 5.4, 7.1, 8.8, 11 and 10 ms (medians over 12 random elements);
+# an iteration that runs to its cap and gives up wastes 30 ms at size 389
+# and 33 ms at 517, where the SVD takes about 50 and 110 ms
+LANCZOS_MIN_SIZE = 384
+# Lanczos steps before the dense SVD takes over (random elements stall
+# within 24-96 steps up to size 2067), steps between checks of the top
+# Ritz value, and the relative rise below which it has stalled
+LANCZOS_STEPS, LANCZOS_CHECK, LANCZOS_STALL = 128, 8, 2.0 ** -50
+# relative margin of the Cholesky certificate of a Lanczos norm
+CERT_MARGIN = 1e-11
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -132,6 +156,36 @@ def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
     """Matrix of an element in the chosen representation."""
     if isinstance(rep, PeriodicRep):
         return RepMatrix(_cyclic_models(sys, rep.x, rep.period, [rep.lam], x_elem)[0], 0)
+    return RepMatrix(_shift_band(sys, rep, x_elem).matrix(), rep.radius)
+
+
+class _ShiftBand(NamedTuple):
+    """A truncated shift model by its diagonals, one per index of the
+    element: entry (r, r - k_i) of the n x n model is ``values[i, r]`` for
+    the i-th index k_i, and ``values[i, r]`` is 0 where r - k_i leaves the
+    model."""
+
+    degrees: np.ndarray
+    values: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.values.shape[1]
+
+    def matrix(self) -> np.ndarray:
+        """The dense n x n model: the diagonals scattered."""
+        n = self.size
+        mat = np.zeros((n, n), dtype=complex)
+        for k, vals in zip(self.degrees.tolist(), self.values):
+            rows = np.arange(max(0, k), min(n, n + k))
+            mat[rows, rows - k] += vals[rows]
+        return mat
+
+
+def _shift_band(sys: DynSys, rep: TruncatedRep, x_elem: Element) -> _ShiftBand:
+    """The :class:`_ShiftBand` of an element in the truncated shift model
+    at an aperiodic point: one gather of the coefficient rows along the
+    orbit, f_k(sigma^t x) in row m + t of the k-th diagonal."""
     sp = sys.space
     if x_elem.space != sp:
         raise ForeignPoint("element and system live over different spaces")
@@ -143,14 +197,12 @@ def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
         raise ForeignPoint(f"{rep.x} is periodic; use the cyclic model")
     dim = 2 * m + 1
     _check_model_size(f"the truncated shift model of radius {m}", dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    # vals[i, m + t] = f_i(sigma^t x); coefficient k fills the k-th
-    # subdiagonal, entry (m + n + k, m + n) for -m <= n, n + k <= m
     orbit = sp.slots_of(sp.sigma_apply(rep.x, t) for t in range(-m, m + 1))
-    for k, vals in zip(x_elem.degrees, x_elem.rows.take(orbit)):
-        cols = np.arange(max(0, -k), min(dim, dim - k))
-        mat[cols + k, cols] += vals[cols + k]
-    return RepMatrix(mat, m)
+    degrees = np.array(x_elem.degrees, dtype=np.intp)
+    values = np.ascontiguousarray(x_elem.rows.take(orbit))
+    source = np.arange(dim) - degrees[:, np.newaxis]
+    values[(source < 0) | (source >= dim)] = 0
+    return _ShiftBand(degrees, values)
 
 
 def _check_model_size(what: str, dim: int) -> None:
@@ -176,7 +228,9 @@ def state_eval(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> complex:
 
 
 def operator_norm(mat) -> float:
-    """Largest singular value of one matrix (or :class:`RepMatrix`)."""
+    """Largest singular value of one dense matrix (or :class:`RepMatrix`),
+    through :func:`_batched_norms`; the C*-norm takes truncated shift
+    models from their band (:func:`_shift_norm`) instead."""
     if isinstance(mat, RepMatrix):
         mat = mat.matrix
     a = np.asarray(mat, dtype=complex)
@@ -197,7 +251,9 @@ def _batched_norms(mats: np.ndarray) -> np.ndarray:
 
     On the cyclic and shift models a commutant element acts diagonally,
     and period-2 orbits give stacks of 2x2 models, so most matrices never
-    reach LAPACK.
+    reach LAPACK.  The cyclic models of the C*-norm come here in stacks;
+    a truncated shift model comes here alone, when it is at most
+    ``LANCZOS_MIN_SIZE`` in size or its Lanczos value is not certified.
     """
     count, rows, cols = mats.shape
     if rows != cols:
@@ -262,6 +318,118 @@ def _gram_top(parts: list) -> np.ndarray:
     im = x0 * v0 - u0 * y0 + x1 * v1 - u1 * y1
     half = (a - c) / 2
     return (a + c) / 2 + np.sqrt(half * half + re * re + im * im)
+
+
+def _shift_norm(band: _ShiftBand) -> float:
+    """Largest singular value of a truncated shift model from its band.
+
+    A degree-0 model is diagonal: its largest entry modulus, exactly.  A
+    model of size at most ``LANCZOS_MIN_SIZE`` goes to one dense SVD
+    (:func:`operator_norm`).  A larger one is first scaled by the power of
+    two of its largest real or imaginary part, exactly, as in
+    :func:`_gram_norms`, and normed by :func:`_lanczos_norm`; where that
+    cannot certify its value, by the dense SVD after all.
+    """
+    if not band.degrees.any():
+        return float(np.abs(band.values).max())
+    if band.size > LANCZOS_MIN_SIZE:
+        parts = band.values.view(float)
+        exponent = int(np.frexp(np.abs(parts).max())[1])
+        value = _lanczos_norm(band._replace(
+            values=np.ldexp(parts, -exponent).view(complex)))
+        if value is not None:
+            return math.ldexp(value, exponent)
+    return operator_norm(band.matrix())
+
+
+def _lanczos_norm(band: _ShiftBand) -> Optional[float]:
+    """The largest singular value of a banded model A, certified, or None.
+
+    Lanczos with full reorthogonalisation (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 13) on B = A*A, applied as two banded
+    products, from a fixed start vector; the basis grows one row per step.
+    Every ``LANCZOS_CHECK`` steps the top eigenvalue of the tridiagonal is
+    compared with the last one; once it stops rising by more than
+    ``LANCZOS_STALL`` relative, the value is ||A y|| / ||y|| for its Ritz
+    vector y, attained.  A Cholesky factorisation of mu I - B with
+    mu = value**2 (1 + ``CERT_MARGIN``) then proves every singular value at
+    most value (1 + ``CERT_MARGIN``/2) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 10.7; the rounding of B and of the factors
+    is of order (number of indices + bandwidth)**2 eps relative, far
+    below the margin).  None when the iteration does not stall within
+    ``LANCZOS_STEPS`` steps or the factorisation fails.
+    """
+    degrees, values = band
+    n = band.size
+    columns = np.arange(n)
+    # row r of A v reads v[r - k_i]; row c of A* u reads u[c + k_i]; index
+    # n reads the padding 0
+    source = columns - degrees[:, np.newaxis]
+    source[(source < 0) | (source >= n)] = n
+    target = columns + degrees[:, np.newaxis]
+    target[(target < 0) | (target >= n)] = n
+    # adjoint[i, c] = conj(A[c + k_i, c])
+    adjoint = np.take_along_axis(np.pad(values, ((0, 0), (0, 1))), target, 1).conj()
+
+    def gram(v):
+        av = (values * np.append(v, 0)[source]).sum(axis=0)
+        return (adjoint * np.append(av, 0)[target]).sum(axis=0), av
+
+    start = np.random.default_rng(0).standard_normal(n)
+    basis = np.empty((LANCZOS_STEPS, n), dtype=complex)
+    basis[0] = start / np.linalg.norm(start)
+    alphas, betas, top = [], [], 0.0
+    for j in range(LANCZOS_STEPS):
+        done = basis[:j + 1]
+        w = gram(basis[j])[0]
+        alphas.append(float(np.vdot(basis[j], w).real))
+        # full reorthogonalisation; twice is enough
+        for _ in range(2):
+            w -= np.conj(done @ w.conj()) @ done
+        beta = float(np.linalg.norm(w))
+        invariant = beta <= _EPS * max(alphas)
+        if invariant or (j + 1) % LANCZOS_CHECK == 0:
+            # eigh reads the lower triangle of the tridiagonal
+            ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+            if invariant or ritz[-1] - top <= LANCZOS_STALL * ritz[-1]:
+                y = vectors[:, -1] @ done
+                value = float(np.linalg.norm(gram(y)[1]) / np.linalg.norm(y))
+                mu = value * value * (1 + CERT_MARGIN)
+                return value if _gram_below(degrees, adjoint, mu) else None
+            top = ritz[-1]
+        if j + 1 < LANCZOS_STEPS:
+            betas.append(beta)
+            basis[j + 1] = w / beta
+    return None
+
+
+def _gram_below(degrees: np.ndarray, adjoint: np.ndarray, mu: float) -> bool:
+    """Whether mu I - A*A is positive definite, by its Cholesky
+    factorisation in band storage: A has the diagonals k_i of ``degrees``
+    and ``adjoint[i, c] = conj(A[c + k_i, c])``, so A*A has bandwidth
+    p = max k - min k, and row c of the band holds (mu I - A*A)[c, c + t],
+    t = 0..p.  Row i of the factor updates the p rows below it."""
+    n = adjoint.shape[1]
+    p = int(degrees.max() - degrees.min())
+    rows = np.zeros((n + p, p + 1), dtype=complex)
+    order = degrees.tolist()
+    for i, ki in enumerate(order):
+        for j, kj in enumerate(order):
+            t = ki - kj
+            if t >= 0:
+                rows[:n - t, t] -= adjoint[i, :n - t] * adjoint[j, t:].conj()
+    rows[:n, 0] += mu
+    # row i of the factor is u = rows[i] / sqrt(rows[i, 0]); it updates
+    # rows[i + a, t] -= conj(u[a]) u[a + t] for 1 <= a <= a + t <= p
+    last, first = np.tril_indices(p)
+    a, t = first + 1, last - first
+    for i in range(n):
+        pivot = rows[i, 0].real
+        if not pivot > 0:
+            return False
+        u = rows[i] / math.sqrt(pivot)
+        rows[i + a, t] -= u[a].conj() * u[last + 1]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +504,7 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     loose = False
     for x in sys.space.aperiodic_reps():
         m = radius if radius is not None else sys.space.default_truncation(x_elem.degree)
-        norm = operator_norm(rep_matrix(sys, TruncatedRep(x, m), x_elem))
+        norm = _shift_norm(_shift_band(sys, TruncatedRep(x, m), x_elem))
         value = max(value, norm)
         if x_elem.degree > 0:
             loose = True
@@ -386,14 +554,14 @@ def _check_sweep_work(plans: dict, sub_grids: dict, refine: bool) -> None:
     """Refuse a torus sweep whose cyclic models would cost more than
     ``MAX_SWEEP_WORK`` (see there) before any model is built: each period
     evaluates its G' sub-grid angles at every point and, where it has a
-    positive excess and may be refined, ``BRACKET_POINTS * BRACKET_ROUNDS``
-    angles at one point."""
+    positive excess and may be refined, at most ``BRACKET_POINTS *
+    (BRACKET_ROUNDS + BRACKET_SHIFTS)`` angles at one point."""
     work = 0
     for p, plan in plans.items():
         sub, excess = sub_grids[p]
         evaluations = plan.values.shape[1] * sub
         if refine and excess > 0:
-            evaluations += BRACKET_POINTS * BRACKET_ROUNDS
+            evaluations += BRACKET_POINTS * (BRACKET_ROUNDS + BRACKET_SHIFTS)
         # an off-diagonal position of a p x p model is not a multiple of p + 1
         dense = np.count_nonzero(plan.values[plan.positions % (p + 1) != 0])
         work += evaluations * p ** (3 if dense else 2)

@@ -25,8 +25,9 @@ class NormEstimate:
         return self.value + self.error_bound
 
 
-# the bracket search: angles per round (one call of the objective), rounds
-BRACKET_POINTS, BRACKET_ROUNDS = 9, 4
+# the bracket search: angles per round (one call of the objective), the
+# narrowing rounds, and the rounds that may re-centre on an end angle
+BRACKET_POINTS, BRACKET_ROUNDS, BRACKET_SHIFTS = 9, 4, 1
 
 
 def bracket_max(fn, centre: float, half_width: float) -> float:
@@ -36,11 +37,15 @@ def bracket_max(fn, centre: float, half_width: float) -> float:
     equally spaced angles at once; the next round is centred on the vertex
     of the parabola through the best value and its neighbours, an eighth of
     a spacing wide, or, when the best value ends the round, on it with the
-    same width.  The vertex comes from differences to the best value, which
-    neither overflow nor cancel near the top of the double range."""
+    same width.  The search stops after ``BRACKET_ROUNDS`` narrowing rounds
+    or ``BRACKET_ROUNDS + BRACKET_SHIFTS`` rounds in all, so a re-centring
+    round does not cost a narrowing one unless the shifts are used up.  The
+    vertex comes from differences to the best value, which neither overflow
+    nor cancel near the top of the double range."""
     offsets = np.arange(BRACKET_POINTS) - BRACKET_POINTS // 2
     best = -math.inf
-    for _ in range(BRACKET_ROUNDS):
+    narrowed = 0
+    for _ in range(BRACKET_ROUNDS + BRACKET_SHIFTS):
         spacing = half_width / (BRACKET_POINTS // 2)
         vals = np.asarray(fn(centre + spacing * offsets))
         j = int(np.argmax(vals))
@@ -52,6 +57,9 @@ def bracket_max(fn, centre: float, half_width: float) -> float:
             if left + right < 0:
                 centre += spacing * (0.5 * (left - right) / (left + right))
             half_width = spacing / 8
+            narrowed += 1
+            if narrowed == BRACKET_ROUNDS:
+                break
     return best
 
 

@@ -178,6 +178,21 @@ class TestCli:
         doc = json.loads(first)
         assert doc["failed"] == 0
 
+    def test_norms_on_a_lanczos_model_are_deterministic(self, tmp_path, capsys):
+        # int_shift W=256 at degree 8: a truncated shift model of size 531,
+        # normed by Lanczos from a fixed start vector
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps({"kind": "int_shift", "window": 256}))
+        elem = tmp_path / "e.json"
+        x = random_element(IntShiftSpace(256), random.Random(3), 8)
+        elem.write_text(json.dumps(element_to_json(x)))
+        argv = ["norms", "--space", str(space), "--element", str(elem),
+                "--grid", "64", "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_verify_all_plain(self, capsys):
         assert main(["verify", "all", "--space", "one_point", "--grid", "32",
                      "--seed", "3"]) == 0
