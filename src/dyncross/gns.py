@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -114,9 +115,10 @@ MAX_SWEEP_WORK = 1 << 36
 # an iteration that runs to its cap and gives up wastes 30 ms at size 389
 # and 33 ms at 517, where the SVD takes about 50 and 110 ms
 LANCZOS_MIN_SIZE = 384
-# Lanczos steps before the dense SVD takes over (random elements stall
-# within 24-96 steps up to size 2067), steps between checks of the top
-# Ritz value, and the relative rise below which it has stalled
+# Lanczos steps before the dense SVD takes over (random elements of
+# degree 1-12 stall within 104 steps at sizes 261-2075), steps between
+# checks of the top Ritz value, and the relative rise below which it has
+# stalled
 LANCZOS_STEPS, LANCZOS_CHECK, LANCZOS_STALL = 128, 8, 2.0 ** -50
 # relative margin of the Cholesky certificate of a Lanczos norm
 CERT_MARGIN = 1e-11
@@ -375,7 +377,9 @@ def _lanczos_norm(band: _ShiftBand) -> Optional[float]:
         av = (values * np.append(v, 0)[source]).sum(axis=0)
         return (adjoint * np.append(av, 0)[target]).sum(axis=0), av
 
-    start = np.random.default_rng(0).standard_normal(n)
+    # a fixed pseudo-random start; numpy.random would add 6 MB to the RSS
+    rng = random.Random(0)
+    start = np.array([rng.random() - 0.5 for _ in range(n)])
     basis = np.empty((LANCZOS_STEPS, n), dtype=complex)
     basis[0] = start / np.linalg.norm(start)
     alphas, betas, top = [], [], 0.0
