@@ -373,9 +373,11 @@ def _lanczos_norm(band: _ShiftBand) -> Optional[float]:
     # adjoint[i, c] = conj(A[c + k_i, c])
     adjoint = np.take_along_axis(np.pad(values, ((0, 0), (0, 1))), target, 1).conj()
 
-    def gram(v):
-        av = (values * np.append(v, 0)[source]).sum(axis=0)
-        return (adjoint * np.append(av, 0)[target]).sum(axis=0), av
+    def times(v):
+        return (values * np.append(v, 0)[source]).sum(axis=0)
+
+    def adjoint_times(u):
+        return (adjoint * np.append(u, 0)[target]).sum(axis=0)
 
     # a fixed pseudo-random start; numpy.random would add 6 MB to the RSS
     rng = random.Random(0)
@@ -385,7 +387,7 @@ def _lanczos_norm(band: _ShiftBand) -> Optional[float]:
     alphas, betas, top = [], [], 0.0
     for j in range(LANCZOS_STEPS):
         done = basis[:j + 1]
-        w = gram(basis[j])[0]
+        w = adjoint_times(times(basis[j]))
         alphas.append(float(np.vdot(basis[j], w).real))
         # full reorthogonalisation; twice is enough
         for _ in range(2):
@@ -397,7 +399,7 @@ def _lanczos_norm(band: _ShiftBand) -> Optional[float]:
             ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
             if invariant or ritz[-1] - top <= LANCZOS_STALL * ritz[-1]:
                 y = vectors[:, -1] @ done
-                value = float(np.linalg.norm(gram(y)[1]) / np.linalg.norm(y))
+                value = float(np.linalg.norm(times(y)) / np.linalg.norm(y))
                 mu = value * value * (1 + CERT_MARGIN)
                 return value if _gram_below(degrees, adjoint, mu) else None
             top = ritz[-1]
