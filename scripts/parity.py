@@ -9,9 +9,10 @@ Writes to OUT.json, for every bundled fixture and seed, the exit code and
 the check records of ``dyncross verify all --json --seed S``, and
 ``dyncross norms --json`` on two elements drawn on each fixture at each
 seed (a general one and a commutant one, where the fixture has a
-projection), and the exact output of ``describe --json`` and
-``charspace --json`` on every fixture and on the systems of
-``topology_specs()``.  For every fixture and for ``int_shift64`` and
+projection), and the exact output of ``describe`` and ``charspace`` on
+every fixture and on the systems of ``topology_specs()``, both with
+``--json`` and as plain text: JSON sorts each object's keys, so only the
+text view shows the order in which a document was built.  For every fixture and for ``int_shift64`` and
 ``tails64`` it also records the spanning family ``commutant_basis(sys, 2,
 4)`` and, at each seed, 20 random commutant elements of degree bound 2:
 the indices of each element and a sha256 of the bytes of all their rows.
@@ -118,7 +119,9 @@ def topology_specs() -> dict:
 
 
 def _topology(tmp) -> dict:
-    """The exact output of ``describe --json`` and ``charspace --json``."""
+    """The exact output of ``describe`` and ``charspace``, each in its JSON
+    view (key ``NAME.VERB``) and its plain-text view (``NAME.VERB.text``):
+    JSON sorts the keys, the text view keeps their order."""
     from dyncross.fixtures import FIXTURES
 
     spaces = {name: name for name in sorted(FIXTURES)}
@@ -129,8 +132,10 @@ def _topology(tmp) -> dict:
     out = {}
     for name, space in spaces.items():
         for verb in ("describe", "charspace"):
-            code, text, err = _cli([verb, "--space", space, "--json"])
-            out[f"{name}.{verb}"] = {"code": code, "out": text, "error": err.strip()}
+            for view, flags in (("", ["--json"]), (".text", [])):
+                code, text, err = _cli([verb, "--space", space, *flags])
+                out[f"{name}.{verb}{view}"] = {"code": code, "out": text,
+                                               "error": err.strip()}
     return out
 
 

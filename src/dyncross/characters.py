@@ -44,7 +44,7 @@ import numpy as np
 
 from .algebra import Element
 from .commutant import is_in_commutant
-from .dynamics import DynSys, minimal_interior_order, period_of
+from .dynamics import DynSys, interior_orders
 from .errors import NotInCommutant, TooLarge
 from .numerics import NormEstimate, bracket_max, grid_excess
 from .space import Point
@@ -109,13 +109,19 @@ class CircleGrid:
         return np.exp(2j * np.pi * ((np.arange(g) * (k % g)) % g) / g)
 
 
+def point_orders(sys: DynSys) -> list:
+    """The character taxonomy of every representative point, in vector-slot
+    order: the minimal interior order n where the point carries a circle of
+    torus characters, 0 where it carries a single point character (see
+    :func:`~dyncross.dynamics.interior_orders`)."""
+    return interior_orders(sys)[:len(sys.space.representative_points())].tolist()
+
+
 def classify_point(sys: DynSys, x: Point) -> Character:
     """The character template attached to a point: a point character, or a
     torus-character template carrying the minimal interior order."""
-    n = minimal_interior_order(sys, x)
-    if n is None:
-        return PointCharacter(x)
-    return TorusCharacter(x, n, None)
+    n = int(interior_orders(sys)[sys.space.set_slot(x)])
+    return TorusCharacter(x, n, None) if n else PointCharacter(x)
 
 
 def character_at(sys: DynSys, x: Point, c: Optional[complex] = None) -> Character:
@@ -264,13 +270,13 @@ def character_grid(sys: DynSys, grid: CircleGrid) -> List[Character]:
     limit points), with torus parameters running over the grid.  Every
     value any character takes on a representable element is attained on
     this family up to the grid resolution."""
+    samples = grid.samples
     out: List[Character] = []
-    for x in sys.space.representative_points():
-        template = classify_point(sys, x)
-        if isinstance(template, PointCharacter):
-            out.append(template)
+    for x, n in zip(sys.space.representative_points(), point_orders(sys)):
+        if n:
+            out.extend(TorusCharacter(x, n, c) for c in samples)
         else:
-            out.extend(TorusCharacter(x, template.order, c) for c in grid.samples)
+            out.append(PointCharacter(x))
     return out
 
 
@@ -278,14 +284,15 @@ def separating_family(sys: DynSys, grid: CircleGrid) -> List[Character]:
     """Point characters at aperiodic representatives together with torus
     characters wherever the point carries them.  Dense in the character
     space, hence separating by semisimplicity."""
+    sp = sys.space
+    samples = grid.samples
     out: List[Character] = []
-    for x in sys.space.representative_points():
-        n = minimal_interior_order(sys, x)
-        if n is None:
-            if period_of(sys, x) is None:
-                out.append(PointCharacter(x))
-        else:
-            out.extend(TorusCharacter(x, n, c) for c in grid.samples)
+    for x, n, p in zip(sp.representative_points(), point_orders(sys),
+                       sp.slot_periods().tolist()):
+        if n:
+            out.extend(TorusCharacter(x, n, c) for c in samples)
+        elif not p:
+            out.append(PointCharacter(x))
     return out
 
 

@@ -21,7 +21,7 @@ import argparse
 import json
 import sys as _sys
 
-from .characters import CircleGrid, PointCharacter, classify_point
+from .characters import CircleGrid, point_orders
 from .commutant import is_in_commutant, project_to_commutant
 from .dynamics import (
     DynSys,
@@ -29,9 +29,7 @@ from .dynamics import (
     fix_set,
     freeness_report,
     make_dynsys,
-    minimal_interior_order,
     per_set,
-    period_of,
     periodic_orbit_reps,
     projection_witness,
     reduced_indices,
@@ -57,12 +55,8 @@ def _load_system(spec_arg: str) -> DynSys:
     return make_dynsys(space_from_spec(load_json(spec_arg)))
 
 
-def _set_to_names(space, s) -> list:
-    names = [point_to_str(space, p) for p in sorted(
-        s.members, key=lambda p: point_to_str(space, p))]
-    names.extend(f"{t}-tail" for t in sorted(s.tails))
-    names.extend(sorted(s.limits))
-    return names
+def _set_to_names(s) -> list:
+    return s.member_names() + [f"{t}-tail" for t in sorted(s.tails)] + sorted(s.limits)
 
 
 def _describe(sys: DynSys) -> dict:
@@ -75,14 +69,14 @@ def _describe(sys: DynSys) -> dict:
     }
     if "points" in spec:  # a space that lists its points lists its orbits
         doc["points"] = spec["points"]
-        doc["orbits"] = [[space.point_name(space.sigma_apply(x, j))
-                          for j in range(p)]
+        names, step = space.point_names(), space.sigma_map(1).tolist()
+        doc["orbits"] = [_orbit_names(names, step, space.index_of(x), p)
                          for x, p in periodic_orbit_reps(sys)]
     idx = (0,) + reduced_indices(sys)
-    doc["fix_sets"] = {str(k): _set_to_names(space, fix_set(sys, k)) for k in idx}
-    doc["per_sets"] = {str(k): _set_to_names(space, per_set(sys, k))
+    doc["fix_sets"] = {str(k): _set_to_names(fix_set(sys, k)) for k in idx}
+    doc["per_sets"] = {str(k): _set_to_names(per_set(sys, k))
                        for k in reduced_indices(sys)}
-    doc["aperiodic"] = _set_to_names(space, aperiodic_set(sys))
+    doc["aperiodic"] = _set_to_names(aperiodic_set(sys))
     witness = projection_witness(sys)
     doc["projection_exists"] = witness is None
     if witness is not None:
@@ -95,22 +89,26 @@ def _describe(sys: DynSys) -> dict:
     return doc
 
 
+def _orbit_names(names, step, i: int, period: int) -> list:
+    """The names of the orbit of vector slot i, taken ``period`` steps
+    along the gather map ``step`` of sigma."""
+    out = []
+    for _ in range(period):
+        out.append(names[i])
+        i = step[i]
+    return out
+
+
 def _charspace(sys: DynSys, grid: CircleGrid) -> dict:
+    sp = sys.space
     rows = []
-    for p in sys.space.representative_points():
-        template = classify_point(sys, p)
-        row = {
-            "point": point_to_str(sys.space, p),
-            "period": period_of(sys, p),
-            "interior_order": minimal_interior_order(sys, p),
-        }
-        if isinstance(template, PointCharacter):
-            row["characters_over_point"] = "single"
-            row["quotient_fiber"] = "full-circle"
+    for name, p, n in zip(sp.point_names(), sp.slot_periods().tolist(), point_orders(sys)):
+        if n:
+            over, fiber = "circle", f"{n} roots"
         else:
-            row["characters_over_point"] = "circle"
-            row["quotient_fiber"] = f"{template.order} roots"
-        rows.append(row)
+            over, fiber = "single", "full-circle"
+        rows.append({"point": name, "period": p or None, "interior_order": n or None,
+                     "characters_over_point": over, "quotient_fiber": fiber})
     return {"grid": grid.resolution, "points": rows}
 
 

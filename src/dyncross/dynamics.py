@@ -113,18 +113,24 @@ def fix_interior(sys: DynSys, k: int) -> SetRep:
     return sys.space.interior(fix_set(sys, k))
 
 
-def minimal_interior_order(sys: DynSys, x: Point) -> Optional[int]:
-    """Least n >= 1 with x in the interior of the n-th fixed-point set,
-    or None when no such n exists.  The search over all n reduces to the
-    backend's finite index set, and is done once per system for every set
-    slot."""
+def interior_orders(sys: DynSys) -> np.ndarray:
+    """The least n >= 1 with the points of each set slot in the interior of
+    the n-th fixed-point set, 0 where no such n exists.  The search over all
+    n reduces to the backend's finite index set, and is done once per
+    system; the array is read-only."""
     sp = sys.space
 
     def orders():
         idx = reduced_indices(sys)
         return np.array(idx + (0,))[sp.first_holding([fix_interior(sys, n) for n in idx])]
 
-    return int(sp.table("interior_order", orders)[sp.set_slot(x)]) or None
+    return sp.table("interior_order", orders)
+
+
+def minimal_interior_order(sys: DynSys, x: Point) -> Optional[int]:
+    """Least n >= 1 with x in the interior of the n-th fixed-point set,
+    or None when no such n exists: one read of :func:`interior_orders`."""
+    return int(interior_orders(sys)[sys.space.set_slot(x)]) or None
 
 
 def projection_witness(sys: DynSys) -> Optional[tuple]:

@@ -35,9 +35,10 @@ the topology (``interior``, ``closure``, ``is_continuous``), the free
 data of a continuous function (``atoms``), the room an operand
 leaves inside the window (``room``, ``radius_of``), the aperiodic orbit
 representatives with their model radius (``aperiodic_reps``,
-``default_truncation``), and the JSON spelling (``point_name``,
-``parse_point``, ``spec``, read back by :func:`build_space`).  A space
-has at most ``MAX_POINTS`` representative points.
+``default_truncation``), and the JSON spelling (``point_name`` and its
+table ``point_names``, ``parse_point``, ``spec``, read back by
+:func:`build_space`).  A space has at most ``MAX_POINTS`` representative
+points.
 """
 
 from __future__ import annotations
@@ -137,6 +138,13 @@ class SetRep:
     def members(self) -> frozenset:
         points = self.space.window_points
         return frozenset(points[i] for i in np.flatnonzero(self.mask[:len(points)]))
+
+    def member_names(self) -> list:
+        """The names (see :meth:`_SpaceOps.point_names`) of the window points
+        in the set, sorted: one read of the space's name table."""
+        names = self.space.point_names()
+        nw = len(names) - len(self.space.limit_names)
+        return sorted(names[i] for i in np.flatnonzero(self.mask[:nw]))
 
     @property
     def limits(self) -> frozenset:
@@ -360,6 +368,16 @@ class _SpaceOps:
     def window_points(self) -> tuple:
         return self._points[:len(self._points) - len(self.limit_names)]
 
+    @cached_property
+    def _names(self) -> tuple:
+        return tuple(self._window_names()) + self.limit_names
+
+    def point_names(self) -> tuple:
+        """The :meth:`point_name` of each representative point, in
+        vector-slot order: built once per space from the backend's own data,
+        without a point object per slot."""
+        return self._names
+
     def representative_points(self) -> tuple:
         """Window points plus limit points; every representable function is
         determined by (and attains all its values at) these points, and is
@@ -503,7 +521,8 @@ class FiniteSpace(_SpaceOps):
             image = frozenset(self.perm[j] for j in self.nbhd[i])
             if image != self.nbhd[self.perm[i]]:
                 raise NotHomeomorphism(
-                    f"sigma does not map U({self.labels[i]}) onto U(sigma(x))")
+                    f"sigma does not map U({self.labels[i]}) onto "
+                    f"U({self.labels[self.perm[i]]})")
 
     # -- points --
 
@@ -519,6 +538,9 @@ class FiniteSpace(_SpaceOps):
         if i is None:
             raise ValueError("no such label")
         return FinitePoint(i)
+
+    def _window_names(self):
+        return self.labels
 
     def label(self, p: FinitePoint) -> str:
         return self.labels[p.index]
@@ -635,6 +657,10 @@ class TailSpace(_SpaceOps):
         return (TailPoint(t, n) for t, first, count, _ in self._runs()
                 for n in range(first, first + count))
 
+    def _window_names(self):
+        return (f"{t}{n}" for t, first, count, _ in self._runs()
+                for n in range(first, first + count))
+
     def _segments(self) -> tuple:
         # a run of period q is count/q blocks, an aperiodic run one
         # segment; the limit point is last and fixed
@@ -664,7 +690,7 @@ class TailSpace(_SpaceOps):
 
     @cached_property
     def _named(self) -> dict:
-        return {self.point_name(p): p for p in self._points}
+        return dict(zip(self.point_names(), self._points))
 
     def parse_point(self, name: str) -> Point:
         """The point that :meth:`point_name` spells ``name``; no other

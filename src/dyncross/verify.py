@@ -44,6 +44,7 @@ from .characters import (
     circle_functionals,
     eval_character,
     eval_family,
+    point_orders,
     reconstruction_sup,
     recovered_coefficients,
     separating_family,
@@ -210,7 +211,7 @@ def algebra_suite(sys: DynSys, seed: int = 0, trials: int = 40,
     dev = 0.0
     checked = 0
     ks = reduced_indices(sys) if sys.lcm_period else (1, 2)
-    orders = [minimal_interior_order(sys, p) for p in sp.representative_points()]
+    orders = point_orders(sys)
     for m in ks:
         rows = FunRows.atom_indicators(sp, None, supported_atoms(sys, m, None))
         vals = rows.take(np.array([i for i, n in enumerate(orders) if n and m % n], dtype=np.intp))
@@ -329,9 +330,9 @@ def commutant_projection(sys: DynSys, rng: random.Random, trials: int,
     # largest coefficient, so only zero is killed), positivity through
     # every character, and both closed forms of the projected square
     chars = character_family(sys, character_grid(sys, grid))
-    interior_chars = [TorusCharacter(p, n, c) for p in sys.space.representative_points()
-                      if (n := minimal_interior_order(sys, p)) is not None
-                      for c in samples]
+    interior_chars = [TorusCharacter(p, n, c) for p, n in zip(
+                          sys.space.representative_points(), point_orders(sys))
+                      if n for c in samples]
     interior_fam = character_family(sys, interior_chars)
 
     def min_on_characters(elem):

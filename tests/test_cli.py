@@ -16,10 +16,31 @@ import numpy as np
 import pytest
 from conftest import block_tails
 from hypothesis import given, strategies as st
+from test_extra_systems import block_tail_systems, random_finite_system
 
 import dyncross
-from dyncross.characters import MAX_GRID
+from dyncross import cli
+from dyncross.characters import (
+    MAX_GRID,
+    CircleGrid,
+    PointCharacter,
+    TorusCharacter,
+    character_grid,
+    classify_point,
+    separating_family,
+)
 from dyncross.cli import main
+from dyncross.dynamics import (
+    aperiodic_set,
+    fix_interior,
+    fix_set,
+    make_dynsys,
+    minimal_interior_order,
+    per_set,
+    period_of,
+    periodic_orbit_reps,
+    reduced_indices,
+)
 from dyncross.errors import ParseError
 from dyncross.sampling import random_element
 from dyncross.serialize import (
@@ -311,13 +332,22 @@ def test_norms_of_high_degree_monomial(space, k, points, tmp_path, capsys):
     # a second spelling of the point "3" is refused, not merged into it
     ("int_shift8", [{"k": 0, "values": {"3": [1, 0], "+3": [5, 0]}}], 64,
      "bad point name '+3'"),
+    # sigma swaps a and b but U(a) = {a, b} while U(b) = {b}
+    ({"kind": "finite", "points": ["a", "b"], "min_open_nbhd": {"a": ["a", "b"], "b": ["b"]},
+      "sigma": {"a": "b", "b": "a"}}, [{"k": 0, "values": {"a": [1, 0]}}], 64,
+     "sigma does not map U(a) onto U(b)"),
 ], ids=["grid-3", "values-list", "limits-list", "nan", "inf", "minus-inf",
         "k-fraction", "k-bool", "k-string", "huge-value", "huge-imaginary-part",
         "value-bool", "part-bool", "k-twice", "k-huge", "unknown-label",
         "ell1-overflow", "model-beyond-budget", "name-plus", "name-space",
         "name-minus-zero", "name-arabic-digit", "name-underscore", "name-leading-zero",
-        "name-b-plus", "name-a-space", "name-a-zero", "name-two-spellings"])
+        "name-b-plus", "name-a-space", "name-a-zero", "name-two-spellings",
+        "sigma-not-open"])
 def test_input_contract(space, terms, grid, message, tmp_path, capsys):
+    """A fixture name, or a space description written to a file."""
+    if isinstance(space, dict):
+        (tmp_path / "s.json").write_text(json.dumps(space))
+        space = str(tmp_path / "s.json")
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"terms": terms}))
     assert main(["norms", "--space", space, "--element", str(path),
@@ -566,3 +596,109 @@ def test_grid_above_the_limit_is_refused_quickly(tmp_path, capsys):
     assert code == 2 and elapsed < 1.0
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"circle grid resolution {MAX_GRID + 1}" in err
+
+
+# ---------------------------------------------------------------------------
+# describe and charspace from per-slot tables, against the per-point code
+# ---------------------------------------------------------------------------
+
+
+def _reference_order(system, x):
+    """The least n of the reduced index set with x in the interior of the
+    n-th fixed-point set, one membership test at a time."""
+    return next((n for n in reduced_indices(system)
+                 if fix_interior(system, n).contains(x)), None)
+
+
+def _reference_names(space, s):
+    """A set's name list as ``describe`` built it point by point."""
+    names = [point_to_str(space, p) for p in sorted(
+        s.members, key=lambda p: point_to_str(space, p))]
+    names.extend(f"{t}-tail" for t in sorted(s.tails))
+    names.extend(sorted(s.limits))
+    return names
+
+
+def _reference_row(system, p):
+    template = classify_point(system, p)
+    row = {"point": point_to_str(system.space, p), "period": period_of(system, p),
+           "interior_order": minimal_interior_order(system, p)}
+    if isinstance(template, PointCharacter):
+        row["characters_over_point"] = "single"
+        row["quotient_fiber"] = "full-circle"
+    else:
+        row["characters_over_point"] = "circle"
+        row["quotient_fiber"] = f"{template.order} roots"
+    return row
+
+
+def _reference_families(system, grid):
+    """``character_grid`` and ``separating_family`` as per-point loops."""
+    every, separating = [], []
+    for x in system.space.representative_points():
+        n = _reference_order(system, x)
+        if n is None:
+            every.append(PointCharacter(x))
+            if period_of(system, x) is None:
+                separating.append(PointCharacter(x))
+        else:
+            torus = [TorusCharacter(x, n, c) for c in grid.samples]
+            every.extend(torus)
+            separating.extend(torus)
+    return every, separating
+
+
+def _assert_tables_match_the_points(system, grid):
+    sp = system.space
+    points = sp.representative_points()
+    assert sp.point_names() == tuple(sp.point_name(p) for p in points)
+    for p in (*points, *map(sp.tail_probe, sp.tail_names)):
+        n = _reference_order(system, p)
+        assert minimal_interior_order(system, p) == n
+        assert classify_point(system, p) == (PointCharacter(p) if n is None
+                                             else TorusCharacter(p, n, None))
+    # the rows keep their key order, which the plain-text view walks
+    rows = cli._charspace(system, grid)["points"]
+    assert [list(r.items()) for r in rows] == [
+        list(_reference_row(system, p).items()) for p in points]
+
+    doc = cli._describe(system)
+    for k in (0,) + reduced_indices(system):
+        assert doc["fix_sets"][str(k)] == _reference_names(sp, fix_set(system, k))
+    for k in reduced_indices(system):
+        assert doc["per_sets"][str(k)] == _reference_names(sp, per_set(system, k))
+    assert doc["aperiodic"] == _reference_names(sp, aperiodic_set(system))
+    if "orbits" in doc:
+        assert doc["orbits"] == [[sp.point_name(sp.sigma_apply(x, j)) for j in range(p)]
+                                 for x, p in periodic_orbit_reps(system)]
+
+    every, separating = _reference_families(system, grid)
+    assert character_grid(system, grid) == every
+    assert separating_family(system, grid) == separating
+
+
+def _tail_systems():
+    return st.sampled_from([IntShiftSpace, PairSwapTailsSpace]).flatmap(
+        lambda kind: st.sampled_from([8, 64]).map(lambda w: make_dynsys(kind(w))))
+
+
+@given(st.one_of(st.integers(0, 2 ** 32).map(lambda s: random_finite_system(random.Random(s))),
+                 block_tail_systems(), _tail_systems()),
+       st.sampled_from([4, 8]))
+def test_tables_match_the_per_point_functions(system, resolution):
+    """Finite systems (non-Hausdorff ones among them), block tails and both
+    JSON tail kinds at W in {8, 64}."""
+    _assert_tables_match_the_points(system, CircleGrid(resolution))
+
+
+@pytest.mark.parametrize("kind", [IntShiftSpace, PairSwapTailsSpace])
+def test_tables_match_the_per_point_functions_at_window_1024(kind):
+    _assert_tables_match_the_points(make_dynsys(kind(1024)), CircleGrid(4))
+
+
+def test_point_names_are_built_per_space():
+    """Equal spaces build their name tables apart, each once."""
+    a, b = IntShiftSpace(8), IntShiftSpace(8)
+    assert a == b and a.point_names() == b.point_names()
+    assert a.point_names() is a.point_names()
+    assert a.point_names() is not b.point_names()
