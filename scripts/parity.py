@@ -2,7 +2,7 @@
 """Record the CLI's verification and norm outputs, and compare two records.
 
 Usage:
-    python scripts/parity.py OUT.json [--seeds S ...] [--norms-inputs CASES.json]
+    python scripts/parity.py OUT.json [--seeds S ...] [--norms-inputs CASES.json ...]
                              [--src SRC] [--against OTHER.json]
 
 Writes to OUT.json, for every bundled fixture and seed, the exit code and
@@ -16,13 +16,18 @@ text view shows the order in which a document was built.  For every fixture and 
 ``tails64`` it also records the spanning family ``commutant_basis(sys, 2,
 4)`` and, at each seed, 20 random commutant elements of degree bound 2:
 the indices of each element and a sha256 of the bytes of all their rows.
-``--norms-inputs CASES.json`` adds ``norms --json`` on each case of that
-file, a JSON list of ``{"name", "space", "element", "grid"}`` objects
-whose paths are relative to the file; ``scripts/shift_norms/cases.json``
-holds ``int_shift`` windows 128, 256 and 512 at degrees 2, 4 and 8 and
-one at window 1024, whose truncated shift models lie on both sides of
-``gns.LANCZOS_MIN_SIZE`` (the bundled fixtures' models are all far below
-it).  ``--src`` names the
+``--norms-inputs CASES.json`` (given once per file) adds ``norms --json``
+on each case of that file, a JSON list of ``{"name", "space", "element",
+"grid"}`` objects whose paths are relative to the file.
+``scripts/shift_norms/cases.json`` holds ``int_shift`` windows 128, 256
+and 512 at degrees 2, 4 and 8 and one at window 1024, whose truncated
+shift models lie on both sides of ``gns.LANCZOS_MIN_SIZE`` (the bundled
+fixtures' models are all far below it).  ``scripts/sweep_norms/cases.json``
+holds full-size torus sweeps: ``pair_swap_tails`` W=256 (stacks of 258
+period-1 and 129 period-2 models) with a general element of degree 4 at
+grid 1024 and a commutant one of degree bound 8 at grid 256, and a 60-cycle
+with a general element of degree 4 at grid 256 (the bundled fixtures
+sweep W=8 stacks).  ``--src`` names the
 ``src`` directory to import dyncross from (default: the one next to this
 script), so the same script records any checkout.
 
@@ -168,7 +173,7 @@ def _commutant(seeds) -> dict:
     return out
 
 
-def record(seeds, cases_path) -> dict:
+def record(seeds, cases_paths) -> dict:
     from dyncross.commutant import random_commutant_element
     from dyncross.dynamics import projection_condition
     from dyncross.fixtures import FIXTURES
@@ -196,7 +201,7 @@ def record(seeds, cases_path) -> dict:
                     with open(path, "w", encoding="utf-8") as fh:
                         json.dump(element_to_json(x), fh)
                     norms[f"{name}@{seed}.{kind}"] = _norms(name, path, 256)
-    if cases_path:
+    for cases_path in cases_paths:
         base = os.path.dirname(os.path.abspath(cases_path))
         with open(cases_path, encoding="utf-8") as fh:
             for case in json.load(fh):
@@ -296,7 +301,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("out")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
-    parser.add_argument("--norms-inputs", default=None)
+    parser.add_argument("--norms-inputs", action="append", default=[])
     parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"))
     parser.add_argument("--against", default=None)
     args = parser.parse_args()

@@ -114,7 +114,7 @@ def point_orders(sys: DynSys) -> list:
     order: the minimal interior order n where the point carries a circle of
     torus characters, 0 where it carries a single point character (see
     :func:`~dyncross.dynamics.interior_orders`)."""
-    return interior_orders(sys)[:len(sys.space.representative_points())].tolist()
+    return interior_orders(sys)[:sys.space.slot_counts()[1]].tolist()
 
 
 def classify_point(sys: DynSys, x: Point) -> Character:

@@ -70,16 +70,25 @@ def periodic_orbit_reps(sys: DynSys) -> List[tuple]:
     """One (point, period) pair per periodic orbit with distinct function
     data: the first point of each orbit met by the walk over limit points,
     window points and tail probes.  On the tail backends the probes stand
-    for the beyond-window orbits, which realize the limit values."""
+    for the beyond-window orbits, which realize the limit values.  An orbit
+    through a vector slot stays among the vector slots, and is marked by
+    walking ``sigma_map(1)``; a probe's orbit lies beyond the window, and
+    each tail has one probe."""
     sp = sys.space
-    nw, nv = len(sp.window_points), len(sp.representative_points())
+    nw, nv = sp.slot_counts()
     periods = sp.slot_periods().tolist()
-    reps, seen = [], set()
+    step = sp.sigma_map(1).tolist()
+    reps, seen = [], [False] * nv
     for i in [*range(nw, nv), *range(nw), *range(nv, len(periods))]:
-        x, p = sp.slot_point(i), periods[i]
-        if p and x not in seen:
-            seen.update(sp.sigma_apply(x, j) for j in range(p))
-            reps.append((x, p))
+        p = periods[i]
+        if not p or i < nv and seen[i]:
+            continue
+        if i < nv:
+            j = i
+            for _ in range(p):
+                seen[j] = True
+                j = step[j]
+        reps.append((sp.slot_point(i), p))
     return reps
 
 

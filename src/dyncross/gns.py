@@ -28,17 +28,23 @@ certificate's margin.
 
 Every cyclic model is assembled from one array entry plan per (period,
 points, element), independent of the torus parameter: all points of a
-period put their entries at the same flat positions with the same wrap
-powers, so the plan holds those positions, an index into the wraps that
-occur, and one entries x points table of values from a single gather of
-the coefficient rows.  The entries come index by index, p per index at p
-distinct positions, so every stack of models (all points of a period over
-a slice of the grid, one point over a refinement round, or one matrix) is
-one array product and one scatter-add per index, and every entry sums its
-terms in increasing index order.  A pure state adds up its (e_0, e_0)
-entry alone, over all parameters at a point at once.  Powers of the
-torus parameter are taken on the unit circle, exp(i w t), so that they
-keep modulus 1 for every index up to 2**53.
+period put their entries at the same places with the same wrap powers, so
+the plan holds, per index, its residue mod p, per entry an index into the
+wraps that occur, and one table of values from a single gather of the
+coefficient rows along the orbits.  A stack of models (all points of a
+period over a slice of the grid, one point over a refinement round, or
+one matrix) is built position-major, as one p^2 x points x parameters array whose row
+r * p + c holds entry (r, c) of every model: index k = q p + r puts the
+orbit values on the wrapped diagonal c = row - r, rows r..p-1 at the wrap
+q and rows 0..r-1 at q + 1, two strided runs of rows, so each index adds
+its p products straight into their rows, and every entry sums its terms
+in increasing index order.  The norms read the stack as it lies: a
+diagonal stack is the largest modulus over its p diagonal rows, a 2 x 2
+stack's four entries are four rows of the closed form, and only the
+stacks that go to LAPACK are transposed into matrices.  A pure state adds
+up its (e_0, e_0) entry alone, over all parameters at a point at once.
+Powers of the torus parameter are taken on the unit circle, exp(i w t),
+so that they keep modulus 1 for every index up to 2**53.
 
 The C*-norm of an element is the sup of the representation norms over
 orbit representatives and the torus parameter lam = exp(i t), dominated by
@@ -157,7 +163,8 @@ class RepMatrix:
 def rep_matrix(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> RepMatrix:
     """Matrix of an element in the chosen representation."""
     if isinstance(rep, PeriodicRep):
-        return RepMatrix(_cyclic_models(sys, rep.x, rep.period, [rep.lam], x_elem)[0], 0)
+        p = rep.period
+        return RepMatrix(_cyclic_models(sys, rep.x, p, [rep.lam], x_elem).reshape(p, p), 0)
     return RepMatrix(_shift_band(sys, rep, x_elem).matrix(), rep.radius)
 
 
@@ -219,7 +226,7 @@ def state_eval(sys: DynSys, rep: RepDescriptor, x_elem: Element) -> complex:
     the element degree; a cyclic model adds up that entry alone."""
     if isinstance(rep, PeriodicRep):
         return complex(_cyclic_models(sys, rep.x, rep.period, [rep.lam], x_elem,
-                                      state=True)[0, 0, 0])
+                                      state=True)[0, 0])
     rm = rep_matrix(sys, rep, x_elem)
     return complex(rm.matrix[rm.center, rm.center])
 
@@ -238,18 +245,25 @@ def operator_norm(mat) -> float:
     a = np.asarray(mat, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(_batched_norms(a[np.newaxis])[0])
+    rows, cols = a.shape
+    if rows != cols:
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_batched_norms(a.reshape(rows * rows, 1))[0])
 
 
-def _batched_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular values of a stack of matrices, the method chosen
-    per matrix from that matrix alone:
+def _batched_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular values of a position-major stack of n x n matrices:
+    row r * n + c of ``stack`` holds entry (r, c) of every matrix, and the
+    other axes index the matrices, which is the shape of the result.  The
+    method is chosen per matrix from that matrix alone:
 
     * diagonal (no nonzero entry off the diagonal, which covers 1x1 and
-      the zero matrix): the largest entry modulus, exactly;
+      the zero matrix): the largest modulus over the diagonal rows,
+      exactly;
     * 2x2: the top eigenvalue of the Gram matrix in closed form
-      (:func:`_gram_norms`);
-    * anything else, and every non-square matrix: LAPACK through numpy.
+      (:func:`_gram_norms`), on the four rows;
+    * anything else: LAPACK through numpy, on the matrices transposed out
+      of the stack.
 
     On the cyclic and shift models a commutant element acts diagonally,
     and period-2 orbits give stacks of 2x2 models, so most matrices never
@@ -257,35 +271,36 @@ def _batched_norms(mats: np.ndarray) -> np.ndarray:
     a truncated shift model comes here alone, when it is at most
     ``LANCZOS_MIN_SIZE`` in size or its Lanczos value is not certified.
     """
-    count, rows, cols = mats.shape
-    if rows != cols:
-        return _lapack_norms(mats)
-    # the flat entries after the first, in rows of rows + 1, end with a
-    # diagonal entry each: the first ``rows`` columns are the off-diagonal
-    off_diagonal = (mats.reshape(count, rows * rows)[:, 1:]
-                    .reshape(count, rows - 1, rows + 1)[:, :, :rows])
+    n = math.isqrt(len(stack))
+    flat = stack.reshape(n * n, -1)
+    # the rows after the first, in groups of n + 1, end with a diagonal row
+    # each: the first n rows of each group are the off-diagonal
+    off_diagonal = flat[1:].reshape(n - 1, n + 1, flat.shape[1])[:, :n]
     if not np.count_nonzero(off_diagonal):
-        return _diagonal_norms(mats)
-    dense = _gram_norms if rows == 2 else _lapack_norms
-    is_diagonal = ~off_diagonal.any(axis=(1, 2))
+        return _diagonal_norms(flat).reshape(stack.shape[1:])
+    dense = _gram_norms if n == 2 else _lapack_norms
+    is_diagonal = ~off_diagonal.any(axis=(0, 1))
     if not is_diagonal.any():
-        return dense(mats)
-    out = np.empty(count)
-    out[is_diagonal] = _diagonal_norms(mats[is_diagonal])
-    out[~is_diagonal] = dense(mats[~is_diagonal])
-    return out
+        return dense(flat).reshape(stack.shape[1:])
+    out = np.empty(flat.shape[1])
+    out[is_diagonal] = _diagonal_norms(flat[:, is_diagonal])
+    out[~is_diagonal] = dense(flat[:, ~is_diagonal])
+    return out.reshape(stack.shape[1:])
 
 
-def _diagonal_norms(mats: np.ndarray) -> np.ndarray:
-    return np.abs(mats.diagonal(axis1=1, axis2=2)).max(axis=1)
+def _diagonal_norms(flat: np.ndarray) -> np.ndarray:
+    return np.abs(flat[::math.isqrt(len(flat)) + 1]).max(axis=0)
 
 
-def _lapack_norms(mats: np.ndarray) -> np.ndarray:
+def _lapack_norms(flat: np.ndarray) -> np.ndarray:
+    n = math.isqrt(len(flat))
+    mats = np.ascontiguousarray(flat.T).reshape(-1, n, n)
     return np.linalg.svd(mats, compute_uv=False)[:, 0]
 
 
-def _gram_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular values of a stack of 2x2 matrices.
+def _gram_norms(flat: np.ndarray) -> np.ndarray:
+    """Largest singular values of a position-major stack of 2x2 matrices
+    (four rows: entries (0, 0), (0, 1), (1, 0), (1, 1)).
 
     sigma^2 is the top eigenvalue of the Gram matrix (:func:`_gram_top`).
     Each matrix is first scaled by the power of two of its largest real or
@@ -294,7 +309,7 @@ def _gram_norms(mats: np.ndarray) -> np.ndarray:
     the eight real parts, one vector each, so the temporaries stay the
     size of the stack.
     """
-    entries = (mats[:, 0, 0], mats[:, 1, 0], mats[:, 0, 1], mats[:, 1, 1])
+    entries = (flat[0], flat[2], flat[1], flat[3])
     parts = [z.real for z in entries] + [z.imag for z in entries]
     peak = np.abs(parts[0])
     for part in parts[1:]:
@@ -486,15 +501,11 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
         # each wrap of the plan to each sub-grid parameter, U x G'
         table = np.array([grid.powers(w)[::stride] for w in plan.wraps])
         # the models of one period, a slice of torus parameters at a time;
-        # its terms (E per point and parameter) and its models (p * p) each
-        # stay within BATCH_ENTRIES
-        step = max(1, BATCH_ENTRIES // (count * max(p * p, len(plan.positions))))
-        chunks = []
-        for lo in range(0, sub, step):
-            mats = _cyclic_matrices(plan, table[:, lo:lo + step])
-            chunks.append(_batched_norms(mats.reshape(-1, p, p))
-                          .reshape(count, -1))
-        norms = np.concatenate(chunks, axis=1)
+        # the plan's values (I p per point and parameter) and the models
+        # (p * p) each stay within BATCH_ENTRIES
+        step = max(1, BATCH_ENTRIES // (count * max(p * p, len(plan.values))))
+        norms = np.concatenate([_batched_norms(_cyclic_matrices(plan, table[:, lo:lo + step]))
+                                for lo in range(0, sub, step)], axis=1)
         grid_max = float(np.max(norms))
         upper = max(upper, grid_max + excess)
         value = max(value, grid_max)
@@ -505,7 +516,7 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
         for _, bound, plan, angle, h in sorted(swept, key=lambda s: -s[0]):
             if bound > value:
                 value = max(value, bracket_max(lambda ts, plan=plan: _batched_norms(
-                    _cyclic_matrices(plan, _circle_powers(plan.wraps, ts))[0]),
+                    _cyclic_matrices(plan, _circle_powers(plan.wraps, ts)))[0],
                     angle, 2 * h))
     loose = False
     for x in sys.space.aperiodic_reps():
@@ -568,8 +579,9 @@ def _check_sweep_work(plans: dict, sub_grids: dict, refine: bool) -> None:
         evaluations = plan.values.shape[1] * sub
         if refine and excess > 0:
             evaluations += BRACKET_POINTS * (BRACKET_ROUNDS + BRACKET_SHIFTS)
-        # an off-diagonal position of a p x p model is not a multiple of p + 1
-        dense = np.count_nonzero(plan.values[plan.positions % (p + 1) != 0])
+        # an index of nonzero residue puts its values off the diagonal
+        residues = np.array(plan.residues)
+        dense = np.count_nonzero(plan.values.reshape(len(residues), p, -1)[residues != 0])
         work += evaluations * p ** (3 if dense else 2)
     if work > MAX_SWEEP_WORK:
         raise TooLarge(f"the torus sweep over the cyclic models would cost "
@@ -581,16 +593,18 @@ class _EntryPlan(NamedTuple):
     exact period p, independent of the torus parameter.
 
     Every point of a period puts its entries at the same places with the
-    same wrap powers; only the values differ.  Entry e sits at the flat
-    position ``positions[e]`` (row * p + column) of a p x p model, carries
-    the torus parameter to the power ``wraps[wrap_index[e]]`` and has the
-    value ``values[e, b]`` at point b.  The entries come index by index, in
-    increasing index order, so the terms that meet at one position come in
-    that order too.
+    same wrap powers; only the values differ.  The i-th index of the
+    element, k_i = q p + r with 0 <= r < p, has the residue
+    ``residues[i]`` = r, and row t of its p x p model holds the entry
+    e = i p + t in column (t - r) mod p: the value ``values[e, b]`` at
+    point b times the torus parameter to the power
+    ``wraps[wrap_index[e]]``, which is q for t >= r and q + 1 for t < r.
+    The indices come in increasing order, so the terms that meet at one
+    entry come in that order too.
     """
 
     period: int
-    positions: np.ndarray
+    residues: tuple
     wraps: np.ndarray
     wrap_index: np.ndarray
     values: np.ndarray
@@ -600,11 +614,11 @@ class _EntryPlan(NamedTuple):
         return self._replace(values=self.values[:, b:b + 1])
 
     def state(self) -> "_EntryPlan":
-        """The (e_0, e_0) entry alone, as the plan of a 1 x 1 model."""
-        keep = np.flatnonzero(self.positions == 0)
-        return self._replace(period=1, positions=self.positions[keep],
-                             wrap_index=self.wrap_index[keep],
-                             values=self.values[keep])
+        """The (e_0, e_0) entry alone, as the plan of a 1 x 1 model: row 0
+        of each index of residue 0."""
+        rows = [i * self.period for i, r in enumerate(self.residues) if r == 0]
+        return self._replace(period=1, residues=(0,) * len(rows),
+                             wrap_index=self.wrap_index[rows], values=self.values[rows])
 
 
 def _entry_plan(sys: DynSys, points: Sequence[Point], p: int,
@@ -621,26 +635,17 @@ def _entry_plan(sys: DynSys, points: Sequence[Point], p: int,
     """
     sp = sys.space
     orbit = sp.slots_of(sp.sigma_apply(x, t) for t in range(p) for x in points)
-    # vals[i p + t, b] = f_(k_i)(sigma^t x_b) for the i-th index k_i
-    vals = x_elem.rows.take(orbit).reshape(-1, len(points))
-    wraps, positions, places, wrap_index = {}, [], [], []
-    for i, k in enumerate(x_elem.degrees):
+    wraps, residues, wrap_index = {}, [], []
+    for k in x_elem.degrees:
         q, r = divmod(k, p)
         below = wraps.setdefault(q, len(wraps))
         above = wraps.setdefault(q + 1, len(wraps)) if r else below
-        for n in range(p):
-            row = r + n
-            if row < p:
-                wrap_index.append(below)
-            else:
-                row -= p
-                wrap_index.append(above)
-            positions.append(row * p + n)
-            places.append(i * p + row)
-    return _EntryPlan(p, np.array(positions, dtype=np.intp),
-                      np.fromiter(wraps, np.int64, len(wraps)),
+        residues.append(r)
+        wrap_index += [above] * r + [below] * (p - r)
+    # values[i p + t, b] = f_(k_i)(sigma^t x_b) for the i-th index k_i
+    return _EntryPlan(p, tuple(residues), np.fromiter(wraps, np.int64, len(wraps)),
                       np.array(wrap_index, dtype=np.intp),
-                      vals[np.array(places, dtype=np.intp)])
+                      x_elem.rows.take(orbit).reshape(-1, len(points)))
 
 
 def _circle_powers(wraps: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -652,32 +657,44 @@ def _circle_powers(wraps: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 
 def _cyclic_matrices(plan: _EntryPlan, powers: np.ndarray) -> np.ndarray:
-    """The cyclic models of the plan's points, a B x S x p x p array:
-    ``powers`` holds S torus parameters, each to every wrap of the plan
-    (U x S).  One array product of values and powers, then one scatter-add
-    per index into a batch with the positions leading, so that each add
-    moves whole rows; the p entries of one index lie at p distinct
-    positions, and every matrix entry sums its terms in increasing index
-    order."""
+    """The cyclic models of the plan's points, position-major: a p^2 x B x S
+    array whose row r * p + c holds entry (r, c) of every model (see
+    :func:`_batched_norms`); ``powers`` holds S torus parameters, each to
+    every wrap of the plan (U x S).  Index by index, its p values times
+    their powers are added into the entries they occupy: rows r..p-1 into
+    the entries (t, t - r), every (p + 1)-th row of the stack from r p,
+    and rows 0..r-1 into (t, t - r + p), every (p + 1)-th from p - r.  So
+    every matrix entry sums its terms in increasing index order.
+
+    Each product takes E x B x 1 values times E x 1 x S powers gathered
+    per entry, never one row of powers broadcast over the entries: numpy's
+    complex multiply is not bitwise commutative, and where its second
+    operand is broadcast along the inner loop it may take the operands in
+    the other order (a broadcast row changed the last bit of entries of
+    ``rep_matrix`` models, B = S = 1, against the reference model)."""
     p = plan.period
-    count, params = plan.values.shape[1], powers.shape[1]
+    values = plan.values[:, :, np.newaxis]
+    powers = powers[plan.wrap_index, np.newaxis, :]
+    mats = np.zeros((p * p, values.shape[1], powers.shape[2]), dtype=complex)
     # |value * power| = |value| fits the double range, but numpy's complex
     # multiply flags an overflow for values near its top on odd widths
     with np.errstate(over="ignore"):
-        terms = plan.values[:, :, np.newaxis] * powers[plan.wrap_index, np.newaxis, :]
-    mats = np.zeros((p * p, count, params), dtype=complex)
-    for lo in range(0, len(terms), p):
-        mats[plan.positions[lo:lo + p]] += terms[lo:lo + p]
-    return np.ascontiguousarray(mats.transpose(1, 2, 0)).reshape(count, params, p, p)
+        for i, r in enumerate(plan.residues):
+            lo, mid, hi = i * p, i * p + r, (i + 1) * p
+            mats[r * p::p + 1] += values[mid:hi] * powers[mid:hi]
+            if r:
+                mats[p - r::p + 1][:r] += values[lo:mid] * powers[lo:mid]
+    return mats
 
 
 def _cyclic_models(sys: DynSys, x: Point, p: int, lams: Sequence[complex],
                    x_elem: Element, *, state: bool = False) -> np.ndarray:
-    """The cyclic models of an element at x, one per parameter of ``lams``
-    (S x p x p), or with ``state`` only their (e_0, e_0) entries, from the
-    plan of that entry (S x 1 x 1).  The element must live over the
-    system's space, p must be the exact period of x, the parameters
-    unimodular and a p x p model within ``MAX_MODEL_ENTRIES``."""
+    """The cyclic models of an element at x, one per parameter of ``lams``,
+    position-major (p^2 x S, see :func:`_cyclic_matrices`), or with
+    ``state`` only their (e_0, e_0) entries, from the plan of that entry
+    (1 x S).  The element must live over the system's space, p must be the
+    exact period of x, the parameters unimodular and a p x p model within
+    ``MAX_MODEL_ENTRIES``."""
     if x_elem.space != sys.space:
         raise ForeignPoint("element and system live over different spaces")
     actual = period_of(sys, x)
@@ -690,7 +707,7 @@ def _cyclic_models(sys: DynSys, x: Point, p: int, lams: Sequence[complex],
     if state:
         plan = plan.state()
     angles = np.array([cmath.phase(lam) for lam in lams], dtype=float)
-    return _cyclic_matrices(plan, _circle_powers(plan.wraps, angles))[0]
+    return _cyclic_matrices(plan, _circle_powers(plan.wraps, angles))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +765,7 @@ def restriction_report(sys: DynSys, x: Point, lams: Sequence[complex],
         case = "periodic-boundary"
         fam = character_family(sys, [PointCharacter(x)] * len(lams))
     for e in elems:
-        gots = _cyclic_models(sys, x, p, lams, e, state=True)[:, 0, 0]
+        gots = _cyclic_models(sys, x, p, lams, e, state=True)[0]
         wants = eval_family(sys, fam, e, check=False)
         dev = max([dev] + [abs(d) for d in (gots - wants).tolist()])
     return RestrictionReport(x, case, p, n, dev)
@@ -797,7 +814,7 @@ def unique_extension_gap(sys: DynSys, chars: Sequence[Character],
                 wants[idx] = state_eval(sys, extension_state(sys, ch, e.degree), e)
             else:
                 wants[idx] = _cyclic_models(sys, x, ch.order, [chars[i].c for i in idx],
-                                            e, state=True)[:, 0, 0]
+                                            e, state=True)[0]
         gap = max([gap] + [abs(d) for d in (gots - wants).tolist()])
     return gap
 

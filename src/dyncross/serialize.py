@@ -25,11 +25,17 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from typing import Mapping
+
+import numpy as np
 
 from .algebra import Element
 from .errors import ParseError
-from .space import CtsFun, Point, Space, build_space, json_int
+from .space import FunRows, Point, Space, build_space, json_int, not_continuous
+
+# the largest finite double: a real part within it is a finite value
+_MAX = sys.float_info.max
 
 
 def space_to_spec(space: Space) -> dict:
@@ -71,6 +77,20 @@ def _decode_complex(v) -> complex:
     return z
 
 
+def _decode_pair(v) -> list:
+    """A value as its [re, im] pair of finite reals: the pair itself where
+    it is one already (a list of two ints or floats, not bools, within the
+    double range), else the parts of :func:`_decode_complex`, which
+    raises for every value that is not a complex number."""
+    if type(v) is list and len(v) == 2:
+        re, im = v
+        if (type(re) in (int, float) and type(im) in (int, float)
+                and -_MAX <= re <= _MAX and -_MAX <= im <= _MAX):
+            return v
+    z = _decode_complex(v)
+    return [z.real, z.imag]
+
+
 def _term_map(term: Mapping, field: str) -> Mapping:
     raw = term.get(field, {})
     if not isinstance(raw, Mapping):
@@ -99,33 +119,53 @@ def element_to_json(x: Element) -> dict:
 
 
 def element_from_json(space: Space, doc: Mapping) -> Element:
+    """The element of a description: each term's values go straight to the
+    vector slots that the space's name table gives their names, into one
+    K x P array (:meth:`~dyncross.space.FunRows.from_entries`, which checks
+    the continuity of all rows at once).  A name outside the table is read
+    by ``parse_point``: a bad name raises there, and any other names a tail
+    point beyond the window, where no value but the limit's is continuous."""
     terms = doc.get("terms") if isinstance(doc, Mapping) else None
     if not isinstance(terms, (list, tuple)):
         raise ParseError('element description must be {"terms": [...]}')
-    coeffs = {}
+    slot_of, limit_names = space.name_slots(), space.limit_names
+    nw = space.slot_counts()[0]
+    limits_of, rows, slots, pairs = {}, [], [], []
     for term in terms:
         try:
             k = json_int(term["k"], "k")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad term index: {exc}") from exc
-        if k in coeffs:
+        if k in limits_of:
             raise ParseError(f'bad term index: "k" = {k} appears twice')
-        values = {}
-        limits = {name: 0.0 for name in space.limit_names}
+        at_limits = [0j] * len(limit_names)
+        beyond = False
         for key, raw in _term_map(term, "values").items():
-            z = _decode_complex(raw)
-            if key in space.limit_names:
-                limits[key] = z
-                continue
-            values[point_from_str(space, key)] = z
+            pair = _decode_pair(raw)
+            slot = slot_of.get(key)
+            if slot is None:
+                point_from_str(space, key)
+                beyond = True
+            elif slot < nw:
+                rows.append(len(limits_of))
+                slots.append(slot)
+                pairs.append(pair)
+            else:
+                at_limits[slot - nw] = complex(*pair)
         for key, raw in _term_map(term, "limits").items():
-            if key not in space.limit_names:
+            if key not in limit_names:
                 raise ParseError(f"unknown limit name {key!r}")
-            limits[key] = _decode_complex(raw)
-        # a point left out reads its limit's value, or 0 where no limit is
-        fill = {} if space.limit_names else dict.fromkeys(space.window_points, 0.0)
-        coeffs[k] = CtsFun(space, {**fill, **values}, limits)
-    elem = Element(space, coeffs)
+            at_limits[limit_names.index(key)] = _decode_complex(raw)
+        if beyond:
+            raise not_continuous(space)
+        limits_of[k] = at_limits
+    degrees = list(limits_of)
+    values = np.array(pairs, dtype=float).reshape(-1, 2).view(complex)[:, 0]
+    funs = FunRows.from_entries(
+        space, np.reshape(list(limits_of.values()), (len(degrees), len(limit_names))),
+        rows, slots, values)
+    order = sorted(range(len(degrees)), key=degrees.__getitem__)
+    elem = Element.from_rows(space, tuple(degrees[i] for i in order), funs.select(order))
     # every norm is at most the series norm, so a finite one keeps every
     # result finite
     if not math.isfinite(elem.ell1_norm()):

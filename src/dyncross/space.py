@@ -148,12 +148,12 @@ class SetRep:
 
     @property
     def limits(self) -> frozenset:
-        names, nw = self.space.limit_names, len(self.space.window_points)
+        names, (nw, _) = self.space.limit_names, self.space.slot_counts()
         return frozenset(n for n, b in zip(names, self.mask[nw:]) if b)
 
     @property
     def tails(self) -> frozenset:
-        names, nv = self.space.tail_names, len(self.space.representative_points())
+        names, (_, nv) = self.space.tail_names, self.space.slot_counts()
         return frozenset(t for t, b in zip(names, self.mask[nv:]) if b)
 
     # -- membership and basic predicates --
@@ -241,8 +241,9 @@ class _SpaceOps:
     def _interior_mask(self, masks: np.ndarray) -> np.ndarray:
         # Window and tail points are isolated; the limit point is interior
         # only when the set contains every tail entirely.
+        nw, nv = self.slot_counts()
         out = masks.copy()
-        out[..., len(self.window_points)] &= masks[..., len(self._points):].all(axis=-1)
+        out[..., nw] &= masks[..., nv:].all(axis=-1)
         return out
 
     def interior(self, s: SetRep) -> SetRep:
@@ -257,7 +258,7 @@ class _SpaceOps:
         """The closures of the sets whose vector slots are set in ``big`` (a
         vector or rows of them), as set-slot masks; a limit point's slot
         also sets the tails that accumulate at it."""
-        nv = len(self._points)
+        nv = self.slot_counts()[1]
         return ~self._interior_mask(~big[..., np.minimum(np.arange(nv + len(self.tail_names)), nv - 1)])
 
     def empty_set(self) -> SetRep:
@@ -269,7 +270,7 @@ class _SpaceOps:
     def set_of(self, points: Iterable[Point] = (), tails: Iterable[str] = (),
                limits: Iterable[str] = ()) -> SetRep:
         """The set of these window points, tails and limit points."""
-        nw, nv = len(self.window_points), len(self._points)
+        nw, nv = self.slot_counts()
         mask = np.zeros(nv + len(self.tail_names), dtype=bool)
         for p in points:
             i = self._index.get(p, nw)
@@ -293,7 +294,7 @@ class _SpaceOps:
         """Image of a set under the m-th power of the homeomorphism: one
         gather along sigma^-m, where window points map among themselves
         and each tail onto itself.  The shift backend overrides this."""
-        nv = len(self._points)
+        nv = self.slot_counts()[1]
         return SetRep(self, np.concatenate((s.mask[self.sigma_map(-m)], s.mask[nv:])))
 
     def contains(self, p: Point) -> bool:
@@ -312,8 +313,12 @@ class _SpaceOps:
 
     def slot_point(self, i: int) -> Point:
         """The point at a set slot; a tail's probe for a tail slot."""
-        nv = len(self._points)
-        return self._points[i] if i < nv else self.tail_probe(self.tail_names[i - nv])
+        nw, nv = self.slot_counts()
+        if i < nw:
+            return self._points[i]
+        if i < nv:
+            return self.limit_point(self.limit_names[i - nw])
+        return self.tail_probe(self.tail_names[i - nv])
 
     def tail_of(self, p: Point) -> Optional[str]:
         return None
@@ -377,6 +382,34 @@ class _SpaceOps:
         vector-slot order: built once per space from the backend's own data,
         without a point object per slot."""
         return self._names
+
+    @cached_property
+    def _slot_counts(self) -> tuple:
+        nv = len(self._names)
+        return nv - len(self.limit_names), nv
+
+    def slot_counts(self) -> tuple:
+        """The numbers of window points and of representative points (the
+        vector slots), counted from the name table: no point object is
+        built."""
+        return self._slot_counts
+
+    @cached_property
+    def _name_slots(self) -> dict:
+        return {name: i for i, name in enumerate(self._names)}
+
+    def name_slots(self) -> dict:
+        """The vector slot of each name of :meth:`point_names`, built once
+        per space; no other name names a representative point."""
+        return self._name_slots
+
+    def rows_continuous(self, vals: np.ndarray) -> bool:
+        """Whether every row of ``vals`` (a vector over the vector slots, or
+        rows of them) is a continuous function.  Window points are isolated,
+        and every neighbourhood of a limit point holds its tails beyond the
+        window, which take its value, so every vector is; a finite space
+        overrides this."""
+        return True
 
     def representative_points(self) -> tuple:
         """Window points plus limit points; every representable function is
@@ -460,7 +493,7 @@ class _SpaceOps:
         none); built once per radius, after checking every atom is clopen."""
         def build():
             slots, sizes = self.atom_slots(radius)
-            table = np.full(len(self._points), -2, dtype=np.intp)
+            table = np.full(self.slot_counts()[1], -2, dtype=np.intp)
             table[slots] = np.repeat(np.arange(len(sizes)), sizes)
             # the atom of each set slot, -2 for none (the tails too): mask row
             # -2 is the rest and row -1 stays empty, and with every atom and
@@ -529,12 +562,8 @@ class FiniteSpace(_SpaceOps):
     def _window_points(self):
         return (FinitePoint(i) for i in range(len(self.labels)))
 
-    @cached_property
-    def _label_index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
     def point(self, label: str) -> FinitePoint:
-        i = self._label_index.get(label)
+        i = self.name_slots().get(label)
         if i is None:
             raise ValueError("no such label")
         return FinitePoint(i)
@@ -625,12 +654,15 @@ class FiniteSpace(_SpaceOps):
 
     def is_continuous(self, values: Mapping[Point, complex],
                       limits: Mapping[str, complex] = {}) -> bool:
-        # continuous exactly when constant on each minimal open neighbourhood
         if limits or set(values) != set(self.window_points):
             return False
-        vec = np.array([values[p] for p in self.window_points])
+        return self.rows_continuous(np.array([values[p] for p in self.window_points]))
+
+    def rows_continuous(self, vals: np.ndarray) -> bool:
+        # continuous exactly when constant on each minimal open neighbourhood
         flat, starts = self._nbhd_table()
-        return bool((vec[flat] == np.repeat(vec, np.diff(starts, append=len(flat)))).all())
+        sizes = np.diff(starts, append=len(flat))
+        return bool((vals[..., flat] == np.repeat(vals, sizes, axis=-1)).all())
 
 
 @dataclass(frozen=True)
@@ -688,19 +720,16 @@ class TailSpace(_SpaceOps):
     def point_name(self, p: Point) -> str:
         return p.name if isinstance(p, LimitPoint) else f"{p.tail}{p.n}"
 
-    @cached_property
-    def _named(self) -> dict:
-        return dict(zip(self.point_names(), self._points))
-
     def parse_point(self, name: str) -> Point:
         """The point that :meth:`point_name` spells ``name``; no other
         spelling names a point.  A representative point is one lookup."""
-        p = self._named.get(name)
-        if p is None:
-            found = _TAIL_POINT_NAME.fullmatch(name)
-            p = found and TailPoint(found[1], int(found[2]))
-            if not p or self.tail_of(p) is None or self.point_name(p) != name:
-                raise ValueError(f"no point of {self.kind} is named so")
+        i = self.name_slots().get(name)
+        if i is not None:
+            return self._points[i]
+        found = _TAIL_POINT_NAME.fullmatch(name)
+        p = found and TailPoint(found[1], int(found[2]))
+        if not p or self.tail_of(p) is None or self.point_name(p) != name:
+            raise ValueError(f"no point of {self.kind} is named so")
         return p
 
     def is_continuous(self, values: Mapping[Point, complex],
@@ -846,6 +875,11 @@ def json_int(value, field: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def not_continuous(space: Space) -> NotContinuous:
+    """The error for values that are not a continuous function on ``space``."""
+    return NotContinuous(f"assignment is not a continuous function on {space.kind}")
+
+
 class CtsFun:
     """A continuous complex function, stored as one complex vector ``vec``
     over ``space.representative_points()``: the window points, then the
@@ -867,8 +901,7 @@ class CtsFun:
         values = {p: complex(v) for p, v in values.items()}
         limits = {k: complex(v) for k, v in limits.items()}
         if not space.is_continuous(values, limits):
-            raise NotContinuous(
-                f"assignment is not a continuous function on {space.kind}")
+            raise not_continuous(space)
         vec = np.zeros(len(space.representative_points()), dtype=complex)
         for name, z in limits.items():
             vec[space.index_of(space.limit_point(name))] = z
@@ -1066,6 +1099,25 @@ class FunRows:
         vals[:, slots] = np.repeat(np.asarray(atom_values, dtype=complex)
                                    .reshape(len(vals), len(sizes)), sizes, axis=1)
         return rows
+
+    @classmethod
+    def from_entries(cls, space: Space, limit_values, rows, slots, values) -> "FunRows":
+        """K rows from each row's values at the limit names (a K x L table)
+        and the entries ``values[j]`` at window slot ``slots[j]`` of row
+        ``rows[j]``: a window slot given no entry takes its row's value at
+        the first limit, or 0 where the space has none, as in
+        :class:`CtsFun`.  Raises :class:`NotContinuous` unless every row is
+        continuous (:meth:`_SpaceOps.rows_continuous`)."""
+        limit_values = np.asarray(limit_values, dtype=complex)
+        nw, nv = space.slot_counts()
+        vals = np.zeros((len(limit_values), nv), dtype=complex)
+        if space.limit_names:
+            vals[:, nw:] = limit_values
+            vals[:, :nw] = limit_values[:, :1]
+        vals[rows, slots] = values
+        if not space.rows_continuous(vals):
+            raise not_continuous(space)
+        return cls._of(space, vals)
 
     @classmethod
     def atom_indicators(cls, space: Space, radius: Optional[int], atoms) -> "FunRows":

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from test_extra_systems import block_tail_systems, random_finite_system
 
 import dyncross
 from dyncross import cli
+from dyncross.algebra import Element
 from dyncross.characters import (
     MAX_GRID,
     CircleGrid,
@@ -41,7 +43,7 @@ from dyncross.dynamics import (
     periodic_orbit_reps,
     reduced_indices,
 )
-from dyncross.errors import ParseError
+from dyncross.errors import NotContinuous, ParseError
 from dyncross.sampling import random_element
 from dyncross.serialize import (
     element_from_json,
@@ -51,7 +53,14 @@ from dyncross.serialize import (
     space_from_spec,
     space_to_spec,
 )
-from dyncross.space import IntShiftSpace, LimitPoint, MAX_POINTS, PairSwapTailsSpace, TailPoint
+from dyncross.space import (
+    CtsFun,
+    IntShiftSpace,
+    LimitPoint,
+    MAX_POINTS,
+    PairSwapTailsSpace,
+    TailPoint,
+)
 
 
 class TestSpaceRoundTrip:
@@ -702,3 +711,135 @@ def test_point_names_are_built_per_space():
     assert a == b and a.point_names() == b.point_names()
     assert a.point_names() is a.point_names()
     assert a.point_names() is not b.point_names()
+
+
+def _reference_orbit_reps(system):
+    """One (point, period) pair per periodic orbit, marked point by point
+    along ``sigma_apply``: limit points, window points, then tail probes."""
+    sp = system.space
+    nw, nv = len(sp.window_points), len(sp.representative_points())
+    periods = sp.slot_periods().tolist()
+    reps, seen = [], set()
+    for i in [*range(nw, nv), *range(nw), *range(nv, len(periods))]:
+        x, p = sp.slot_point(i), periods[i]
+        if p and x not in seen:
+            seen.update(sp.sigma_apply(x, j) for j in range(p))
+            reps.append((x, p))
+    return reps
+
+
+@given(st.one_of(st.integers(0, 2 ** 32).map(lambda s: random_finite_system(random.Random(s))),
+                 block_tail_systems(), _tail_systems()))
+def test_orbit_reps_match_a_sigma_apply_walk(system):
+    assert periodic_orbit_reps(system) == _reference_orbit_reps(system)
+
+
+@pytest.mark.parametrize("verb", ["describe", "charspace"])
+@pytest.mark.parametrize("kind", [IntShiftSpace, PairSwapTailsSpace])
+def test_cold_tables_build_no_points(kind, verb):
+    """describe and charspace read names and masks only: a cold call on a
+    W=1024 tail space builds no point object per slot."""
+    system = make_dynsys(kind(1024))
+    if verb == "describe":
+        cli._describe(system)
+    else:
+        cli._charspace(system, CircleGrid(64))
+    assert "_points" not in vars(system.space)
+
+
+# ---------------------------------------------------------------------------
+# element files, read by slot, against the per-point CtsFun reference
+# ---------------------------------------------------------------------------
+
+_NON_HAUSDORFF = {"kind": "finite", "points": ["a", "b"],
+                  "min_open_nbhd": {"a": ["a", "b"], "b": ["b"]},
+                  "sigma": {"a": "a", "b": "b"}}
+
+
+@pytest.mark.parametrize("verb", ["norms", "project"])
+@pytest.mark.parametrize("space,terms", [
+    # U(a) = {a, b}: a continuous function takes one value on a and b
+    (_NON_HAUSDORFF, [{"k": 0, "values": {"a": [1, 0], "b": [2, 0]}}]),
+    (_NON_HAUSDORFF, [{"k": 0, "values": {"a": [1, 0], "b": [1, 0]}},
+                      {"k": 1, "values": {"a": [1, 0]}}]),
+    # a300 lies beyond the window, where a function takes its limit's value
+    ({"kind": "pair_swap_tails", "window": 256},
+     [{"k": 0, "values": {"a300": [1, 0]}}]),
+    ({"kind": "pair_swap_tails", "window": 256},
+     [{"k": 1, "values": {"a3": [1, 0]}}, {"k": 0, "values": {"a300": [1, 0]}}]),
+], ids=["non-hausdorff", "non-hausdorff-second-term", "beyond-window",
+        "beyond-window-second-term"])
+def test_discontinuous_elements_are_refused(space, terms, verb, tmp_path, capsys):
+    (tmp_path / "s.json").write_text(json.dumps(space))
+    (tmp_path / "e.json").write_text(json.dumps({"terms": terms}))
+    assert main([verb, "--space", str(tmp_path / "s.json"),
+                 "--element", str(tmp_path / "e.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: assignment is not a continuous function on {space['kind']}\n"
+
+
+def _reference_element(space, doc):
+    """An element description read point by point into one CtsFun per
+    term, as the per-point constructor takes it."""
+    coeffs = {}
+    for term in doc["terms"]:
+        values, limits = {}, dict.fromkeys(space.limit_names, 0.0)
+        for key, raw in term.get("values", {}).items():
+            z = complex(*raw)
+            if key in space.limit_names:
+                limits[key] = z
+            else:
+                values[space.parse_point(key)] = z
+        for key, raw in term.get("limits", {}).items():
+            limits[key] = complex(*raw)
+        fill = {} if space.limit_names else dict.fromkeys(space.window_points, 0.0)
+        coeffs[term["k"]] = CtsFun(space, {**fill, **values}, limits)
+    return Element(space, coeffs)
+
+
+_PARTS = st.one_of(st.floats(-1e300, 1e300), st.integers(-10 ** 6, 10 ** 6),
+                   st.sampled_from([0.0, -0.0, 0, 1e-320]))
+
+
+@given(st.one_of(st.integers(0, 2 ** 32).map(lambda s: random_finite_system(random.Random(s))),
+                 block_tail_systems(),
+                 st.sampled_from([IntShiftSpace, PairSwapTailsSpace]).flatmap(
+                     lambda kind: st.sampled_from([2, 8]).map(lambda w: make_dynsys(kind(w))))),
+       st.data())
+def test_element_files_read_by_slot_are_the_per_point_elements(system, data):
+    """Random element files (values per atom, points left out, limit values
+    inside "values" or under "limits", beyond-window tail names): the same
+    degrees and bitwise the same rows as the per-point reference, or the
+    same error."""
+    space = system.space
+    pair = st.lists(_PARTS, min_size=2, max_size=2)
+    terms = []
+    for k in data.draw(st.lists(st.integers(-4, 4), max_size=4, unique=True)):
+        values = {}
+        for atom in space.atoms():
+            z = data.draw(pair)
+            for p in atom:
+                if data.draw(st.integers(0, 4)):      # a point left out
+                    values[space.point_name(p)] = z
+        limits = {}
+        for name in space.limit_names:
+            where = data.draw(st.sampled_from(["values", "limits", "omitted"]))
+            if where != "omitted":
+                (values if where == "values" else limits)[name] = data.draw(pair)
+        if space.tail_names and not data.draw(st.integers(0, 9)):
+            probe = space.tail_probe(data.draw(st.sampled_from(space.tail_names)))
+            values[space.point_name(probe)] = data.draw(pair)
+        term = {"k": k, "values": values}
+        if limits:
+            term["limits"] = limits
+        terms.append(term)
+    doc = {"terms": terms}
+    try:
+        want = _reference_element(space, doc)
+    except NotContinuous as exc:
+        with pytest.raises(NotContinuous, match=re.escape(str(exc))):
+            element_from_json(space, doc)
+        return
+    got = element_from_json(space, doc)
+    assert got.degrees == want.degrees
+    assert got.rows.vals.tobytes() == want.rows.vals.tobytes()

@@ -203,6 +203,12 @@ def _lapack_norms(mats):
     return np.linalg.svd(mats, compute_uv=False)[:, 0]
 
 
+def _position_major(mats):
+    """A count x n x n stack as ``_batched_norms`` reads it: entry (r, c)
+    of every matrix in row r * n + c."""
+    return mats.reshape(len(mats), -1).T
+
+
 class TestBatchedNorms:
     """Each method of ``_batched_norms`` against LAPACK as the oracle."""
 
@@ -210,7 +216,7 @@ class TestBatchedNorms:
     def test_random_2x2_at_every_scale(self, exp10):
         mats = _random_stack(np.random.default_rng(exp10 + 1000), 2000, 2,
                              10.0 ** exp10)
-        got = gns._batched_norms(mats)
+        got = gns._batched_norms(_position_major(mats))
         want = _lapack_norms(mats)
         assert np.all(np.isfinite(got)) and np.all(got > 0)
         assert np.max(np.abs(got - want) / want) <= 1e-13
@@ -229,7 +235,7 @@ class TestBatchedNorms:
         u[:, 1, 0] = np.exp(1j * t[1]) * s
         u[:, 1, 1] = np.exp(-1j * t[0]) * c
         mats = u * (scale * np.exp(1j * t[3]))[:, None, None]
-        got = gns._batched_norms(mats)
+        got = gns._batched_norms(_position_major(mats))
         assert np.max(np.abs(got / scale - 1)) <= 1e-13
         want = _lapack_norms(mats)
         assert np.max(np.abs(got - want) / want) <= 1e-13
@@ -238,18 +244,18 @@ class TestBatchedNorms:
         v = np.array([[1, 2j], [-3, 0.5 - 1j]])
         mats = np.stack([np.outer(v[0], v[1].conj()), np.zeros((2, 2)),
                          np.outer(v[1], v[1].conj()) * 1e-310])
-        got = gns._batched_norms(mats)
+        got = gns._batched_norms(_position_major(mats))
         assert got[1] == 0.0
         want = [np.linalg.norm(v[0]) * np.linalg.norm(v[1]), 0.0,
                 np.linalg.norm(v[1]) ** 2 * 1e-310]
         assert got == pytest.approx(want, rel=1e-13)
-        assert gns._batched_norms(np.zeros((5, 2, 2), dtype=complex)).tolist() == [0.0] * 5
+        assert gns._batched_norms(_position_major(np.zeros((5, 2, 2), dtype=complex))).tolist() == [0.0] * 5
 
     def test_2x2_norm_beyond_the_double_range(self):
         big = np.full((3, 2, 2), 1e308, dtype=complex)
         with np.errstate(over="ignore"):
             assert operator_norm(big[0]) == math.inf
-            assert gns._batched_norms(big).tolist() == [math.inf] * 3
+            assert gns._batched_norms(_position_major(big)).tolist() == [math.inf] * 3
 
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 515])
     def test_diagonal_stacks(self, n):
@@ -259,7 +265,7 @@ class TestBatchedNorms:
         diag[0] = 0
         mats = np.zeros((count, n, n), dtype=complex)
         mats[:, np.arange(n), np.arange(n)] = diag
-        got = gns._batched_norms(mats)
+        got = gns._batched_norms(_position_major(mats))
         assert got.tolist() == np.abs(diag).max(axis=1).tolist()
         want = _lapack_norms(mats)
         assert np.max(np.abs(got - want) / np.maximum(want, 1e-300)) <= 1e-13
@@ -271,8 +277,43 @@ class TestBatchedNorms:
         for i in range(0, 40, 3):
             mats[i] = np.diag(np.diag(mats[i]))
         mats[7] = 0
-        got = gns._batched_norms(mats)
+        got = gns._batched_norms(_position_major(mats))
         assert got.tolist() == [operator_norm(m) for m in mats]
+
+    @given(p=st.sampled_from([1, 2, 3]), points=st.integers(1, 4),
+           params=st.integers(1, 5), seed=st.integers(0, 2 ** 32),
+           exp10=st.sampled_from([-300, 0, 300]))
+    def test_position_major_stacks_are_the_model_major_norms(self, p, points, params,
+                                                             seed, exp10):
+        """A B x S stack of p x p models, some diagonal (or zero) and some
+        dense, normed position-major gives the bits of the model-major
+        reference, matrix by matrix."""
+        rng = np.random.default_rng(seed)
+        models = _random_stack(rng, points * params, p, 10.0 ** exp10)
+        kind = rng.integers(0, 3, size=len(models))     # dense, diagonal, zero
+        models[kind == 1] *= np.eye(p)
+        models[kind == 2] = 0
+        stack = _position_major(models).reshape(p * p, points, params)
+        got = gns._batched_norms(stack)
+        assert got.shape == (points, params)
+        assert got.ravel().tolist() == [_model_major_norm(m) for m in models]
+
+
+def _model_major_norm(mat):
+    """The largest singular value of one p x p matrix by the method the
+    batched norms choose, written out on the matrix: the largest diagonal
+    modulus if it is diagonal, the scaled closed form of the Gram matrix if
+    it is 2x2, else LAPACK."""
+    p = len(mat)
+    if not np.count_nonzero(mat - np.diag(np.diag(mat))):
+        return float(np.abs(np.diag(mat)).max())
+    if p != 2:
+        return float(np.linalg.svd(mat, compute_uv=False)[0])
+    entries = (mat[0, 0], mat[1, 0], mat[0, 1], mat[1, 1])
+    parts = [np.array([z.real]) for z in entries] + [np.array([z.imag]) for z in entries]
+    exponent = np.frexp(np.max(np.abs(parts)))[1]
+    top = gns._gram_top([np.ldexp(part, -exponent) for part in parts])
+    return float(np.ldexp(np.sqrt(top), exponent)[0])
 
 
 class TestNormsWithoutLapack:
@@ -879,13 +920,14 @@ class TestEntryPlan:
         for p, points in _points_by_period(system).items():
             plan = gns._entry_plan(system, points, p, x_elem)
             table = np.array([grid.powers(w) for w in plan.wraps])
+            # position-major: entry (r, c) of every model in row r * p + c
             mats = gns._cyclic_matrices(plan, table)
-            assert mats.shape == (len(points), 8, p, p)
+            assert mats.shape == (p * p, len(points), 8)
             for b, x in enumerate(points[:3]):
                 for j in range(8):
                     want = _reference_model(system, x, p, x_elem,
                                             lambda w: grid.powers(w)[j], _array_mul)
-                    assert np.array_equal(mats[b, j], want)
+                    assert np.array_equal(mats[:, b, j].reshape(p, p), want)
 
     @given(name=st.sampled_from(["tails8", "cycle3", "swap2"]), indices=_INDICES,
            seed=st.integers(0, 2 ** 32))
@@ -897,25 +939,26 @@ class TestEntryPlan:
             plan = gns._entry_plan(system, points, p, x_elem)
             table = np.array([grid.powers(w) for w in plan.wraps])
             mats = gns._cyclic_matrices(plan, table)
-            norms = gns._batched_norms(mats.reshape(-1, p, p)).reshape(len(points), -1)
+            norms = gns._batched_norms(mats)
+            assert norms.shape == (len(points), 16)
             for b, x in enumerate(points):
                 alone = gns._cyclic_matrices(gns._entry_plan(system, [x], p, x_elem),
                                              table)
-                assert np.array_equal(alone[0], mats[b])
-                assert gns._batched_norms(alone[0]).tolist() == norms[b].tolist()
+                assert np.array_equal(alone[:, 0], mats[:, b])
+                assert gns._batched_norms(alone)[0].tolist() == norms[b].tolist()
 
     def test_entries_come_in_index_order(self):
-        # period 3: column n of index k goes to row (n + k) mod 3 with the
-        # wrap (n + k) // 3, index by index
+        # period 3: column n of index k goes to row t = (n + k) mod 3 with
+        # the wrap (n + k) // 3, index by index; the plan lists the entries
+        # of each index by row, so row t holds column n = (t - k) mod 3
         system = _plan_system("cycle3")
         indices = (-3, 0, 1, 5, 6)
         x_elem = _element(system, indices, 0)
         for x, p in periodic_orbit_reps(system):
             plan = gns._entry_plan(system, [x], p, x_elem)
-            assert plan.positions.tolist() == [(n + k) % p * p + n
-                                               for k in indices for n in range(p)]
+            assert plan.residues == tuple(k % p for k in indices)
             assert plan.wraps[plan.wrap_index].tolist() == [
-                (n + k) // p for k in indices for n in range(p)]
+                ((t - k) % p + k) // p for k in indices for t in range(p)]
             # only the wraps that occur, each once
             assert sorted(plan.wraps.tolist()) == [-1, 0, 1, 2]
         # however far apart the indices
@@ -923,7 +966,7 @@ class TestEntryPlan:
         x_elem = _element(system, (-2 ** 53, 2 ** 53), 0)
         (x, p), = periodic_orbit_reps(system)
         plan = gns._entry_plan(system, [x], p, x_elem)
-        assert plan.positions.tolist() == [0, 0]
+        assert plan.residues == (0, 0)
         assert plan.wraps.tolist() == [-2 ** 53, 2 ** 53]
 
     @given(name=st.sampled_from(sorted(_SYSTEMS)), seed=st.integers(0, 2 ** 32))
