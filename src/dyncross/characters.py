@@ -317,7 +317,7 @@ def gelfand_norm(sys: DynSys, x_elem: Element, grid: CircleGrid) -> NormEstimate
     ks = x_elem.support()
     if not ks:
         return NormEstimate(0.0, 0.0)
-    slots = np.arange(len(sys.space.representative_points()))
+    slots = np.arange(sys.space.slot_counts()[1])
     coeffs = x_elem.rows.take(slots)
     pows = np.array([grid.powers(k) for k in ks])
     h = grid.half_spacing

@@ -142,8 +142,7 @@ class SetRep:
     def member_names(self) -> list:
         """The names (see :meth:`_SpaceOps.point_names`) of the window points
         in the set, sorted: one read of the space's name table."""
-        names = self.space.point_names()
-        nw = len(names) - len(self.space.limit_names)
+        names, nw = self.space.point_names(), self.space.slot_counts()[0]
         return sorted(names[i] for i in np.flatnonzero(self.mask[:nw]))
 
     @property
@@ -308,7 +307,7 @@ class _SpaceOps:
             tail = self.tail_of(p)
             if tail is None:
                 raise ForeignPoint(f"{p} not in this space")
-            i = len(self._points) + self.tail_names.index(tail)
+            i = self.slot_counts()[1] + self.tail_names.index(tail)
         return i
 
     def slot_point(self, i: int) -> Point:
@@ -385,13 +384,13 @@ class _SpaceOps:
 
     @cached_property
     def _slot_counts(self) -> tuple:
-        nv = len(self._names)
-        return nv - len(self.limit_names), nv
+        nw = self._window_count()
+        return nw, nw + len(self.limit_names)
 
     def slot_counts(self) -> tuple:
         """The numbers of window points and of representative points (the
-        vector slots), counted from the name table: no point object is
-        built."""
+        vector slots), counted from the backend's own data: no point object
+        or name is built."""
         return self._slot_counts
 
     @cached_property
@@ -422,7 +421,7 @@ class _SpaceOps:
         its limit's for a tail point beyond the window (a space with tails
         has one limit point, in the last vector slot)."""
         i = self._index.get(p)
-        return i if i is not None else min(self.set_slot(p), len(self._points) - 1)
+        return i if i is not None else min(self.set_slot(p), self.slot_counts()[1] - 1)
 
     def slots_of(self, points: Iterable[Point]) -> np.ndarray:
         """The vector slots of these points (see :meth:`index_of`) as one
@@ -562,6 +561,9 @@ class FiniteSpace(_SpaceOps):
     def _window_points(self):
         return (FinitePoint(i) for i in range(len(self.labels)))
 
+    def _window_count(self) -> int:
+        return len(self.labels)
+
     def point(self, label: str) -> FinitePoint:
         i = self.name_slots().get(label)
         if i is None:
@@ -678,7 +680,7 @@ class TailSpace(_SpaceOps):
         step = math.lcm(*(q for q in self.tail_periods if q))
         if self.window < 1 or self.window % step:
             raise BadWindow(f"{self.kind} window radius must be a positive multiple of {step}")
-        self._check_budget(sum(run[2] for run in self._runs()) + len(self.limit_names))
+        self._check_budget(self.slot_counts()[1])
 
     def _runs(self) -> tuple:
         """(tail, first n, count, period) of each run of window points, in
@@ -688,6 +690,9 @@ class TailSpace(_SpaceOps):
     def _window_points(self):
         return (TailPoint(t, n) for t, first, count, _ in self._runs()
                 for n in range(first, first + count))
+
+    def _window_count(self) -> int:
+        return sum(count for _, _, count, _ in self._runs())
 
     def _window_names(self):
         return (f"{t}{n}" for t, first, count, _ in self._runs()
@@ -736,7 +741,7 @@ class TailSpace(_SpaceOps):
                       limits: Mapping[str, complex] = {}) -> bool:
         # a tail point beyond the window takes its limit's value, so values
         # at window points with one value per limit are continuous
-        nw = len(self.window_points)
+        nw = self.slot_counts()[0]
         return set(limits) == set(self.limit_names) and all(
             self._index.get(p, nw) < nw for p in values)
 
@@ -902,11 +907,12 @@ class CtsFun:
         limits = {k: complex(v) for k, v in limits.items()}
         if not space.is_continuous(values, limits):
             raise not_continuous(space)
-        vec = np.zeros(len(space.representative_points()), dtype=complex)
+        nw, nv = space.slot_counts()
+        vec = np.zeros(nv, dtype=complex)
         for name, z in limits.items():
             vec[space.index_of(space.limit_point(name))] = z
         if limits:
-            vec[:len(space.window_points)] = limits[space.limit_names[0]]
+            vec[:nw] = limits[space.limit_names[0]]
         vec[[space.index_of(p) for p in values]] = list(values.values())
         self.space = space
         self.vec = vec
@@ -922,8 +928,7 @@ class CtsFun:
 
     @classmethod
     def constant(cls, space: Space, z: complex) -> "CtsFun":
-        return cls._of(space, np.full(len(space.representative_points()),
-                                      complex(z)))
+        return cls._of(space, np.full(space.slot_counts()[1], complex(z)))
 
     @classmethod
     def zero(cls, space: Space) -> "CtsFun":
@@ -937,7 +942,7 @@ class CtsFun:
             raise SpaceMismatch("indicator of a set over a different space")
         if space.interior(s) != s or space.closure(s) != s:
             raise NotContinuous("indicator of a set that is not clopen")
-        return cls._of(space, s.mask[:len(space.representative_points())].astype(complex))
+        return cls._of(space, s.mask[:space.slot_counts()[1]].astype(complex))
 
     # -- evaluation --
 
@@ -953,7 +958,7 @@ class CtsFun:
         """The window slots whose value differs from the limit's; every
         window slot where the space has no limit."""
         sp = self.space
-        nw = len(sp.window_points)
+        nw = sp.slot_counts()[0]
         if not sp.limit_names:
             return np.arange(nw)
         return np.flatnonzero(self.vec[:nw] != self.vec[nw])
@@ -1077,8 +1082,7 @@ class FunRows:
 
     @classmethod
     def zeros(cls, space: Space, count: int) -> "FunRows":
-        return cls._of(space, np.zeros(
-            (count, len(space.representative_points())), dtype=complex))
+        return cls._of(space, np.zeros((count, space.slot_counts()[1]), dtype=complex))
 
     @classmethod
     def from_atoms(cls, space: Space, radius: Optional[int], atom_values,
@@ -1088,7 +1092,7 @@ class FunRows:
         atoms takes its row's value at the first limit, which makes each
         row continuous by construction."""
         slots, sizes = space.atom_slots(radius)
-        nw = len(space.window_points)
+        nw = space.slot_counts()[0]
         rows = cls.zeros(space, len(atom_values))
         vals = rows.vals
         if space.limit_names:
@@ -1177,7 +1181,7 @@ class FunRows:
         sp = self.space
         if not len(self.vals):
             return 0
-        nw = len(sp.window_points)
+        nw = sp.slot_counts()[0]
         if not sp.limit_names:
             return sp.radius_of(np.arange(nw))
         differ = (self.vals[:, :nw] != self.vals[:, nw:nw + 1]).any(axis=0)

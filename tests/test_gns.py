@@ -249,7 +249,8 @@ class TestBatchedNorms:
         want = [np.linalg.norm(v[0]) * np.linalg.norm(v[1]), 0.0,
                 np.linalg.norm(v[1]) ** 2 * 1e-310]
         assert got == pytest.approx(want, rel=1e-13)
-        assert gns._batched_norms(_position_major(np.zeros((5, 2, 2), dtype=complex))).tolist() == [0.0] * 5
+        zeros = _position_major(np.zeros((5, 2, 2), dtype=complex))
+        assert gns._batched_norms(zeros).tolist() == [0.0] * 5
 
     def test_2x2_norm_beyond_the_double_range(self):
         big = np.full((3, 2, 2), 1e308, dtype=complex)
