@@ -27,17 +27,20 @@ holds full-size torus sweeps: ``pair_swap_tails`` W=256 (stacks of 258
 period-1 and 129 period-2 models) with a general element of degree 4 at
 grid 1024 and a commutant one of degree bound 8 at grid 256, and a 60-cycle
 with a general element of degree 4 at grid 256 (the bundled fixtures
-sweep W=8 stacks).  ``--src`` names the
+sweep W=8 stacks).  With ``COLUMNS=80``, so that argparse wraps its text
+at a fixed width, it records the exit code, standard output and standard
+error of the top-level and per-verb ``-h`` and of the usage errors in
+``USAGE_CASES``.  ``--src`` names the
 ``src`` directory to import dyncross from (default: the one next to this
 script), so the same script records any checkout.
 
 With ``--against OTHER.json`` it then compares the two records: exit codes,
 check names and their order, ``passed`` flags, every ``data.measured`` (at
 most ``MEASURED_TOL`` apart), every norm field (within its tolerance in
-``NORM_TOL``), the ``describe`` and ``charspace`` output and the commutant
-records, byte for byte.  It prints each mismatch, each norm field that
-moved within its tolerance, the largest difference of each kind, and
-exits 1 on any mismatch.
+``NORM_TOL``), the ``describe`` and ``charspace`` output, the help and
+usage text and the commutant records, byte for byte.  It prints each
+mismatch, each norm field that moved within its tolerance, the largest
+difference of each kind, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import os
 import random
 import sys
 import tempfile
+from unittest import mock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_SEEDS = (20260809, 1, 2, 3)
@@ -61,13 +65,29 @@ MEASURED_TOL = 1e-14
 # exact, and both norms hold to rounding, value and error bound alike
 NORM_TOL = {"ell1": 0.0, "gelfand.value": 1e-14, "gelfand.error_bound": 1e-14,
             "cstar.value": 1e-14, "cstar.error_bound": 1e-14, "trunc": 0.0}
+VERBS = ("describe", "charspace", "project", "norms", "verify")
+# argv of the usage errors and edge cases whose text is recorded
+USAGE_CASES = {
+    "no_verb": [],
+    "unknown_verb": ["frobnicate", "--space", "cycle3"],
+    "missing_space": ["describe", "--json"],
+    "missing_element": ["norms", "--space", "cycle3"],
+    "unknown_suite": ["verify", "nonsense", "--space", "cycle3"],
+    "unknown_option": ["charspace", "--space", "cycle3", "--bogus"],
+    "option_before_verb": ["--json", "describe", "--space", "one_point"],
+    "abbreviated_option": ["describe", "--spa", "one_point", "--js"],
+    "bad_int": ["charspace", "--space", "cycle3", "--grid", "x"],
+}
 
 
 def _cli(argv):
     from dyncross.cli import main
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse's -h and usage errors
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -144,6 +164,16 @@ def _topology(tmp) -> dict:
     return out
 
 
+def _usage() -> dict:
+    """Exit code, stdout and stderr of every ``-h`` and of ``USAGE_CASES``,
+    wrapped at 80 columns."""
+    cases = {"help": ["-h"], **{f"{verb}.help": [verb, "-h"] for verb in VERBS},
+             **USAGE_CASES}
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        return {name: dict(zip(("code", "out", "error"), _cli(argv)))
+                for name, argv in cases.items()}
+
+
 def _rows_record(elements) -> dict:
     """The indices of each element and a sha256 of all their row bytes."""
     digest = hashlib.sha256()
@@ -209,7 +239,7 @@ def record(seeds, cases_paths) -> dict:
                                              os.path.join(base, case["element"]),
                                              case["grid"])
     return {"verify": verify, "norms": norms, "topology": topology,
-            "commutant": _commutant(seeds)}
+            "usage": _usage(), "commutant": _commutant(seeds)}
 
 
 def _field(doc, path):
@@ -274,7 +304,7 @@ def compare(mine: dict, other: dict) -> int:
             (moved if delta <= tol * scale else bad).append(line)
             if not delta <= worst_norm[field][0]:
                 worst_norm[field] = (delta, key)
-    for section in ("topology", "commutant"):
+    for section in ("topology", "usage", "commutant"):
         sec_a, sec_b = mine.get(section, {}), other.get(section, {})
         for key in sorted(set(sec_a) | set(sec_b)):
             if sec_a.get(key) != sec_b.get(key):
@@ -288,7 +318,8 @@ def compare(mine: dict, other: dict) -> int:
           f"|delta measured| {worst_measured[0]:.3g} ({worst_measured[1]})")
     print(f"norms: {len(mine['norms'])} runs, {len(moved)} fields moved within "
           f"their tolerance")
-    print(f"topology: {len(mine.get('topology', {}))} outputs, commutant: "
+    print(f"topology: {len(mine.get('topology', {}))} outputs, usage: "
+          f"{len(mine.get('usage', {}))} outputs, commutant: "
           f"{len(mine['commutant'])} records, compared byte for byte")
     for field, (delta, key) in worst_norm.items():
         if key is not None:

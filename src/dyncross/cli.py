@@ -44,9 +44,14 @@ from .serialize import (
     point_to_str,
     space_from_spec,
 )
-from .verify import SUITES, run_suites
 
 DEFAULT_SEED = 20260809
+# (verb, help, whether it takes --element), in the order ``-h`` lists them
+VERBS = (("describe", "system summary", False),
+         ("charspace", "character taxonomy", False),
+         ("project", "project onto the commutant", True),
+         ("norms", "series/Gelfand/C* norms", True),
+         ("verify", "run verification suites", False))
 
 
 def _load_system(spec_arg: str) -> DynSys:
@@ -132,34 +137,20 @@ def _render(doc, as_json: bool) -> str:
 
 
 def main(argv=None) -> int:
+    argv = _sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="dyncross",
         description="crossed-product algebra computations for desk-scale "
                     "dynamical systems")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, element=False):
-        p.add_argument("--space", required=True,
-                       help="space JSON file or bundled fixture name "
-                            f"({', '.join(sorted(FIXTURES))})")
-        if element:
-            p.add_argument("--element", required=True, help="element JSON file")
-        p.add_argument("--grid", type=int, default=1024,
-                       help="circle grid resolution")
-        p.add_argument("--trunc", type=int, default=None,
-                       help="truncation radius for shift-model norms")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    common(sub.add_parser("describe", help="system summary"))
-    common(sub.add_parser("charspace", help="character taxonomy"))
-    common(sub.add_parser("project", help="project onto the commutant"),
-           element=True)
-    common(sub.add_parser("norms", help="series/Gelfand/C* norms"),
-           element=True)
-    pv = sub.add_parser("verify", help="run verification suites")
-    pv.add_argument("target", choices=sorted(SUITES) + ["all"])
-    common(pv)
+    # Every verb is listed, but only the named one gets its options: the
+    # top level takes no option besides -h, so its first word not starting
+    # with "-" names the verb (or is an invalid choice).
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for verb, help_text, element in VERBS:
+        p = sub.add_parser(verb, help=help_text)
+        if verb == named:
+            _add_options(p, verb, element)
 
     args = parser.parse_args(argv)
     try:
@@ -167,6 +158,23 @@ def main(argv=None) -> int:
     except DyncrossError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+
+
+def _add_options(p, verb: str, element: bool) -> None:
+    if verb == "verify":
+        from .verify import SUITES
+        p.add_argument("target", choices=sorted(SUITES) + ["all"])
+    p.add_argument("--space", required=True,
+                   help="space JSON file or bundled fixture name "
+                        f"({', '.join(sorted(FIXTURES))})")
+    if element:
+        p.add_argument("--element", required=True, help="element JSON file")
+    p.add_argument("--grid", type=int, default=1024,
+                   help="circle grid resolution")
+    p.add_argument("--trunc", type=int, default=None,
+                   help="truncation radius for shift-model norms")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--json", action="store_true", help="emit JSON")
 
 
 def _dispatch(args) -> int:
@@ -215,7 +223,7 @@ def _dispatch(args) -> int:
         print(_render(doc, args.json))
         return 0
 
-    # verify
+    from .verify import run_suites
     records = run_suites(args.target, sys, seed=args.seed,
                          grid=CircleGrid(min(args.grid, 64)), trunc=args.trunc)
     failures = [r for r in records if not r.passed]

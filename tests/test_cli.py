@@ -446,10 +446,10 @@ def test_window_beyond_the_point_budget(kind, tmp_path, capsys):
     assert "representative points" in err
 
 
-def _run_module(*argv):
+def _run_module(*argv, **env_vars):
     """``python -m dyncross ARGV`` in a fresh interpreter, outside pytest's
-    capture of warnings."""
-    env = dict(os.environ)
+    capture of warnings, with ``env_vars`` added to its environment."""
+    env = dict(os.environ, **env_vars)
     src = str(pathlib.Path(dyncross.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "dyncross", *argv],
@@ -461,6 +461,78 @@ def test_python_dash_m():
     done = _run_module("describe", "--space", "one_point")
     assert done.returncode == 0, done.stderr
     assert "projection_exists: True" in done.stdout
+
+
+@pytest.mark.parametrize("verb, loads_verify", [
+    ("describe", False), ("charspace", False), ("project", False),
+    ("norms", False), ("verify", True)])
+def test_only_verify_loads_the_suites(verb, loads_verify, element_file):
+    """A one-shot call imports ``dyncross.verify`` only for ``verify``;
+    ``PYTHONPROFILEIMPORTTIME`` lists on stderr every module the process
+    imported."""
+    argv = {"project": ["--element", element_file, "--grid", "16"],
+            "norms": ["--element", element_file, "--grid", "16"],
+            "verify": ["algebra"]}.get(verb, [])
+    done = _run_module(verb, *argv, "--space", "one_point",
+                       PYTHONPROFILEIMPORTTIME="1")
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "dyncross.cli" in imported
+    assert ("dyncross.verify" in imported) == loads_verify
+
+
+_OPTIONS = ["-h", "--space", "--grid", "--trunc", "--seed", "--json"]
+
+
+def _help_and_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestArgumentContract:
+    """What ``-h`` lists and how usage errors exit, at a fixed wrap width."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_top_level_help_lists_the_verbs(self, capsys):
+        code, out, _ = _help_and_exit(["-h"], capsys)
+        assert code == 0
+        assert out.startswith("usage: dyncross [-h] "
+                              "{describe,charspace,project,norms,verify} ...\n")
+        listed = re.findall(r"^    (\w+) +\S", out, re.MULTILINE)
+        assert listed == ["describe", "charspace", "project", "norms", "verify"]
+
+    @pytest.mark.parametrize("verb, extra", [
+        ("describe", []), ("charspace", []), ("project", ["--element"]),
+        ("norms", ["--element"]), ("verify", [])])
+    def test_verb_help_lists_exactly_its_options(self, verb, extra, capsys):
+        code, out, _ = _help_and_exit([verb, "-h"], capsys)
+        assert code == 0
+        assert out.startswith(f"usage: dyncross {verb} [-h] --space SPACE")
+        options = re.findall(r"^  (-\w|--\w+)", out, re.MULTILINE)
+        assert sorted(options) == sorted(_OPTIONS + extra)
+        targets = "{algebra,appendix,characters,commutant,gns,all}"
+        assert (f"\n  {targets}\n" in out) == (verb == "verify")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate", "--space", "cycle3"], "argument verb: invalid choice: 'frobnicate'"),
+        (["describe", "--json"], "the following arguments are required: --space"),
+        (["verify", "nonsense", "--space", "cycle3"],
+         "argument target: invalid choice: 'nonsense'")])
+    def test_usage_errors_exit_2(self, argv, message, capsys):
+        code, out, err = _help_and_exit(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: dyncross ")
+        assert message in err.splitlines()[-1]
+
+    def test_options_may_be_abbreviated(self, capsys):
+        assert main(["describe", "--spa", "one_point", "--js"]) == 0
+        assert json.loads(capsys.readouterr().out)["projection_exists"] is True
 
 
 @pytest.mark.parametrize("k, grid", [(1, 5), (5, 9)])
