@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record the CLI's verification and norm outputs, and compare two records.
+"""Record the CLI's verify, norms and project outputs, and compare two records.
 
 Usage:
     python scripts/parity.py OUT.json [--seeds S ...] [--norms-inputs CASES.json ...]
@@ -9,7 +9,9 @@ Writes to OUT.json, for every bundled fixture and seed, the exit code and
 the check records of ``dyncross verify all --json --seed S``, and
 ``dyncross norms --json`` on two elements drawn on each fixture at each
 seed (a general one and a commutant one, where the fixture has a
-projection), and the exact output of ``describe`` and ``charspace`` on
+projection), each with a sha256 of its exact standard output, the exact
+output of ``dyncross project --json`` on the same elements, and the exact
+output of ``describe`` and ``charspace`` on
 every fixture and on the systems of ``topology_specs()``, both with
 ``--json`` and as plain text: JSON sorts each object's keys, so only the
 text view shows the order in which a document was built.  For every fixture and for ``int_shift64`` and
@@ -37,8 +39,11 @@ script), so the same script records any checkout.
 With ``--against OTHER.json`` it then compares the two records: exit codes,
 check names and their order, ``passed`` flags, every ``data.measured`` (at
 most ``MEASURED_TOL`` apart), every norm field (within its tolerance in
-``NORM_TOL``), the ``describe`` and ``charspace`` output, the help and
-usage text and the commutant records, byte for byte.  It prints each
+``NORM_TOL``), and byte for byte the ``project``, ``describe`` and
+``charspace`` output, the help and usage text and the commutant records.
+The output of a ``verify`` or ``norms`` run must be byte-identical too,
+unless a measurement or a norm field of that run moved within its
+tolerance.  It prints each
 mismatch, each norm field that moved within its tolerance, the largest
 difference of each kind, and exits 1 on any mismatch.
 """
@@ -91,11 +96,15 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _norms(space_path, elem_path, grid):
     code, out, err = _cli(["norms", "--space", space_path, "--element", elem_path,
                            "--grid", str(grid), "--json"])
     return {"code": code, "doc": json.loads(out) if code == 0 else None,
-            "error": err.strip()}
+            "error": err.strip(), "sha256": _sha256(out)}
 
 
 def _finite_spec(perm, nbhd, prefix):
@@ -210,7 +219,7 @@ def record(seeds, cases_paths) -> dict:
     from dyncross.sampling import random_element
     from dyncross.serialize import element_to_json
 
-    verify, norms = {}, {}
+    verify, norms, project = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         topology = _topology(tmp)
         for name in sorted(FIXTURES):
@@ -219,7 +228,8 @@ def record(seeds, cases_paths) -> dict:
                 code, out, _ = _cli(["verify", "all", "--space", name,
                                      "--seed", str(seed), "--json"])
                 checks = json.loads(out)["checks"] if out else []
-                verify[f"{name}@{seed}"] = {"code": code, "checks": [
+                verify[f"{name}@{seed}"] = {"code": code, "sha256": _sha256(out),
+                                            "checks": [
                     {"name": f"{c['suite']}.{c['name']}", "passed": c["passed"],
                      "measured": c["data"].get("measured")} for c in checks]}
                 rng = random.Random(seed)
@@ -231,6 +241,10 @@ def record(seeds, cases_paths) -> dict:
                     with open(path, "w", encoding="utf-8") as fh:
                         json.dump(element_to_json(x), fh)
                     norms[f"{name}@{seed}.{kind}"] = _norms(name, path, 256)
+                    code, out, err = _cli(["project", "--space", name,
+                                           "--element", path, "--json"])
+                    project[f"{name}@{seed}.{kind}"] = {"code": code, "out": out,
+                                                        "error": err.strip()}
     for cases_path in cases_paths:
         base = os.path.dirname(os.path.abspath(cases_path))
         with open(cases_path, encoding="utf-8") as fh:
@@ -238,8 +252,8 @@ def record(seeds, cases_paths) -> dict:
                 norms[case["name"]] = _norms(os.path.join(base, case["space"]),
                                              os.path.join(base, case["element"]),
                                              case["grid"])
-    return {"verify": verify, "norms": norms, "topology": topology,
-            "usage": _usage(), "commutant": _commutant(seeds)}
+    return {"verify": verify, "norms": norms, "project": project,
+            "topology": topology, "usage": _usage(), "commutant": _commutant(seeds)}
 
 
 def _field(doc, path):
@@ -265,6 +279,10 @@ def compare(mine: dict, other: dict) -> int:
         if names_a != names_b:
             bad.append(f"verify {key}: check names or order differ")
             continue
+        if a.get("sha256") != b.get("sha256") and all(
+                ca["measured"] == cb["measured"]
+                for ca, cb in zip(a["checks"], b["checks"])):
+            bad.append(f"verify {key}: output bytes differ")
         for ca, cb in zip(a["checks"], b["checks"]):
             if ca["passed"] != cb["passed"]:
                 bad.append(f"verify {key} {ca['name']}: passed "
@@ -289,6 +307,9 @@ def compare(mine: dict, other: dict) -> int:
             bad.append(f"norms {key}: exit {a['code']} {a['error']!r} "
                        f"!= {b['code']} {b['error']!r}")
             continue
+        if a.get("sha256") != b.get("sha256") and all(
+                _field(a["doc"], field) == _field(b["doc"], field) for field in NORM_TOL):
+            bad.append(f"norms {key}: output bytes differ")
         for field, tol in NORM_TOL.items():
             va, vb = _field(a["doc"], field), _field(b["doc"], field)
             if va == vb:
@@ -304,7 +325,7 @@ def compare(mine: dict, other: dict) -> int:
             (moved if delta <= tol * scale else bad).append(line)
             if not delta <= worst_norm[field][0]:
                 worst_norm[field] = (delta, key)
-    for section in ("topology", "usage", "commutant"):
+    for section in ("project", "topology", "usage", "commutant"):
         sec_a, sec_b = mine.get(section, {}), other.get(section, {})
         for key in sorted(set(sec_a) | set(sec_b)):
             if sec_a.get(key) != sec_b.get(key):
@@ -317,8 +338,9 @@ def compare(mine: dict, other: dict) -> int:
     print(f"verify: {len(mine['verify'])} runs, {checks} checks; largest "
           f"|delta measured| {worst_measured[0]:.3g} ({worst_measured[1]})")
     print(f"norms: {len(mine['norms'])} runs, {len(moved)} fields moved within "
-          f"their tolerance")
-    print(f"topology: {len(mine.get('topology', {}))} outputs, usage: "
+          f"their tolerance; verify and norms output compared byte for byte")
+    print(f"project: {len(mine.get('project', {}))} outputs, "
+          f"topology: {len(mine.get('topology', {}))} outputs, usage: "
           f"{len(mine.get('usage', {}))} outputs, commutant: "
           f"{len(mine['commutant'])} records, compared byte for byte")
     for field, (delta, key) in worst_norm.items():

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from json.encoder import encode_basestring_ascii
 
 from .characters import CircleGrid, point_orders
 from .commutant import is_in_commutant, project_to_commutant
@@ -117,9 +118,56 @@ def _charspace(sys: DynSys, grid: CircleGrid) -> dict:
     return {"grid": grid.resolution, "points": rows}
 
 
+# Encodes a flat list of scalars compactly, one per line: no encoded scalar
+# holds a raw newline, so splitting the encoding gives back the leaves.
+_LEAVES = json.JSONEncoder(separators=("\n", ": "))
+
+
+def _table_json(rows) -> str | None:
+    """``rows`` as ``json.dumps(indent=2, sort_keys=True)`` writes the value
+    of a top-level key, when they form a table: a nonempty list of dicts
+    with the same nonempty ``str`` keys and only scalar values.  All the
+    leaves go through the C encoder in one call and fill a row template.
+    None for anything else."""
+    if not (type(rows) is list and rows and type(rows[0]) is dict and rows[0]):
+        return None
+    first = rows[0]
+    if (any(type(k) is not str for k in first)
+            or any(isinstance(v, (list, tuple, dict)) for v in first.values())
+            or set(map(type, rows)) != {dict}
+            or sum(map(len, rows)) != len(rows) * len(first)):
+        return None
+    keys = sorted(first)
+    try:    # every row holds every key and no other, since the sizes agree
+        leaves = [row[k] for row in rows for k in keys]
+    except KeyError:
+        return None
+    inner = _LEAVES.encode(leaves)[1:-1]
+    if inner.startswith(("[", "{")) or "\n[" in inner or "\n{" in inner:
+        return None     # a later row holds a container
+    row = "\n    {" + ",".join(
+        f"\n      {encode_basestring_ascii(k).replace('%', '%%')}: %s"
+        for k in keys) + "\n    }"
+    return "[" + ",".join([row] * len(rows)) % tuple(inner.split("\n")) + "\n  ]"
+
+
+def _json(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, with each
+    top-level value that is a table rendered by ``_table_json``."""
+    if type(doc) is dict and all(type(k) is str for k in doc):
+        tables = {k: _table_json(v) for k, v in doc.items()}
+        if any(t is not None for t in tables.values()):
+            return "{" + ",".join(
+                f"\n  {encode_basestring_ascii(k)}: "
+                + (tables[k] if tables[k] is not None else
+                   json.dumps(doc[k], indent=2, sort_keys=True).replace("\n", "\n  "))
+                for k in sorted(doc)) + "\n}"
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _render(doc, as_json: bool) -> str:
     if as_json:
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _json(doc)
     lines = []
 
     def walk(prefix, node):
@@ -236,7 +284,7 @@ def _dispatch(args) -> int:
         "failed": len(failures),
     }
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_render(doc, True))
     else:
         for r in records:
             mark = "ok  " if r.passed else "FAIL"

@@ -12,11 +12,12 @@ import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import block_tails
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from test_extra_systems import block_tail_systems, random_finite_system
 
 import dyncross
@@ -32,6 +33,7 @@ from dyncross.characters import (
     separating_family,
 )
 from dyncross.cli import main
+from dyncross.commutant import random_commutant_element
 from dyncross.dynamics import (
     aperiodic_set,
     fix_interior,
@@ -41,9 +43,11 @@ from dyncross.dynamics import (
     per_set,
     period_of,
     periodic_orbit_reps,
+    projection_condition,
     reduced_indices,
 )
 from dyncross.errors import NotContinuous, ParseError
+from dyncross.fixtures import FIXTURES
 from dyncross.sampling import random_element
 from dyncross.serialize import (
     element_from_json,
@@ -915,3 +919,114 @@ def test_element_files_read_by_slot_are_the_per_point_elements(system, data):
     got = element_from_json(space, doc)
     assert got.degrees == want.degrees
     assert got.rows.vals.tobytes() == want.rows.vals.tobytes()
+
+
+# -- the JSON view: exactly json.dumps(doc, indent=2, sort_keys=True) ------
+#
+# Random documents for the table renderer: tables of every scalar kind
+# (huge ints, NaN, infinities, -0.0, 1e16, non-ASCII and control
+# characters), keys with "%", '"' and newlines, rows that hold a container
+# or whose key sets differ, empty tables and rows, int keys, and tables
+# nested below the top level.
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([10 ** 40, -2 ** 70, math.nan, math.inf, -math.inf, -0.0,
+                     1e16, 1e-7, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(st.characters(codec="utf-8"), max_size=4),
+    st.text(st.sampled_from('a%"\n\t\x00\x7fé€\U0001f600'), max_size=3))
+_JSON_KEY = st.one_of(st.text(st.sampled_from('ab%s"\n\\é'), max_size=3),
+                      st.text(max_size=3))
+_JSON_CONTAINER = st.one_of(st.lists(_JSON_SCALAR, max_size=2),
+                            st.dictionaries(_JSON_KEY, _JSON_SCALAR, max_size=2))
+
+
+@st.composite
+def _json_tables(draw, flaw=None):
+    """A table: rows with the same keys and scalar values.  With a ``flaw``,
+    one random row holds a list or a dict (``"container"``), or loses,
+    gains or renames a key (``"keys"``)."""
+    keys = draw(st.lists(_JSON_KEY, unique=True, min_size=bool(flaw), max_size=4))
+    rows = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, _JSON_SCALAR)),
+                         min_size=2 if flaw else 0, max_size=5))
+    if flaw:
+        row, key = draw(st.sampled_from(rows)), draw(st.sampled_from(keys))
+        if flaw == "container":
+            row[key] = draw(_JSON_CONTAINER)
+            return rows
+        change = draw(st.sampled_from(["lose", "gain", "rename"]))
+        value = row[key] if change == "gain" else row.pop(key)
+        if change != "lose":
+            row[draw(_JSON_KEY.filter(lambda k: k not in keys))] = value
+    return rows
+
+
+def _one_of(*strategies):
+    """Each of ``strategies`` equally likely, repeats counted: ``st.one_of``
+    merges equal branches and flattens nested ones."""
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
+_JSON_VALUE = _one_of(
+    _json_tables(), _json_tables(flaw="container"), _json_tables(flaw="keys"),
+    st.lists(st.dictionaries(_JSON_KEY, _JSON_SCALAR, max_size=3), max_size=4),
+    st.lists(st.dictionaries(st.integers(-3, 3), _JSON_SCALAR, max_size=3),
+             max_size=3),
+    st.dictionaries(_JSON_KEY, _json_tables(), max_size=2),
+    st.lists(_json_tables(), max_size=2),
+    st.lists(_JSON_SCALAR, max_size=3), _JSON_CONTAINER, _JSON_SCALAR)
+# mostly documents of the shape the CLI prints: str keys at the top level
+_JSON_STR_DOC = st.dictionaries(_JSON_KEY, _JSON_VALUE, min_size=1, max_size=4)
+_JSON_DOC = _one_of(_JSON_STR_DOC, _JSON_STR_DOC, _JSON_STR_DOC,
+                    st.dictionaries(st.integers(-3, 3), _JSON_VALUE, max_size=3),
+                    _JSON_VALUE)
+
+
+@settings(max_examples=500)
+@given(doc=_JSON_DOC)
+def test_json_view_is_json_dumps(doc):
+    """Byte for byte, also where json has no C accelerator and the table's
+    leaves go through the pure-Python encoder."""
+    want = json.dumps(doc, indent=2, sort_keys=True)
+    assert cli._render(doc, True) == want
+    with mock.patch("json.encoder.c_make_encoder", None):
+        assert cli._render(doc, True) == want
+
+
+def _argv_cases(tmp_path):
+    """Every verb on every fixture, with a general element and, where the
+    fixture has a projection, a commutant one; ``describe`` and
+    ``charspace`` on both tail spaces at W=1024."""
+    for name in sorted(FIXTURES):
+        system, rng = FIXTURES[name](), random.Random(5)
+        elems = {"general": random_element(system.space, rng, 2)}
+        if projection_condition(system):
+            elems["commutant"] = random_commutant_element(system, rng, 2)
+        yield ["describe", "--space", name]
+        yield ["charspace", "--space", name]
+        yield ["verify", "all", "--space", name, "--grid", "16"]
+        for kind, x in elems.items():
+            path = tmp_path / f"{name}.{kind}.json"
+            path.write_text(json.dumps(element_to_json(x)))
+            for verb in ("project", "norms"):
+                yield [verb, "--space", name, "--element", str(path), "--grid", "64"]
+    for kind in ("int_shift", "pair_swap_tails"):
+        path = tmp_path / f"{kind}1024.json"
+        path.write_text(json.dumps({"kind": kind, "window": 1024}))
+        yield ["describe", "--space", str(path)]
+        yield ["charspace", "--space", str(path)]
+
+
+def test_json_output_is_json_dumps_of_the_document(tmp_path, monkeypatch, capsys):
+    """Every verb's ``--json`` on every fixture, and ``describe`` and
+    ``charspace`` at W=1024, print exactly ``json.dumps`` of the document
+    they render."""
+    docs, render = [], cli._render
+    monkeypatch.setattr(cli, "_render",
+                        lambda doc, as_json: docs.append(doc) or render(doc, as_json))
+    for argv in _argv_cases(tmp_path):
+        docs.clear()
+        assert main([*argv, "--json"]) == 0, argv
+        assert len(docs) == 1, argv
+        want = json.dumps(docs[0], indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want, argv
