@@ -14,7 +14,10 @@ output of ``dyncross project --json`` on the same elements, and the exact
 output of ``describe`` and ``charspace`` on
 every fixture and on the systems of ``topology_specs()``, both with
 ``--json`` and as plain text: JSON sorts each object's keys, so only the
-text view shows the order in which a document was built.  For every fixture and for ``int_shift64`` and
+text view shows the order in which a document was built.  On the finite
+systems of ``topology_specs()`` it also records ``verify characters
+--json`` and ``verify appendix --json`` at each seed, as the ``verify all``
+runs are recorded.  For every fixture and for ``int_shift64`` and
 ``tails64`` it also records the spanning family ``commutant_basis(sys, 2,
 4)`` and, at each seed, 20 random commutant elements of degree bound 2:
 the indices of each element and a sha256 of the bytes of all their rows.
@@ -152,17 +155,25 @@ def topology_specs() -> dict:
             "tails1024": {"kind": "pair_swap_tails", "window": 1024}}
 
 
-def _topology(tmp) -> dict:
+def _spec_files(tmp) -> dict:
+    """Each system of ``topology_specs()`` written to a space file in
+    ``tmp``, by name."""
+    paths = {}
+    for name, spec in topology_specs().items():
+        paths[name] = os.path.join(tmp, f"{name}.space.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+    return paths
+
+
+def _topology(spec_files) -> dict:
     """The exact output of ``describe`` and ``charspace``, each in its JSON
     view (key ``NAME.VERB``) and its plain-text view (``NAME.VERB.text``):
     JSON sorts the keys, the text view keeps their order."""
     from dyncross.fixtures import FIXTURES
 
     spaces = {name: name for name in sorted(FIXTURES)}
-    for name, spec in topology_specs().items():
-        spaces[name] = os.path.join(tmp, f"{name}.space.json")
-        with open(spaces[name], "w", encoding="utf-8") as fh:
-            json.dump(spec, fh)
+    spaces.update(spec_files)
     out = {}
     for name, space in spaces.items():
         for verb in ("describe", "charspace"):
@@ -212,6 +223,19 @@ def _commutant(seeds) -> dict:
     return out
 
 
+def _verify(space, suite, seed) -> dict:
+    """Exit code, sha256 of the output and check records of ``verify SUITE
+    --json`` on a space (a fixture name or a space file) at a seed.  The
+    output names the space as given; a file's directory, which differs
+    from run to run, is cut from it before hashing."""
+    code, out, _ = _cli(["verify", suite, "--space", space, "--seed", str(seed), "--json"])
+    checks = json.loads(out)["checks"] if out else []
+    digest = _sha256(out.replace(space, os.path.basename(space)))
+    return {"code": code, "sha256": digest, "checks": [
+        {"name": f"{c['suite']}.{c['name']}", "passed": c["passed"],
+         "measured": c["data"].get("measured")} for c in checks]}
+
+
 def record(seeds, cases_paths) -> dict:
     from dyncross.commutant import random_commutant_element
     from dyncross.dynamics import projection_condition
@@ -221,17 +245,17 @@ def record(seeds, cases_paths) -> dict:
 
     verify, norms, project = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        topology = _topology(tmp)
+        spec_files = _spec_files(tmp)
+        topology = _topology(spec_files)
+        for name, path in spec_files.items():
+            if topology_specs()[name]["kind"] == "finite":
+                for seed in seeds:
+                    for suite in ("characters", "appendix"):
+                        verify[f"{name}@{seed}.{suite}"] = _verify(path, suite, seed)
         for name in sorted(FIXTURES):
             system = FIXTURES[name]()
             for seed in seeds:
-                code, out, _ = _cli(["verify", "all", "--space", name,
-                                     "--seed", str(seed), "--json"])
-                checks = json.loads(out)["checks"] if out else []
-                verify[f"{name}@{seed}"] = {"code": code, "sha256": _sha256(out),
-                                            "checks": [
-                    {"name": f"{c['suite']}.{c['name']}", "passed": c["passed"],
-                     "measured": c["data"].get("measured")} for c in checks]}
+                verify[f"{name}@{seed}"] = _verify(name, "all", seed)
                 rng = random.Random(seed)
                 elems = {"general": random_element(system.space, rng, 2)}
                 if projection_condition(system):

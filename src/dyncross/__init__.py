@@ -38,6 +38,7 @@ from .dynamics import (
     fix_set,
     freeness_report,
     interior_closure_report,
+    interior_closure_reports,
     interior_orders,
     make_dynsys,
     minimal_interior_order,

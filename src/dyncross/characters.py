@@ -359,32 +359,61 @@ def gelfand_norm(sys: DynSys, x_elem: Element, grid: CircleGrid) -> NormEstimate
 # ---------------------------------------------------------------------------
 
 
+def recovery_table(sys: DynSys, x_elem: Element, points: Iterable[Point],
+                   resolution: int) -> list:
+    """The coefficient values at each of ``points`` recovered from character
+    values alone, one dict {k: value} per point: k = 0 alone at a point
+    carrying a point character; at a point of minimal interior order n,
+    k = j n for |j| <= degree // n, by an inverse discrete Fourier transform
+    along its character circle, exact as long as the resolution exceeds
+    twice the number of contributing indices.
+
+    All character values come from one family and one evaluation:
+    ``resolution`` torus characters at the grid samples for every point
+    carrying a circle, each at its own order, then one point character for
+    every other point.  Each recovered value is one point's samples dotted
+    with the grid powers, divided by the resolution."""
+    sp = sys.space
+    points = list(points)
+    slots = sp.slots_of(points)
+    orders = interior_orders(sys)[[sp.set_slot(p) for p in points]]
+    torus, flat = np.flatnonzero(orders), np.flatnonzero(orders == 0)
+    degree = x_elem.degree
+    fam_slots, fam_orders, params = slots[flat], orders[flat], np.ones(len(flat), complex)
+    if len(torus):
+        j_max = degree // int(orders[torus].min())
+        if resolution < 2 * j_max + 1:
+            raise ValueError("grid resolution too small for exact recovery")
+        grid = CircleGrid(resolution)
+        powers = {j: grid.powers(-j) for j in range(-j_max, j_max + 1)}
+        fam_slots = np.concatenate((np.repeat(slots[torus], resolution), fam_slots))
+        fam_orders = np.concatenate((np.repeat(orders[torus], resolution), fam_orders))
+        params = np.concatenate((np.tile(grid.samples, len(torus)), params))
+    vals = eval_family(sys, CharacterFamily(fam_slots, fam_orders, params), x_elem,
+                       check=False)
+    out = [None] * len(points)
+    for t, b in enumerate(torus.tolist()):
+        n, row = int(orders[b]), vals[t * resolution:(t + 1) * resolution]
+        out[b] = {j * n: complex(row @ powers[j]) / resolution
+                  for j in range(-(degree // n), degree // n + 1)}
+    for i, b in enumerate(flat.tolist(), len(torus) * resolution):
+        out[b] = {0: complex(vals[i])}
+    return out
+
+
 def recovered_coefficients(sys: DynSys, x_elem: Element, x: Point,
                            resolution: int) -> dict:
     """Coefficient values at the point x, recovered from character values
-    alone by an inverse discrete Fourier transform along the character
-    circle; exact as long as the resolution exceeds twice the number of
-    contributing indices."""
-    template = classify_point(sys, x)
-    if isinstance(template, PointCharacter):
-        return {0: eval_character(sys, template, x_elem, check=False)}
-    n = template.order
-    j_max = x_elem.degree // n
-    if resolution < 2 * j_max + 1:
-        raise ValueError("grid resolution too small for exact recovery")
-    grid = CircleGrid(resolution)
-    fam = CharacterFamily(sys.space.slots_of([x] * resolution),
-                          np.full(resolution, n), grid.samples)
-    vals = eval_family(sys, fam, x_elem, check=False)
-    return {j * n: complex(vals @ grid.powers(-j)) / resolution
-            for j in range(-j_max, j_max + 1)}
+    alone: the row of x in :func:`recovery_table`."""
+    return recovery_table(sys, x_elem, (x,), resolution)[0]
 
 
 def reconstruction_sup(sys: DynSys, x_elem: Element, resolution: int) -> float:
     """Largest recovered coefficient magnitude across all representative
     points; vanishes exactly when every character kills the element."""
     best = 0.0
-    for p in sys.space.representative_points():
-        for v in recovered_coefficients(sys, x_elem, p, resolution).values():
+    for rec in recovery_table(sys, x_elem, sys.space.representative_points(),
+                              resolution):
+        for v in rec.values():
             best = max(best, abs(v))
     return best

@@ -50,7 +50,10 @@ def _distinct(periods: np.ndarray) -> list:
 
 
 def divisors(n: int) -> tuple:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    """The positive divisors of n, ascending (none for n < 1): each d up to
+    the square root of n that divides it, paired with n // d."""
+    small = [d for d in range(1, math.isqrt(max(n, 0)) + 1) if n % d == 0]
+    return tuple(sorted({*small, *(n // d for d in small)}))
 
 
 def reduced_indices(sys: DynSys) -> tuple:
@@ -183,64 +186,86 @@ class InteriorClosureReport:
         return all(c.holds for c in self.inclusions + self.closure_equalities)
 
 
-def _subset_check(name: str, a: SetRep, b: SetRep) -> RelationCheck:
-    if a.is_subset(b):
-        return RelationCheck(name, True)
-    return RelationCheck(name, False, a.difference(b).sample_point())
+# the relations of an interior/closure report, each a test on the stacked
+# masks of the unions: a row fails where ``a`` holds a slot outside ``b``
+# (an inclusion) or the two differ (a closure equality)
+_INCLUSIONS = (
+    ("per-interiors inside fix-interiors", "per_int", "fix_int"),
+    ("fix-interiors inside interior of fix-union", "fix_int", "fix_union_int"),
+    ("interior of fix-union inside closure of per-interiors", "fix_union_int", "cl"),
+    ("per-interiors inside interior of per-union", "per_int", "per_union_int"),
+    ("interior of per-union inside interior of fix-union", "per_union_int",
+     "fix_union_int"),
+)
+_CLOSURE_EQUALITIES = (
+    ("closure(interior of per-union) = closure(per-interiors)", "cl_per_union_int", "cl"),
+    ("closure(fix-interiors) = closure(per-interiors)", "cl_fix_int", "cl"),
+    ("closure(interior of fix-union) = closure(per-interiors)", "cl_fix_union_int", "cl"),
+)
 
 
-def _equal_check(name: str, a: SetRep, b: SetRep) -> RelationCheck:
-    if a == b:
-        return RelationCheck(name, True)
-    diff = a.difference(b).union(b.difference(a))
-    return RelationCheck(name, False, diff.sample_point())
+def interior_closure_reports(sys: DynSys, seed_sets) -> List[InteriorClosureReport]:
+    """Check, for each set S of seed indices and its divisor closure P, the
+    inclusion chain and four-way closure equality between the unions of
+    interior-of-Per_p (p in P), interior-of-Fix_s (s in S), and the
+    interiors of the corresponding unions.
+
+    The masks of Per_k and Fix_k and their interiors are stacked once for
+    every index k of the families P; every union is a boolean reduction
+    over that stack (one row per seed set), every interior and closure one
+    call on all rows, and every relation a row-wise test.  A witness point
+    is read only for a failing row."""
+    seed_sets = [tuple(sorted(set(int(s) for s in seeds))) for seeds in seed_sets]
+    if any(not seeds or seeds[0] < 1 for seeds in seed_sets):
+        raise ValueError("seed set must be non-empty positive integers")
+    if not seed_sets:
+        return []
+    sp = sys.space
+    families = [tuple(sorted({p for s in seeds for p in divisors(s)}))
+                for seeds in seed_sets]
+    # every seed is in its own family, so these indices cover the seeds too
+    ks = sorted({k for p_family in families for k in p_family})
+    col = {k: i for i, k in enumerate(ks)}
+    per = sp.set_rows(per_set(sys, k) for k in ks)
+    fix = sp.set_rows(fix_set(sys, k) for k in ks)
+    per_int_k, fix_int_k = sp._interior_mask(np.array([per, fix]))
+    # row r picks the columns of its seed set (s_pick) and of its family
+    s_pick = np.zeros((len(seed_sets), len(ks)), dtype=bool)
+    p_pick = np.zeros((len(seed_sets), len(ks)), dtype=bool)
+    for r, (seeds, p_family) in enumerate(zip(seed_sets, families)):
+        s_pick[r, [col[s] for s in seeds]] = True
+        p_pick[r, [col[p] for p in p_family]] = True
+
+    def union(pick, stack):
+        return (pick[:, :, np.newaxis] & stack).any(axis=1)
+
+    def closure(masks):
+        return ~sp._interior_mask(~masks)
+
+    m = {"per_int": union(p_pick, per_int_k), "fix_int": union(s_pick, fix_int_k)}
+    m["fix_union_int"] = sp._interior_mask(union(s_pick, fix))
+    m["per_union_int"] = sp._interior_mask(union(p_pick, per))
+    m["cl"] = closure(m["per_int"])
+    for key in ("per_union_int", "fix_int", "fix_union_int"):
+        m["cl_" + key] = closure(m[key])
+    failing = {name: m[a] & ~m[b] for name, a, b in _INCLUSIONS}
+    failing.update((name, m[a] ^ m[b]) for name, a, b in _CLOSURE_EQUALITIES)
+    fails = {name: diff.any(axis=1) for name, diff in failing.items()}
+
+    def check(name, r):
+        if not fails[name][r]:
+            return RelationCheck(name, True)
+        return RelationCheck(name, False, SetRep(sp, failing[name][r]).sample_point())
+
+    return [InteriorClosureReport(seeds, p_family,
+                                  [check(name, r) for name, _, _ in _INCLUSIONS],
+                                  [check(name, r) for name, _, _ in _CLOSURE_EQUALITIES])
+            for r, (seeds, p_family) in enumerate(zip(seed_sets, families))]
 
 
 def interior_closure_report(sys: DynSys, seeds) -> InteriorClosureReport:
-    """Check, for the set S of seed indices and its divisor closure P, the
-    inclusion chain and four-way closure equality between the unions of
-    interior-of-Per_p (p in P), interior-of-Fix_s (s in S), and the
-    interiors of the corresponding unions."""
-    seeds = tuple(sorted(set(int(s) for s in seeds)))
-    if not seeds or seeds[0] < 1:
-        raise ValueError("seed set must be non-empty positive integers")
-    p_family = tuple(sorted({p for s in seeds for p in divisors(s)}))
-    sp = sys.space
-
-    per_int_union = sp.empty_set()
-    per_union = sp.empty_set()
-    for p in p_family:
-        per_int_union = per_int_union.union(sp.interior(per_set(sys, p)))
-        per_union = per_union.union(per_set(sys, p))
-    fix_int_union = sp.empty_set()
-    fix_union = sp.empty_set()
-    for s in seeds:
-        fix_int_union = fix_int_union.union(fix_interior(sys, s))
-        fix_union = fix_union.union(fix_set(sys, s))
-    fix_union_int = sp.interior(fix_union)
-    per_union_int = sp.interior(per_union)
-    cl = sp.closure(per_int_union)
-
-    report = InteriorClosureReport(seeds, p_family)
-    report.inclusions = [
-        _subset_check("per-interiors inside fix-interiors", per_int_union, fix_int_union),
-        _subset_check("fix-interiors inside interior of fix-union", fix_int_union, fix_union_int),
-        _subset_check("interior of fix-union inside closure of per-interiors",
-                      fix_union_int, cl),
-        _subset_check("per-interiors inside interior of per-union",
-                      per_int_union, per_union_int),
-        _subset_check("interior of per-union inside interior of fix-union",
-                      per_union_int, fix_union_int),
-    ]
-    report.closure_equalities = [
-        _equal_check("closure(interior of per-union) = closure(per-interiors)",
-                     sp.closure(per_union_int), cl),
-        _equal_check("closure(fix-interiors) = closure(per-interiors)",
-                     sp.closure(fix_int_union), cl),
-        _equal_check("closure(interior of fix-union) = closure(per-interiors)",
-                     sp.closure(fix_union_int), cl),
-    ]
-    return report
+    """The :func:`interior_closure_reports` of one seed set."""
+    return interior_closure_reports(sys, [seeds])[0]
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,7 @@ from .characters import (
 from .commutant import is_in_commutant, project_to_commutant
 from .dynamics import (
     DynSys,
+    divisors,
     minimal_interior_order,
     period_of,
     periodic_orbit_reps,
@@ -557,9 +558,7 @@ def _sub_grid(sups: list, p: int, g: int) -> tuple:
                          math.pi / g)
     lip = sum(k / p * sup for k, sup in sups)
     curv = sum((k / p) ** 2 * sup for k, sup in sups)
-    small = [d for d in range(1, math.isqrt(g) + 1) if g % d == 0]
-    divisors = sorted(set(small + [g // d for d in small]))
-    for sub in divisors[:-1]:
+    for sub in divisors(g)[:-1]:
         excess = grid_excess(lip, curv, math.pi / sub)
         if excess <= target and (sub >= 4 or excess == 0):
             return sub, float(excess)

@@ -284,10 +284,15 @@ class _SpaceOps:
                 mask[first + known.index(name)] = True
         return SetRep(self, mask)
 
+    def set_rows(self, sets) -> np.ndarray:
+        """The masks of ``sets`` (over this space) as the rows of one new
+        boolean array, for set calculus on all of them at once."""
+        return np.array([s.mask for s in sets])
+
     def first_holding(self, sets) -> np.ndarray:
         """For each set slot, the position of the first of ``sets`` (over
         this space) that holds it, or ``len(sets)`` where none does."""
-        return np.array([s.mask for s in sets] + [self.full_set().mask]).argmax(axis=0)
+        return self.set_rows([*sets, self.full_set()]).argmax(axis=0)
 
     def sigma_set(self, s: SetRep, m: int = 1) -> SetRep:
         """Image of a set under the m-th power of the homeomorphism: one

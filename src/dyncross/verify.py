@@ -46,7 +46,7 @@ from .characters import (
     eval_family,
     point_orders,
     reconstruction_sup,
-    recovered_coefficients,
+    recovery_table,
     separating_family,
 )
 from .commutant import (
@@ -60,10 +60,11 @@ from .commutant import (
 )
 from .dynamics import (
     DynSys,
+    divisors,
     fix_interior,
     fix_set,
     freeness_report,
-    interior_closure_report,
+    interior_closure_reports,
     minimal_interior_order,
     per_set,
     projection_condition,
@@ -469,21 +470,22 @@ def semisimplicity(sys: DynSys, rng: random.Random, trials: int,
     the coefficients and see every nonzero element, also scaled to 1e-13;
     the zero element recovers zero."""
     points = sys.space.representative_points()
+    slots = sys.space.slots_of(points)
     chars = character_family(sys, character_grid(sys, CircleGrid(resolution)))
     dev = 0.0
     false_zeros = misses = tiny_misses = 0
     for _ in range(trials):
         x = random_commutant_element(sys, rng, 3)
-        recovered = {p: recovered_coefficients(sys, x, p, resolution)
-                     for p in points}
-        for p, vals in recovered.items():
+        recovered = recovery_table(sys, x, points, resolution)
+        coeffs = dict(zip(x.degrees, x.rows.take(slots).tolist()))
+        for b, vals in enumerate(recovered):
             for k, v in vals.items():
-                dev = max(dev, abs(v - coefficient(x, k)(p)))
+                dev = max(dev, abs(v - (coeffs[k][b] if k in coeffs else 0j)))
         if x.is_zero(1e-6):
             continue
         if np.max(np.abs(eval_family(sys, chars, x, check=False))) <= 1e-12:
             false_zeros += 1
-        if max(abs(v) for vals in recovered.values() for v in vals.values()) <= 1e-8:
+        if max(abs(v) for vals in recovered for v in vals.values()) <= 1e-8:
             misses += 1
         # an element with uniformly tiny character values is tiny
         tiny = x.scale(1e-13 / max(x.ell1_norm(), 1e-13))
@@ -681,15 +683,11 @@ def appendix_suite(sys: DynSys, **_) -> List[CheckRecord]:
     {1..6}, the forms of topological freeness, the density statements, and
     the gcd law, invariance and partition of fixed-point and period sets."""
     seeds = list(_nonempty_subsets(range(1, 7)))
-    bad = [s for s in seeds if not interior_closure_report(sys, s).all_hold()]
+    bad = [s for s, report in zip(seeds, interior_closure_reports(sys, seeds))
+           if not report.all_hold()]
     fr = freeness_report(sys)
     flags = fr.freeness_flags()
-
-    lcm = sys.lcm_period or 1
-    rng_vals = range(0, 2 * lcm + 2)
-    ok_gcd = all(
-        fix_set(sys, m).intersect(fix_set(sys, n)) == fix_set(sys, math.gcd(m, n))
-        for m in rng_vals for n in rng_vals)
+    ok_gcd = _gcd_law_holds(sys)
     ok_inv = all(sys.space.sigma_set(fix_set(sys, n), m) == fix_set(sys, n)
                  for n in (0,) + reduced_indices(sys) for m in (-2, -1, 1, 2, 3))
 
@@ -713,6 +711,38 @@ def appendix_suite(sys: DynSys, **_) -> List[CheckRecord]:
         ("fixed-sets-gcd-law", ok_gcd, ""),
         ("fixed-sets-invariant", ok_inv, ""),
         ("period-partition", ok_part, ""))]
+
+
+def _gcd_law_holds(sys: DynSys) -> bool:
+    """Whether F(m) & F(n) == F(gcd(m, n)) for all m, n in 0..2L+1, where F
+    is :func:`fix_set` and L the lcm of the periods (1 on the shift backend,
+    where no lcm exists), from two checks:
+
+    (i)  F(k) == F(gcd(k, L)) for k in 1..2L+1, one comparison of the
+         stacked masks;
+    (ii) the law for m, n in D = {0} u divisors(L).
+
+    They imply the law, and read F at 2L+1 indices where the law reads
+    (2L+2)**2 pairs.  Put r(0) = 0 and r(k) = gcd(k, L) for k >= 1: r maps
+    0..2L+1 into D, and F(k) == F(r(k)) for each such k, by (i) for k >= 1
+    and trivially for k = 0.  Let m, n be in 0..2L+1 and g = gcd(m, n),
+    which is 0 or at most max(m, n), so in 0..2L+1 too.  Then
+    gcd(r(m), r(n)) = r(g): if m = n = 0 both sides are 0; if m = 0 < n,
+    gcd(0, r(n)) = r(n) = r(g) as g = n, and likewise if n = 0 < m; if both
+    are positive, gcd(gcd(m, L), gcd(n, L)) = gcd(g, L) = r(g).  So, by (ii)
+    on r(m) and r(n) in D,
+    F(m) & F(n) = F(r(m)) & F(r(n)) = F(gcd(r(m), r(n))) = F(r(g)) = F(g).
+    With L = 1 (the shift backend) D is {0, 1}, and the argument is the
+    same."""
+    lcm = sys.lcm_period or 1
+    ks = range(1, 2 * lcm + 2)
+    masks = sys.space.set_rows(fix_set(sys, k) for k in ks)
+    reduced = np.gcd(np.array(ks), lcm) - 1
+    if not (masks == masks[reduced]).all():
+        return False
+    ds = (0,) + divisors(lcm)
+    return all(fix_set(sys, m).intersect(fix_set(sys, n)) == fix_set(sys, math.gcd(m, n))
+               for m in ds for n in ds)
 
 
 def _nonempty_subsets(universe):

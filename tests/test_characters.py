@@ -4,8 +4,11 @@ Gelfand norm, and coefficient recovery."""
 import cmath
 import random
 
+import numpy as np
 import pytest
 from conftest import functions_supported_in
+from hypothesis import given, settings, strategies as st
+from test_extra_systems import block_tail_systems, random_finite_system
 
 from dyncross.algebra import delta, embed, identity, zero
 from dyncross.characters import (
@@ -24,10 +27,11 @@ from dyncross.characters import (
     gelfand_norm,
     reconstruction_sup,
     recovered_coefficients,
+    recovery_table,
     separating_family,
 )
 from dyncross.commutant import is_in_commutant, random_commutant_element
-from dyncross.dynamics import make_dynsys, minimal_interior_order
+from dyncross.dynamics import interior_orders, make_dynsys, minimal_interior_order
 from dyncross.errors import NotInCommutant
 from dyncross.fixtures import FIXTURES
 from dyncross.sampling import random_ctsfun, random_element
@@ -297,6 +301,74 @@ class TestReconstruction:
                 for ch in character_grid(int_shift8, CircleGrid(4))]
         assert max(vals) == pytest.approx(1.0)
         assert reconstruction_sup(int_shift8, x, 16) == pytest.approx(1.0)
+
+
+def per_point_recovery(system, x_elem, x, resolution):
+    """Coefficient recovery at one point from a family of its own: the
+    point character alone, or ``resolution`` torus characters at x."""
+    n = int(interior_orders(system)[system.space.set_slot(x)])
+    if not n:
+        return {0: eval_character(system, PointCharacter(x), x_elem, check=False)}
+    j_max = x_elem.degree // n
+    if resolution < 2 * j_max + 1:
+        raise ValueError("grid resolution too small for exact recovery")
+    grid = CircleGrid(resolution)
+    fam = character_family(system, (TorusCharacter(x, n, c) for c in grid.samples))
+    vals = eval_family(system, fam, x_elem, check=False)
+    return {j * n: complex(vals @ grid.powers(-j)) / resolution
+            for j in range(-j_max, j_max + 1)}
+
+
+def _bits(rec):
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in rec.items()]
+
+
+_RECOVERY_SYSTEMS = st.one_of(
+    st.sampled_from(sorted(FIXTURES)).map(lambda name: FIXTURES[name]()),
+    st.integers(0, 2 ** 32).map(lambda s: random_finite_system(random.Random(s))),
+    block_tail_systems())
+
+
+@settings(max_examples=150)
+@given(_RECOVERY_SYSTEMS, st.integers(0, 2 ** 32), st.integers(0, 6), st.integers(1, 40))
+def test_recovery_table_is_the_per_point_recovery(system, seed, degree, resolution):
+    """Every row of the one-family table, at every set slot's point (tail
+    probes too), equals the recovery from the point's own family bit for
+    bit, and the table refuses a resolution exactly when some point does."""
+    sp = system.space
+    x = random_commutant_element(system, random.Random(seed), degree)
+    points = [sp.slot_point(i) for i in range(len(sp.slot_periods()))]
+    try:
+        expected = [per_point_recovery(system, x, p, resolution) for p in points]
+    except ValueError:
+        with pytest.raises(ValueError):
+            recovery_table(system, x, points, resolution)
+        return
+    got = recovery_table(system, x, points, resolution)
+    assert [_bits(rec) for rec in got] == [_bits(rec) for rec in expected]
+    assert [_bits(recovered_coefficients(system, x, p, resolution)) for p in points] \
+        == [_bits(rec) for rec in expected]
+    assert reconstruction_sup(system, x, resolution) == max(
+        abs(v) for rec in expected[:sp.slot_counts()[1]] for v in rec.values())
+
+
+def test_recovery_refuses_a_resolution_too_small(cycle3, int_shift8):
+    """Degree 6 on the 3-cycle, whose points carry circles of order 3,
+    needs 5 samples, and below 4 no circle grid exists; a window point of
+    the shift carries a point character and needs none."""
+    sp = cycle3.space
+    points = sp.representative_points()
+    for x, resolution in ((delta(sp, 6), 4), (identity(sp), 3)):
+        with pytest.raises(ValueError):
+            recovered_coefficients(cycle3, x, points[0], resolution)
+        with pytest.raises(ValueError):
+            recovery_table(cycle3, x, points, resolution)
+        with pytest.raises(ValueError):
+            reconstruction_sup(cycle3, x, resolution)
+    assert [sorted(rec) for rec in recovery_table(cycle3, delta(sp, 6), points, 5)] \
+        == [[-6, -3, 0, 3, 6]] * 3
+    y = random_commutant_element(int_shift8, random.Random(3), 6)
+    assert list(recovered_coefficients(int_shift8, y, TailPoint("", 0), 1)) == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -683,6 +683,34 @@ def test_grid_above_the_limit_is_refused_quickly(tmp_path, capsys):
     assert f"circle grid resolution {MAX_GRID + 1}" in err
 
 
+def _cycles_file(path, lengths):
+    perm = []
+    for n in lengths:
+        start = len(perm)
+        perm.extend(start + (i + 1) % n for i in range(n))
+    labels = [f"c{i}" for i in range(len(perm))]
+    path.write_text(json.dumps({
+        "kind": "finite", "points": labels, "min_open_nbhd": {a: [a] for a in labels},
+        "sigma": {a: labels[j] for a, j in zip(labels, perm)}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("lengths, argv", [
+    # lcm 251 * 241 * 239, about 1.45e7: the divisors of the lcm are found
+    # in O(sqrt L)
+    ([251, 241, 239], ["describe"]),
+    ([251, 241, 239], ["charspace"]),
+    # lcm 420: the gcd law reads 2L+1 fixed-point sets, not (2L+2)**2 pairs
+    ([3, 4, 5, 7], ["verify", "appendix"]),
+])
+def test_large_lcm_is_quick(lengths, argv, tmp_path):
+    space = _cycles_file(tmp_path / "cycles.json", lengths)
+    start = time.perf_counter()
+    code, _ = _run_quietly([*argv, "--space", space, "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and elapsed < 0.5
+
+
 # ---------------------------------------------------------------------------
 # describe and charspace from per-slot tables, against the per-point code
 # ---------------------------------------------------------------------------

@@ -2,15 +2,22 @@
 projection criterion, and the interior/closure and freeness reports."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from test_extra_systems import block_tail_systems, random_finite_system
 
+from dyncross import dynamics, verify
 from dyncross.dynamics import (
+    InteriorClosureReport,
+    RelationCheck,
     aperiodic_set,
+    divisors,
     fix_set,
     freeness_report,
     interior_closure_report,
+    interior_closure_reports,
     make_dynsys,
     minimal_interior_order,
     per_set,
@@ -19,6 +26,7 @@ from dyncross.dynamics import (
     projection_witness,
     reduced_indices,
 )
+from dyncross.fixtures import FIXTURES
 from dyncross.space import LimitPoint, TailPoint, finite_space
 
 
@@ -178,6 +186,130 @@ class TestInteriorClosureReport:
 
         for _, sys in all_fixtures():
             assert interior_closure_report(sys, seeds).all_hold()
+
+
+def reference_report(system, seeds) -> InteriorClosureReport:
+    """The interior/closure report of one seed set, one set operation at a
+    time; it reads ``per_set`` and ``fix_set`` through the module, so a
+    patched one is seen."""
+    seeds = tuple(sorted(set(seeds)))
+    p_family = tuple(sorted({p for s in seeds for p in range(1, s + 1) if s % p == 0}))
+    sp = system.space
+    per_int_union = per_union = fix_int_union = fix_union = sp.empty_set()
+    for p in p_family:
+        per = dynamics.per_set(system, p)
+        per_int_union = per_int_union.union(sp.interior(per))
+        per_union = per_union.union(per)
+    for s in seeds:
+        fix = dynamics.fix_set(system, s)
+        fix_int_union = fix_int_union.union(sp.interior(fix))
+        fix_union = fix_union.union(fix)
+    fix_union_int = sp.interior(fix_union)
+    per_union_int = sp.interior(per_union)
+    cl = sp.closure(per_int_union)
+
+    def subset(name, a, b):
+        return RelationCheck(name, a.is_subset(b), a.difference(b).sample_point())
+
+    def equal(name, a, b):
+        diff = a.difference(b).union(b.difference(a))
+        return RelationCheck(name, a == b, diff.sample_point())
+
+    return InteriorClosureReport(seeds, p_family, [
+        subset("per-interiors inside fix-interiors", per_int_union, fix_int_union),
+        subset("fix-interiors inside interior of fix-union", fix_int_union, fix_union_int),
+        subset("interior of fix-union inside closure of per-interiors", fix_union_int, cl),
+        subset("per-interiors inside interior of per-union", per_int_union, per_union_int),
+        subset("interior of per-union inside interior of fix-union",
+               per_union_int, fix_union_int),
+    ], [
+        equal("closure(interior of per-union) = closure(per-interiors)",
+              sp.closure(per_union_int), cl),
+        equal("closure(fix-interiors) = closure(per-interiors)",
+              sp.closure(fix_int_union), cl),
+        equal("closure(interior of fix-union) = closure(per-interiors)",
+              sp.closure(fix_union_int), cl),
+    ])
+
+
+_SYSTEMS = st.one_of(
+    st.sampled_from(sorted(FIXTURES)).map(lambda name: FIXTURES[name]()),
+    st.integers(0, 2 ** 32).map(lambda s: random_finite_system(random.Random(s))),
+    block_tail_systems())
+_SEED_SETS = st.lists(st.sets(st.integers(1, 12), min_size=1, max_size=4),
+                      min_size=1, max_size=8)
+
+
+class TestInteriorClosureReports:
+    @settings(max_examples=100)
+    @given(_SYSTEMS, _SEED_SETS)
+    def test_equal_to_the_per_set_reports(self, system, seed_sets):
+        assert interior_closure_reports(system, seed_sets) == [
+            reference_report(system, seeds) for seeds in seed_sets]
+
+    def test_failing_relations_and_witnesses(self, system, monkeypatch):
+        """With Per_p replaced by its complement, for p = 1, 2, 3 in turn,
+        relations fail, and the failures and their witness points are those
+        of the per-set reports."""
+        true_per_set = dynamics.per_set
+        seed_sets = list(verify._nonempty_subsets(range(1, 7)))
+        failed = []
+        for wrong in (1, 2, 3):
+            monkeypatch.setattr(dynamics, "per_set", lambda sys, p, wrong=wrong: (
+                true_per_set(sys, p).complement() if p == wrong else true_per_set(sys, p)))
+            reports = interior_closure_reports(system, seed_sets)
+            assert reports == [reference_report(system, seeds) for seeds in seed_sets]
+            failed += [c for r in reports for c in r.inclusions + r.closure_equalities
+                       if not c.holds]
+        assert failed and all(c.witness is not None for c in failed)
+
+    def test_rejects_bad_seed_sets(self, swap2):
+        for seed_sets in ([{1}, set()], [{0, 2}], [{2}, {3, -1}]):
+            with pytest.raises(ValueError):
+                interior_closure_reports(swap2, seed_sets)
+
+    def test_no_seed_sets(self, swap2):
+        assert interior_closure_reports(swap2, []) == []
+
+
+def test_divisors_against_a_sieve():
+    sieve = [[] for _ in range(5001)]
+    for d in range(1, 5001):
+        for m in range(d, 5001, d):
+            sieve[m].append(d)
+    assert [divisors(n) for n in range(5001)] == [tuple(ds) for ds in sieve]
+    assert divisors(-4) == ()
+
+
+def _cycles(lengths):
+    perm = []
+    for n in lengths:
+        start = len(perm)
+        perm.extend(start + (i + 1) % n for i in range(n))
+    labels = [f"c{i}" for i in range(len(perm))]
+    return make_dynsys(finite_space(labels, {a: [a] for a in labels},
+                                    {labels[i]: labels[j] for i, j in enumerate(perm)}))
+
+
+def _gcd_record(system):
+    return next(r for r in verify.appendix_suite(system) if r.name == "fixed-sets-gcd-law")
+
+
+@pytest.mark.parametrize("k", [1, 7, 12, 60, 61, 127, 420, 839, 840, 841])
+def test_a_planted_fix_set_defect_fails_the_gcd_law(k, monkeypatch):
+    """Cycles of lengths 3, 4, 5 and 7 (L = 420): one slot of F(k) flipped
+    at any k in 1..2L+1 fails the law, and the unplanted system passes."""
+    system = _cycles([3, 4, 5, 7])
+    assert _gcd_record(system).passed
+    true_fix_set = verify.fix_set
+
+    def fix_set(sys, m):
+        s = true_fix_set(sys, m)
+        flip = sys.space.set_of([sys.space.window_points[k % 19]])
+        return s.difference(flip).union(flip.difference(s)) if m == k else s
+
+    monkeypatch.setattr(verify, "fix_set", fix_set)
+    assert not _gcd_record(system).passed
 
 
 class TestFreenessReport:
