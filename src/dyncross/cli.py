@@ -75,9 +75,11 @@ def _describe(sys: DynSys) -> dict:
     }
     if "points" in spec:  # a space that lists its points lists its orbits
         doc["points"] = spec["points"]
-        names, step = space.point_names(), space.sigma_map(1).tolist()
-        doc["orbits"] = [_orbit_names(names, step, space.index_of(x), p)
-                         for x, p in periodic_orbit_reps(sys)]
+        # one read per period; each orbit takes the next column of its period
+        names, reps = space.point_names(), periodic_orbit_reps(sys)
+        columns = {p: iter(space.orbit_slots(space.slots_of([x for x, q in reps if q == p]),
+                                             0, p).T.tolist()) for p in {p for _, p in reps}}
+        doc["orbits"] = [[names[i] for i in next(columns[p])] for _, p in reps]
     idx = (0,) + reduced_indices(sys)
     doc["fix_sets"] = {str(k): _set_to_names(fix_set(sys, k)) for k in idx}
     doc["per_sets"] = {str(k): _set_to_names(per_set(sys, k))
@@ -93,16 +95,6 @@ def _describe(sys: DynSys) -> dict:
     doc["freeness_flags"] = list(fr.freeness_flags())
     doc["density_flags"] = list(fr.density_flags())
     return doc
-
-
-def _orbit_names(names, step, i: int, period: int) -> list:
-    """The names of the orbit of vector slot i, taken ``period`` steps
-    along the gather map ``step`` of sigma."""
-    out = []
-    for _ in range(period):
-        out.append(names[i])
-        i = step[i]
-    return out
 
 
 def _charspace(sys: DynSys, grid: CircleGrid) -> dict:

@@ -17,12 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Optional
 
 import numpy as np
 
+from .errors import TooLarge
 from .space import Point, SetRep, Space
+
+# Every index of the reduced index set gets its own fixed-point and period
+# sets, so a system whose lcm of periods has more divisors is refused
+# before any of them is built.
+MAX_INDICES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,21 @@ class DynSys:
 
     space: Space
     lcm_period: Optional[int]
+
+    @cached_property
+    def _lcm_divisors(self) -> tuple:
+        """The divisors of ``lcm_period``, ascending, from the prime
+        factorisations of the distinct periods (each at most the number of
+        points); more than ``MAX_INDICES`` of them raise :class:`TooLarge`."""
+        powers = {}
+        for p in _distinct(self.space.slot_periods()):
+            for q, e in _factors(p).items():
+                powers[q] = max(powers.get(q, 0), e)
+        count = math.prod(e + 1 for e in powers.values())
+        if count > MAX_INDICES:
+            raise TooLarge(f"the lcm of the periods has {count} divisors, more than "
+                           f"{MAX_INDICES}, and each would index its own fixed-point sets")
+        return _from_factors(powers)
 
 
 def make_dynsys(space: Space) -> DynSys:
@@ -49,6 +70,28 @@ def _distinct(periods: np.ndarray) -> list:
     return (np.flatnonzero(np.bincount(periods)[1:]) + 1).tolist()
 
 
+def _factors(n: int) -> dict:
+    """The prime factorisation of n >= 1 as {prime: exponent}, by trial
+    division up to the square root of n."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _from_factors(powers: dict) -> tuple:
+    """The divisors of the product of q**e over {q: e}, ascending."""
+    ds = [1]
+    for q, e in powers.items():
+        ds = [d * q ** i for d in ds for i in range(e + 1)]
+    return tuple(sorted(ds))
+
+
 def divisors(n: int) -> tuple:
     """The positive divisors of n, ascending (none for n < 1): each d up to
     the square root of n that divides it, paired with n // d."""
@@ -57,10 +100,12 @@ def divisors(n: int) -> tuple:
 
 
 def reduced_indices(sys: DynSys) -> tuple:
-    """Nonzero indices k for which distinct fixed-point sets can occur."""
+    """Nonzero indices k for which distinct fixed-point sets can occur: the
+    divisors of the lcm of the periods, at most ``MAX_INDICES`` of them (see
+    :attr:`DynSys._lcm_divisors`), or 1 on the integer-shift backend."""
     if sys.lcm_period is None:
         return (1,)
-    return divisors(sys.lcm_period)
+    return sys._lcm_divisors
 
 
 def period_of(sys: DynSys, x: Point) -> Optional[int]:
@@ -74,25 +119,17 @@ def periodic_orbit_reps(sys: DynSys) -> List[tuple]:
     data: the first point of each orbit met by the walk over limit points,
     window points and tail probes.  On the tail backends the probes stand
     for the beyond-window orbits, which realize the limit values.  An orbit
-    through a vector slot stays among the vector slots, and is marked by
-    walking ``sigma_map(1)``; a probe's orbit lies beyond the window, and
-    each tail has one probe."""
+    through a vector slot is its segment of the orbit table; a probe's
+    orbit lies beyond the window, and each tail has one probe."""
     sp = sys.space
-    nw, nv = sp.slot_counts()
-    periods = sp.slot_periods().tolist()
-    step = sp.sigma_map(1).tolist()
-    reps, seen = [], [False] * nv
-    for i in [*range(nw, nv), *range(nw), *range(nv, len(periods))]:
-        p = periods[i]
-        if not p or i < nv and seen[i]:
-            continue
-        if i < nv:
-            j = i
-            for _ in range(p):
-                seen[j] = True
-                j = step[j]
-        reps.append((sp.slot_point(i), p))
-    return reps
+    (nw, nv), periods = sp.slot_counts(), sp.slot_periods()
+    walk = np.concatenate((np.arange(nw, nv), np.arange(nw)))
+    walk = walk[periods[walk] > 0]
+    # each segment's first place in the walk: np.unique's first sort would add 0.4 MB of RSS
+    segments, places, first = sp.orbit_segments()[walk], np.arange(len(walk)), np.full(nv, nv)
+    np.minimum.at(first, segments, places)
+    slots = np.concatenate((walk[first[segments] == places], np.flatnonzero(periods[nv:]) + nv))
+    return [(sp.slot_point(i), p) for i, p in zip(slots.tolist(), periods[slots].tolist())]
 
 
 @lru_cache(maxsize=None)

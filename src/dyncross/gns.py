@@ -205,9 +205,11 @@ def _shift_band(sys: DynSys, rep: TruncatedRep, x_elem: Element) -> _ShiftBand:
             f"radius {m} < element degree {x_elem.degree}")
     if period_of(sys, rep.x) is not None:
         raise ForeignPoint(f"{rep.x} is periodic; use the cyclic model")
+    if sp.representative_points()[sp.index_of(rep.x)] != rep.x:  # its slot's orbit differs
+        raise ForeignPoint(f"{rep.x} lies beyond the window; use a point of the window")
     dim = 2 * m + 1
     _check_model_size(f"the truncated shift model of radius {m}", dim)
-    orbit = sp.slots_of(sp.sigma_apply(rep.x, t) for t in range(-m, m + 1))
+    orbit = sp.orbit_slots(sp.slots_of([rep.x]), -m, m + 1)[:, 0]
     degrees = np.array(x_elem.degrees, dtype=np.intp)
     values = np.ascontiguousarray(x_elem.rows.take(orbit))
     source = np.arange(dim) - degrees[:, np.newaxis]
@@ -632,8 +634,7 @@ def _entry_plan(sys: DynSys, points: Sequence[Point], p: int,
     values of all points are one gather of the coefficient rows at the
     orbit slots.
     """
-    sp = sys.space
-    orbit = sp.slots_of(sp.sigma_apply(x, t) for t in range(p) for x in points)
+    orbit = sys.space.orbit_slots(sys.space.slots_of(points), 0, p).ravel()
     wraps, residues, wrap_index = {}, [], []
     for k in x_elem.degrees:
         q, r = divmod(k, p)

@@ -29,8 +29,9 @@ This module is the only place that knows the backends apart.  The rest
 of the package reaches them through one protocol: the point structure
 (``window_points``, ``representative_points``, ``index_of`` and its
 array form ``slots_of``, ``set_slot``, ``tail_names``/``tail_probe``/
-``tail_of``, ``limit_names``/``limit_point``, ``contains``), the dynamics (``sigma_apply``, ``sigma_set``, the gather
-map ``sigma_index`` and ``slot_periods``, the period of each set slot),
+``tail_of``, ``limit_names``/``limit_point``, ``contains``), the dynamics (``sigma_apply``,
+``sigma_set``, the gather map ``sigma_index``, the orbit reader ``orbit_slots`` with
+``orbit_segments``, and ``slot_periods``, the period of each set slot),
 the topology (``interior``, ``closure``, ``is_continuous``), the free
 data of a continuous function (``atoms``), the room an operand
 leaves inside the window (``room``, ``radius_of``), the aperiodic orbit
@@ -469,13 +470,27 @@ class _SpaceOps:
         length[order], period[order] = np.repeat(lengths, lengths), np.repeat(periods, lengths)
         return order, start, place, length, period, np.where(period > 0, period, 1 << 62)
 
-    def sigma_index(self, m: int) -> np.ndarray:
-        """Gather map of x -> sigma^m(x) over the vector slots: m steps
-        along each slot's segment, around it on a cycle; a step off an
-        aperiodic segment reads the last slot of the table, the limit."""
+    def _step(self, slots, m):
+        """The vector slots m steps on from ``slots`` (every slot for None) along their
+        segments: around a cycle, or off an aperiodic one to the last slot, the limit."""
         order, start, place, length, _, wrap = self._orbits
+        if slots is not None:   # broadcast against m
+            start, place, length, wrap = start[slots], place[slots], length[slots], wrap[slots]
         pos = (place + m) % wrap
         return order[np.where(pos < length, start + pos, -1)]
+
+    def sigma_index(self, m: int) -> np.ndarray:
+        """Gather map of x -> sigma^m(x) over the vector slots."""
+        return self._step(None, m)
+
+    def orbit_slots(self, slots: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """The vector slots of sigma^t(x) for t in [start, stop) (rows) and
+        x at each of the vector ``slots`` (columns)."""
+        return self._step(np.asarray(slots, dtype=np.intp), np.arange(start, stop)[:, np.newaxis])
+
+    def orbit_segments(self) -> np.ndarray:
+        """Where each vector slot's segment starts in the orbit table; a periodic one is an orbit."""
+        return self._orbits[1]
 
     def sigma_map(self, m: int) -> np.ndarray:
         """:meth:`sigma_index` of m, built once per space and read-only."""
@@ -610,9 +625,8 @@ class FiniteSpace(_SpaceOps):
         return order, lengths, lengths
 
     def sigma_apply(self, p: Point, m: int = 1) -> Point:
-        order, start, place, length = self._orbits[:4]
-        i = self.index_of(p)
-        return FinitePoint(int(order[start[i] + (int(place[i]) + m) % int(length[i])]))
+        i = self.index_of(p)    # m modulo the period: any integer m fits the step's int64
+        return FinitePoint(int(self._step(i, m % int(self.slot_periods()[i]))))
 
     def is_hausdorff(self) -> bool:
         """A finite space is Hausdorff exactly when it is discrete."""

@@ -60,7 +60,6 @@ from .commutant import (
 )
 from .dynamics import (
     DynSys,
-    divisors,
     fix_interior,
     fix_set,
     freeness_report,
@@ -740,7 +739,7 @@ def _gcd_law_holds(sys: DynSys) -> bool:
     reduced = np.gcd(np.array(ks), lcm) - 1
     if not (masks == masks[reduced]).all():
         return False
-    ds = (0,) + divisors(lcm)
+    ds = (0,) + reduced_indices(sys)      # the divisors of L
     return all(fix_set(sys, m).intersect(fix_set(sys, n)) == fix_set(sys, math.gcd(m, n))
                for m in ds for n in ds)
 

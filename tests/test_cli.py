@@ -1,6 +1,7 @@
 """JSON schemas, round trips, CLI verbs, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -35,6 +36,7 @@ from dyncross.characters import (
 from dyncross.cli import main
 from dyncross.commutant import random_commutant_element
 from dyncross.dynamics import (
+    MAX_INDICES,
     aperiodic_set,
     fix_interior,
     fix_set,
@@ -697,7 +699,7 @@ def _cycles_file(path, lengths):
 
 @pytest.mark.parametrize("lengths, argv", [
     # lcm 251 * 241 * 239, about 1.45e7: the divisors of the lcm are found
-    # in O(sqrt L)
+    # from the factorisations of the periods
     ([251, 241, 239], ["describe"]),
     ([251, 241, 239], ["charspace"]),
     # lcm 420: the gcd law reads 2L+1 fixed-point sets, not (2L+2)**2 pairs
@@ -709,6 +711,60 @@ def test_large_lcm_is_quick(lengths, argv, tmp_path):
     code, _ = _run_quietly([*argv, "--space", space, "--json"])
     elapsed = time.perf_counter() - start
     assert code == 0 and elapsed < 0.5
+
+
+# lcm(1..60), about 9.7e24, has 1,769,472 divisors
+@pytest.mark.parametrize("argv", [["describe"], ["charspace"], ["project", "--element"],
+                                  ["verify", "appendix"]], ids=lambda argv: argv[0])
+def test_too_many_reduced_indices_is_refused(argv, tmp_path):
+    space = _cycles_file(tmp_path / "cycles.json", range(1, 61))
+    if argv[-1] == "--element":
+        argv = [*argv, _element_file(tmp_path)]
+    start = time.perf_counter()
+    code, err = _run_quietly([*argv, "--space", space, "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and elapsed < 1.0
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"has 1769472 divisors, more than {MAX_INDICES}" in err
+
+
+def _element_file(tmp_path):
+    """1_c0 d + 2_c5 on the cycles of lengths 1..60: c0 is a fixed point,
+    so the element lies in the commutant."""
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps({"terms": [{"k": 1, "values": {"c0": [1.0, 0.5]}},
+                                          {"k": 0, "values": {"c5": [2.0, 0.0]}}]}))
+    return str(path)
+
+
+def test_norms_never_read_the_reduced_indices(tmp_path):
+    """``norms`` needs no fixed-point set per divisor of the lcm, so on the
+    cycles of lengths 1..60 it answers, Gelfand norm included."""
+    space = _cycles_file(tmp_path / "cycles.json", range(1, 61))
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["norms", "--space", space, "--element", _element_file(tmp_path), "--json"])
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert json.loads(out.getvalue())["gelfand"]["value"] == 2.0
+
+
+# The first twelve primes sum to 197 points, and their product has 2**12 =
+# MAX_INDICES divisors: the largest index set admitted.  These are the sha256
+# sums of describe and charspace as the O(sqrt L) divisor count gave them.
+PRIME_CYCLE_OUTPUTS = {
+    "describe": "a392341ece4b73cbb1252469c052658a30ee32b5b13477d46ed93183982e5caf",
+    "charspace": "60fba83105dab371bf39ae04f8bf40a0c91597a10d4070353773f63915dce1ae",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(PRIME_CYCLE_OUTPUTS))
+def test_the_largest_index_set_keeps_its_output(verb, tmp_path):
+    space = _cycles_file(tmp_path / "cycles.json", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([verb, "--space", space, "--json"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PRIME_CYCLE_OUTPUTS[verb]
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,14 @@ from dyncross.dynamics import (
     minimal_interior_order,
     per_set,
     period_of,
+    periodic_orbit_reps,
     projection_condition,
     projection_witness,
     reduced_indices,
 )
+from dyncross.errors import TooLarge
 from dyncross.fixtures import FIXTURES
-from dyncross.space import LimitPoint, TailPoint, finite_space
+from dyncross.space import LimitPoint, PairSwapTailsSpace, TailPoint, finite_space
 
 
 def a_ray(sp, with_origin=False, cofinal=True):
@@ -272,6 +274,51 @@ class TestInteriorClosureReports:
         assert interior_closure_reports(swap2, []) == []
 
 
+def _walked_orbit_reps(sys):
+    """``periodic_orbit_reps`` as a walk: the slots in walk order (limit
+    points, window points, tail probes), each vector slot's orbit marked
+    step by step along ``sigma_map(1)``."""
+    sp = sys.space
+    nw, nv = sp.slot_counts()
+    periods = sp.slot_periods().tolist()
+    step = sp.sigma_map(1).tolist()
+    reps, seen = [], [False] * nv
+    for i in [*range(nw, nv), *range(nw), *range(nv, len(periods))]:
+        p = periods[i]
+        if not p or i < nv and seen[i]:
+            continue
+        if i < nv:
+            j = i
+            for _ in range(p):
+                seen[j] = True
+                j = step[j]
+        reps.append((sp.slot_point(i), p))
+    return reps
+
+
+def _assert_reps_match_the_walk(system):
+    reps = periodic_orbit_reps(system)
+    assert reps == _walked_orbit_reps(system)
+    assert all(type(p) is int for _, p in reps)
+
+
+def test_orbit_reps_match_the_walk_on_the_fixtures(system):
+    _assert_reps_match_the_walk(system)
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.integers(0, 2 ** 32).map(lambda s: random_finite_system(random.Random(s))),
+                 block_tail_systems()))
+def test_orbit_reps_match_the_walk(system):
+    _assert_reps_match_the_walk(system)
+
+
+def test_orbit_reps_match_the_walk_at_window_1024():
+    system = make_dynsys(PairSwapTailsSpace(1024))
+    _assert_reps_match_the_walk(system)
+    assert len(periodic_orbit_reps(system)) == 1539    # 1024 + 512 + origin + 2 probes
+
+
 def test_divisors_against_a_sieve():
     sieve = [[] for _ in range(5001)]
     for d in range(1, 5001):
@@ -279,6 +326,30 @@ def test_divisors_against_a_sieve():
             sieve[m].append(d)
     assert [divisors(n) for n in range(5001)] == [tuple(ds) for ds in sieve]
     assert divisors(-4) == ()
+    # the enumeration of the lcm's divisors, from a factorisation
+    assert [dynamics._from_factors(dynamics._factors(n)) for n in range(1, 5001)] == [
+        tuple(ds) for ds in sieve[1:]]
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+def test_reduced_indices_are_the_divisors_of_the_lcm(lengths):
+    lcm = math.lcm(*lengths)
+    small = [d for d in range(1, math.isqrt(lcm) + 1) if lcm % d == 0]
+    assert reduced_indices(_cycles(lengths)) == tuple(sorted({*small, *(lcm // d for d in small)}))
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_index_sets_above_the_cap_are_refused():
+    """The product of the first twelve primes has 2**12 divisors, the
+    cap; the thirteenth prime doubles that."""
+    assert len(reduced_indices(_cycles(PRIMES[:12]))) == dynamics.MAX_INDICES
+    system = _cycles(PRIMES)
+    with pytest.raises(TooLarge, match="8192 divisors"):
+        reduced_indices(system)
+    with pytest.raises(TooLarge):
+        dynamics.interior_orders(system)
 
 
 def _cycles(lengths):

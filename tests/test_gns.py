@@ -26,7 +26,7 @@ from dyncross.characters import (
 from dyncross import characters, gns
 from dyncross.commutant import project_to_commutant, random_commutant_element
 from dyncross.dynamics import make_dynsys
-from dyncross.errors import TooLarge, TruncationTooSmall
+from dyncross.errors import ForeignPoint, TooLarge, TruncationTooSmall
 from dyncross.gns import (
     PeriodicRep,
     TruncatedRep,
@@ -87,6 +87,16 @@ class TestRepMatrix:
         with pytest.raises(Exception):
             rep_matrix(tails8, PeriodicRep(TailPoint("b", 1), 1, 1.0),
                        identity(tails8.space))
+
+    def test_truncated_shift_model_along_the_window_edge(self, int_shift8):
+        """The model at a window point whose radius reaches past the window
+        reads the limit's data there; a point beyond the window, whose
+        orbit its vector slot cannot follow back in, is refused."""
+        f = CtsFun(int_shift8.space, {TailPoint("", n): n for n in range(-8, 9)}, {"inf": 20})
+        rm = rep_matrix(int_shift8, TruncatedRep(TailPoint("", 7), 3), embed(f))
+        assert np.array_equal(np.diag(rm.matrix), [4, 5, 6, 7, 8, 20, 20])
+        with pytest.raises(ForeignPoint, match="beyond the window"):
+            rep_matrix(int_shift8, TruncatedRep(TailPoint("", 9), 3), embed(f))
 
     def test_truncation_too_small(self, int_shift8):
         x = delta(int_shift8.space, 3)

@@ -9,6 +9,7 @@ representation that the slot masks replaced (``RefSet``).
 """
 
 import itertools
+import math
 import pathlib
 import random
 import re
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from conftest import block_tails
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dyncross import space as space_module
 from dyncross.algebra import embed
@@ -488,6 +489,11 @@ class TestSigma:
         assert sp.sigma_apply(TailPoint("a", 3), 5) == TailPoint("a", 3)
         assert sp.sigma_apply(LimitPoint("origin"), -1) == LimitPoint("origin")
 
+    def test_huge_powers(self, cycle3):
+        sp, p = cycle3.space, cycle3.space.window_points[0]
+        for m in (3 * 10 ** 30 + 1, -(10 ** 20) * 3 - 1, 2 ** 64):
+            assert sp.sigma_apply(p, m) == sp.sigma_apply(p, m % 3)
+
     def test_composition_law(self, system):
         sp = system.space
         pts = list(sp.window_points)[:4]
@@ -739,6 +745,28 @@ def test_backends_differ_only_in_space_module():
     assert not found, "backend dispatch outside space.py:\n" + "\n".join(found)
 
 
+# the orbit walks that the orbit table replaced, and the two reference uses
+# of ``sigma_apply`` in verify.py, which check the table against the map
+ORBIT_WALK = re.compile(r"sigma_apply\(|sigma_map\(1\)")
+ORBIT_WALK_ALLOWED = {
+    ("verify.py", "at_r = vals[:, sp.index_of(sp.sigma_apply(p, r))].tolist()"),
+    ("verify.py", "q = sys.space.sigma_apply(p, 1)"),
+}
+
+
+def test_orbits_are_read_from_the_orbit_table():
+    """Outside ``space.py`` no module walks an orbit point by point through
+    ``sigma_apply`` or step by step along ``sigma_map(1)``: orbits are read
+    with ``orbit_slots``, except at the named reference uses."""
+    package = pathlib.Path(space_module.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "space.py":
+            found.update((path.name, line.strip()) for line in path.read_text().splitlines()
+                         if ORBIT_WALK.search(line))
+    assert found == ORBIT_WALK_ALLOWED
+
+
 def _sierpinski():
     # {v} is open but not closed, {u} closed but not open
     return finite_space(["v", "u"], {"v": ["v"], "u": ["u", "v"]}, {"v": "v", "u": "u"})
@@ -903,3 +931,69 @@ class TestRowGathersOnTheShift:
                       lambda: embed(f, -3).adjoint()):
             with pytest.raises(WindowOverflow):
                 lossy()
+
+
+# ---------------------------------------------------------------------------
+# orbit segments read from the orbit table
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def orbit_cases(draw):
+    """A space of any backend (random finite ones, non-Hausdorff among
+    them, the two presets and block-tail layouts), its points with a vector
+    slot and its periodic tails' probes, and a t-range that may cross the
+    window edge in either direction."""
+    kind = draw(st.sampled_from(["finite", "int_shift", "pair_swap", "blocks"]))
+    if kind == "finite":
+        sp = draw(finite_spaces())
+    elif kind == "int_shift":
+        sp = IntShiftSpace(draw(st.integers(1, 6)))
+    elif kind == "pair_swap":
+        sp = PairSwapTailsSpace(2 * draw(st.integers(1, 3)))
+    else:
+        periods = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        sp = block_tails(periods)(math.lcm(*periods) * draw(st.integers(1, 3)))
+    # an int_shift probe is left out: its orbit enters the window, which
+    # its vector slot (the limit's) cannot tell
+    probes = [sp.tail_probe(t) for t, q in zip(sp.tail_names, sp.tail_periods) if q]
+    reach = 3 * len(sp.representative_points()) + 2
+    start = draw(st.integers(-reach, reach))
+    return sp, [*sp.representative_points(), *probes], start, start + draw(st.integers(0, reach))
+
+
+def _walk(sp, p, start, stop):
+    """The vector slots of sigma^t(p) for t in [start, stop), one step at a
+    time: along the permutation on a finite space, by ``sigma_apply`` on a
+    tail space."""
+    if isinstance(sp, FiniteSpace):
+        back = [0] * len(sp.perm)
+        for i, j in enumerate(sp.perm):
+            back[j] = i
+        i = p.index
+        for _ in range(abs(start)):
+            i = (sp.perm if start > 0 else back)[i]
+        out = []
+        for _ in range(start, stop):
+            out.append(i)
+            i = sp.perm[i]
+        return out
+    return [sp.index_of(sp.sigma_apply(p, t)) for t in range(start, stop)]
+
+
+@settings(max_examples=300)
+@given(orbit_cases())
+def test_orbit_slots_match_a_step_by_step_walk(case):
+    sp, points, start, stop = case
+    got = sp.orbit_slots(sp.slots_of(points), start, stop)
+    assert got.shape == (stop - start, len(points))
+    for col, p in zip(got.T.tolist(), points):
+        assert col == _walk(sp, p, start, stop), p
+
+
+def test_orbit_slots_cross_the_shift_window():
+    sp = IntShiftSpace(3)
+    names = sp.point_names()
+    got = sp.orbit_slots(sp.slots_of([TailPoint("", -2), TailPoint("", 3)]), -3, 3)
+    assert [[names[i] for i in row] for row in got.tolist()] == [
+        ["inf", "0"], ["inf", "1"], ["-3", "2"], ["-2", "3"], ["-1", "inf"], ["0", "inf"]]
