@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -41,21 +41,6 @@ class DynSys:
 
     space: Space
     lcm_period: Optional[int]
-
-    @cached_property
-    def _lcm_divisors(self) -> tuple:
-        """The divisors of ``lcm_period``, ascending, from the prime
-        factorisations of the distinct periods (each at most the number of
-        points); more than ``MAX_INDICES`` of them raise :class:`TooLarge`."""
-        powers = {}
-        for p in _distinct(self.space.slot_periods()):
-            for q, e in _factors(p).items():
-                powers[q] = max(powers.get(q, 0), e)
-        count = math.prod(e + 1 for e in powers.values())
-        if count > MAX_INDICES:
-            raise TooLarge(f"the lcm of the periods has {count} divisors, more than "
-                           f"{MAX_INDICES}, and each would index its own fixed-point sets")
-        return _from_factors(powers)
 
 
 def make_dynsys(space: Space) -> DynSys:
@@ -93,19 +78,29 @@ def _from_factors(powers: dict) -> tuple:
 
 
 def divisors(n: int) -> tuple:
-    """The positive divisors of n, ascending (none for n < 1): each d up to
-    the square root of n that divides it, paired with n // d."""
-    small = [d for d in range(1, math.isqrt(max(n, 0)) + 1) if n % d == 0]
-    return tuple(sorted({*small, *(n // d for d in small)}))
+    """The positive divisors of n, ascending (none for n < 1), from its
+    prime factorisation."""
+    return _from_factors(_factors(n)) if n >= 1 else ()
 
 
+@lru_cache(maxsize=None)
 def reduced_indices(sys: DynSys) -> tuple:
     """Nonzero indices k for which distinct fixed-point sets can occur: the
-    divisors of the lcm of the periods, at most ``MAX_INDICES`` of them (see
-    :attr:`DynSys._lcm_divisors`), or 1 on the integer-shift backend."""
+    divisors of the lcm of the periods, or 1 on the integer-shift backend.
+    They are counted from the factorisations of the distinct periods (each
+    at most the number of points); more than ``MAX_INDICES`` of them raise
+    :class:`TooLarge` before any is enumerated."""
     if sys.lcm_period is None:
         return (1,)
-    return sys._lcm_divisors
+    powers = {}
+    for p in _distinct(sys.space.slot_periods()):
+        for q, e in _factors(p).items():
+            powers[q] = max(powers.get(q, 0), e)
+    count = math.prod(e + 1 for e in powers.values())
+    if count > MAX_INDICES:
+        raise TooLarge(f"the lcm of the periods has {count} divisors, more than "
+                       f"{MAX_INDICES}, and each would index its own fixed-point sets")
+    return _from_factors(powers)
 
 
 def period_of(sys: DynSys, x: Point) -> Optional[int]:

@@ -205,8 +205,8 @@ def _shift_band(sys: DynSys, rep: TruncatedRep, x_elem: Element) -> _ShiftBand:
             f"radius {m} < element degree {x_elem.degree}")
     if period_of(sys, rep.x) is not None:
         raise ForeignPoint(f"{rep.x} is periodic; use the cyclic model")
-    if sp.representative_points()[sp.index_of(rep.x)] != rep.x:  # its slot's orbit differs
-        raise ForeignPoint(f"{rep.x} lies beyond the window; use a point of the window")
+    if 0 < sp.window_gap(rep.x) <= m:   # its orbit is read as its limit's, inexact in the window
+        raise ForeignPoint(f"{rep.x} lies beyond the window and radius {m} reaches back into it")
     dim = 2 * m + 1
     _check_model_size(f"the truncated shift model of radius {m}", dim)
     orbit = sp.orbit_slots(sp.slots_of([rep.x]), -m, m + 1)[:, 0]

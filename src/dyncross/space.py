@@ -29,8 +29,8 @@ This module is the only place that knows the backends apart.  The rest
 of the package reaches them through one protocol: the point structure
 (``window_points``, ``representative_points``, ``index_of`` and its
 array form ``slots_of``, ``set_slot``, ``tail_names``/``tail_probe``/
-``tail_of``, ``limit_names``/``limit_point``, ``contains``), the dynamics (``sigma_apply``,
-``sigma_set``, the gather map ``sigma_index``, the orbit reader ``orbit_slots`` with
+``tail_of``/``window_gap``, ``limit_names``/``limit_point``, ``contains``), the dynamics (``sigma_apply``,
+``sigma_set``, the gather map ``sigma_map``, the orbit reader ``orbit_slots`` with
 ``orbit_segments``, and ``slot_periods``, the period of each set slot),
 the topology (``interior``, ``closure``, ``is_continuous``), the free
 data of a continuous function (``atoms``), the room an operand
@@ -328,6 +328,10 @@ class _SpaceOps:
     def tail_of(self, p: Point) -> Optional[str]:
         return None
 
+    def window_gap(self, p: Point) -> int:
+        """How many steps beyond the window a point lies along its tail: 0 for a representative point."""
+        return 0 if self.tail_of(p) is None else abs(p.n) - self.window
+
     def tail_probe(self, tail: str) -> Point:
         """The first point of a tail beyond the window."""
         if tail not in self.tail_names:
@@ -479,10 +483,6 @@ class _SpaceOps:
         pos = (place + m) % wrap
         return order[np.where(pos < length, start + pos, -1)]
 
-    def sigma_index(self, m: int) -> np.ndarray:
-        """Gather map of x -> sigma^m(x) over the vector slots."""
-        return self._step(None, m)
-
     def orbit_slots(self, slots: np.ndarray, start: int, stop: int) -> np.ndarray:
         """The vector slots of sigma^t(x) for t in [start, stop) (rows) and
         x at each of the vector ``slots`` (columns)."""
@@ -493,9 +493,9 @@ class _SpaceOps:
         return self._orbits[1]
 
     def sigma_map(self, m: int) -> np.ndarray:
-        """:meth:`sigma_index` of m, built once per space and read-only."""
+        """Gather map of x -> sigma^m(x) over the vector slots, built once per space and read-only."""
         idx = self._tables.get(("sigma", m))     # the hot path: one lookup
-        return self.table(("sigma", m), lambda: self.sigma_index(m)) if idx is None else idx
+        return self.table(("sigma", m), lambda: self._step(None, m)) if idx is None else idx
 
     def atom_slots(self, radius: Optional[int] = None) -> tuple:
         """The atoms of :meth:`atoms` as vector slots: one read-only array

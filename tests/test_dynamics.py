@@ -326,9 +326,6 @@ def test_divisors_against_a_sieve():
             sieve[m].append(d)
     assert [divisors(n) for n in range(5001)] == [tuple(ds) for ds in sieve]
     assert divisors(-4) == ()
-    # the enumeration of the lcm's divisors, from a factorisation
-    assert [dynamics._from_factors(dynamics._factors(n)) for n in range(1, 5001)] == [
-        tuple(ds) for ds in sieve[1:]]
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=4))

@@ -90,13 +90,18 @@ class TestRepMatrix:
 
     def test_truncated_shift_model_along_the_window_edge(self, int_shift8):
         """The model at a window point whose radius reaches past the window
-        reads the limit's data there; a point beyond the window, whose
-        orbit its vector slot cannot follow back in, is refused."""
+        reads the limit's data there.  A point beyond the window reads its
+        limit's orbit: exact while the radius stays beyond the window, and
+        refused once it reaches back in, which its vector slot cannot follow."""
         f = CtsFun(int_shift8.space, {TailPoint("", n): n for n in range(-8, 9)}, {"inf": 20})
         rm = rep_matrix(int_shift8, TruncatedRep(TailPoint("", 7), 3), embed(f))
         assert np.array_equal(np.diag(rm.matrix), [4, 5, 6, 7, 8, 20, 20])
-        with pytest.raises(ForeignPoint, match="beyond the window"):
-            rep_matrix(int_shift8, TruncatedRep(TailPoint("", 9), 3), embed(f))
+        for n in (12, -12, 108, -108):
+            rm = rep_matrix(int_shift8, TruncatedRep(TailPoint("", n), 3), embed(f))
+            assert np.array_equal(np.diag(rm.matrix), [20] * 7)
+        for n in (9, 11, -11):
+            with pytest.raises(ForeignPoint, match="beyond the window"):
+                rep_matrix(int_shift8, TruncatedRep(TailPoint("", n), 3), embed(f))
 
     def test_truncation_too_small(self, int_shift8):
         x = delta(int_shift8.space, 3)

@@ -997,3 +997,13 @@ def test_orbit_slots_cross_the_shift_window():
     got = sp.orbit_slots(sp.slots_of([TailPoint("", -2), TailPoint("", 3)]), -3, 3)
     assert [[names[i] for i in row] for row in got.tolist()] == [
         ["inf", "0"], ["inf", "1"], ["-3", "2"], ["-2", "3"], ["-1", "inf"], ["0", "inf"]]
+
+
+def test_window_gap_counts_the_steps_back_to_the_window():
+    shift, tails = IntShiftSpace(3), PairSwapTailsSpace(4)
+    assert [shift.window_gap(TailPoint("", n)) for n in (-9, -4, -3, 0, 3, 4, 9)] == [
+        6, 1, 0, 0, 0, 1, 6]
+    assert [tails.window_gap(p) for p in (TailPoint("b", 4), TailPoint("b", 7),
+                                          TailPoint("a", 5), LimitPoint("origin"))] == [0, 3, 1, 0]
+    assert all(sp.window_gap(p) == 0 for sp in (FIXTURES["cycle3"]().space,)
+               for p in sp.representative_points())
