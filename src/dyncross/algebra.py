@@ -17,9 +17,12 @@ row operations: a product gathers all of the right factor's rows once per
 left index and adds the scaled rows into the output rows k + m; the
 adjoint gathers each row along its own index and conjugates, in reverse
 row order; sums, scalings and weighted truncations are whole-array
-arithmetic on the union of the indices.  This module only keeps the index
-bookkeeping and the window test of a product; the arrays live in
-``space.py``.
+arithmetic on the union of the indices.  A sum of two elements with the
+same index tuple, the common case of a difference of two versions of one
+element, skips the union and is one aligned expression over the rows.
+This module only keeps the index bookkeeping and the window test of a
+product, which reads the right factor's data radius only where the space
+has a window; the arrays live in ``space.py``.
 
 Coefficients whose sup norm falls below ``EPS_ZERO`` are pruned; numerical
 supports are computed with the ``EPS_SUPP`` threshold followed by an exact
@@ -215,20 +218,25 @@ def _check_same_space(x: Element, y: Element) -> Space:
 
 def linear_combine(a: complex, x: Element, b: complex, y: Element) -> Element:
     space = _check_same_space(x, y)
+    if x.degrees == y.degrees:
+        return Element.from_rows(space, x.degrees, x.rows.combine(a, y.rows, b))
     ks = tuple(sorted(set(x.degrees).union(y.degrees)))
     at = {k: i for i, k in enumerate(ks)}
     places = ([at[k] for k in x.degrees], [at[k] for k in y.degrees])
     return Element.from_rows(space, ks, x.rows.combine(a, y.rows, b, places, len(ks)))
 
 
-def _check_room(space: Space, degree: int, data_radius: int) -> None:
+def _check_room(space: Space, degree: int, rows: FunRows) -> None:
     """Fail up front where a product would leave the window: translating
-    the right factor's exceptional data (``data_radius``) by the left
-    factor's ``degree`` must stay inside it."""
+    the right factor's exceptional data (the data radius of ``rows``) by
+    the left factor's ``degree`` must stay inside it.  The radius is read
+    only where the space has a window."""
     window = space.room(0)
-    if window is not None and degree + data_radius > window:
-        raise WindowOverflow(
-            f"product needs data radius {degree + data_radius} > window {window}")
+    if window is None:
+        return
+    radius = degree + rows.data_radius()
+    if radius > window:
+        raise WindowOverflow(f"product needs data radius {radius} > window {window}")
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -237,7 +245,7 @@ def multiply(x: Element, y: Element) -> Element:
     xs, ys = x.degrees, y.degrees
     if not xs or not ys:
         return zero(space)
-    _check_room(space, x.degree, y.data_radius())
+    _check_room(space, x.degree, y.rows)
     ks = sorted({k + m for k in xs for m in ys})
     at = {n: i for i, n in enumerate(ks)}
     targets = np.array([[at[k + m] for m in ys] for k in xs])

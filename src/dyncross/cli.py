@@ -183,12 +183,14 @@ def main(argv=None) -> int:
         description="crossed-product algebra computations for desk-scale "
                     "dynamical systems")
     sub = parser.add_subparsers(dest="verb", required=True)
-    # Every verb is listed, but only the named one gets its options: the
-    # top level takes no option besides -h, so its first word not starting
-    # with "-" names the verb (or is an invalid choice).
+    # Every verb is listed, but only the named one gets its options and its
+    # own -h: the top level takes no option besides -h, so its first word
+    # not starting with "-" names the verb (or is an invalid choice).  The
+    # other verbs' parsers never parse; the top-level -h and the usage of
+    # an invalid choice list every verb from the choices alone.
     named = next((a for a in argv if not a.startswith("-")), None)
     for verb, help_text, element in VERBS:
-        p = sub.add_parser(verb, help=help_text)
+        p = sub.add_parser(verb, help=help_text, add_help=verb == named)
         if verb == named:
             _add_options(p, verb, element)
 

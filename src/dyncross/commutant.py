@@ -57,7 +57,7 @@ from .dynamics import (
     reduced_indices,
 )
 from .errors import ProjectionUnavailable
-from .sampling import random_rows, random_value
+from .sampling import random_rows, random_values
 from .space import CtsFun, FunRows
 
 
@@ -107,7 +107,7 @@ def commutes_oracle(sys: DynSys, x: Element, trials: int = 4,
     if not x.degrees:
         return True
     family = _oracle_family(sys, sys.space.room(x.degree), trials, seed)
-    _check_room(sys.space, x.degree, family.data_radius())
+    _check_room(sys.space, x.degree, family)
     sups = x.rows.commutator_sups([-n for n in x.degrees], family, EPS_ZERO)
     return not any(_series_norm(row) > tol for row in sups.tolist())
 
@@ -187,7 +187,7 @@ def random_commutant_element(sys: DynSys, rng: random.Random,
         data_radius = max(0, room)
     entries = _basis_table(sys, degree_bound, data_radius)
     picks = rng.sample(entries, rng.randint(1, min(6, len(entries))))
-    weights = [random_value(rng) for _ in picks]
+    weights = random_values(rng, len(picks))
     ks = sorted({k for k, _ in picks})
     rows = FunRows.atom_indicators(sys.space, data_radius, [a for _, a in picks])
     return Element.from_rows(sys.space, tuple(ks), rows.scatter(

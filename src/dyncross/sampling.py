@@ -4,6 +4,14 @@ Values are drawn with real and imaginary parts of magnitude in
 [0.5, 1.5], keeping everything far from the support and pruning
 thresholds, so that membership predicates never sit on a knife edge.
 
+Each part is a sign and a magnitude: ``getrandbits(2)``, drawn again
+while it reads 2 or 3, picks the sign (0 for -1, 1 for +1), then
+``0.5 + random()`` is the magnitude.  That is the draw sequence of
+``random.Random.choice((-1, 1)) * uniform(0.5, 1.5)`` on CPython, which
+picks an index with ``getrandbits`` by rejection and computes
+``0.5 + (1.5 - 0.5) * random()``, so the stream and every value are the
+same as with ``choice`` and ``uniform``, without their per-call dispatch.
+
 On the integer-shift backend, generated functions keep their exceptional
 data inside a reduced radius so that later products (which translate data
 by the partner's degree) stay inside the window.
@@ -18,10 +26,18 @@ from .algebra import Element
 from .space import CtsFun, FunRows, Space
 
 
-def random_value(rng: random.Random) -> complex:
-    re = rng.choice((-1, 1)) * rng.uniform(0.5, 1.5)
-    im = rng.choice((-1, 1)) * rng.uniform(0.5, 1.5)
-    return complex(re, im)
+def random_values(rng: random.Random, count: int) -> list:
+    """``count`` random values ``complex(re, im)``, each part drawn as
+    ``choice((-1, 1)) * uniform(0.5, 1.5)`` draws it, real part first
+    (see the module docstring)."""
+    bits, unit = rng.getrandbits, rng.random
+    parts = []
+    for _ in range(2 * count):
+        r = bits(2)
+        while r >= 2:
+            r = bits(2)
+        parts.append((2 * r - 1) * (0.5 + unit()))
+    return list(map(complex, parts[::2], parts[1::2]))
 
 
 def _draw_row(space: Space, rng: random.Random, count: int,
@@ -32,14 +48,13 @@ def _draw_row(space: Space, rng: random.Random, count: int,
     limit to zero and fills a few atoms; every other atom reads zero,
     the limit's value.
     """
-    sparse = sparse and bool(space.limit_names)
+    if not (sparse and space.limit_names):
+        return random_values(rng, count), random_values(rng, len(space.limit_names))
     values = [0j] * count
-    picks = (rng.sample(range(count), rng.randint(1, max(1, count // 3)))
-             if sparse else range(count))
-    for i in picks:
-        values[i] = random_value(rng)
-    limits = [0j if sparse else random_value(rng) for _ in space.limit_names]
-    return values, limits
+    picks = rng.sample(range(count), rng.randint(1, max(1, count // 3)))
+    for i, z in zip(picks, random_values(rng, len(picks))):
+        values[i] = z
+    return values, [0j] * len(space.limit_names)
 
 
 def random_ctsfun(space: Space, rng: random.Random, *,

@@ -1242,11 +1242,16 @@ class FunRows:
         return FunRows._of(self.space, self.vals[::-1])
 
     def combine(self, a: complex, other: "FunRows", b: complex,
-                places: tuple, count: int) -> "FunRows":
+                places: Optional[tuple] = None, count: int = 0) -> "FunRows":
         """``a * self + b * other`` over ``count`` rows, with
         ``places = (p, q)``: row ``p[i]`` takes ``a * self[i]`` and row
-        ``q[j]`` adds ``b * other[j]`` (zero where neither lands)."""
+        ``q[j]`` adds ``b * other[j]`` (zero where neither lands).  With
+        ``places=None`` the rows are aligned, row i of the result is
+        ``a * self[i] + b * other[i]``: one array expression, rounded as
+        the placed sum rounds it."""
         self._check(other)
+        if places is None:
+            return FunRows._of(self.space, self.vals * complex(a) + other.vals * complex(b))
         p, q = places
         out = FunRows.zeros(self.space, count)
         out.vals[p] = self.vals * complex(a)

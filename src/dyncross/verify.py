@@ -72,7 +72,7 @@ from .dynamics import (
 )
 from .errors import ProjectionUnavailable
 from .sampling import random_ctsfun, random_element
-from .space import FunRows, Point
+from .space import CtsFun, FunRows, Point
 
 
 @dataclass
@@ -289,13 +289,16 @@ def commutant_projection(sys: DynSys, rng: random.Random, trials: int,
 
     out = [CheckRecord("commutant", "projection-exists", projection_condition(sys))]
     fam = indicator_family(sys)
-    ok = all(sys.space.is_continuous(*fam.get(k).data())
-             for k in (0,) + reduced_indices(sys))
+    reduced = reduced_indices(sys)
+    ok = all(sys.space.is_continuous(*fam.get(k).data()) for k in (0,) + reduced)
+    # the family read at k = 0, ±d and ±(d + L), d each reduced index, is
+    # exactly the indicator of the k-th fixed-point interior
     lcm = sys.lcm_period
-    if lcm is not None:
-        ok = ok and all(
-            fam.get(k).add(fam.get(math.gcd(abs(k), lcm)).scale(-1)).sup_norm() == 0
-            for k in range(-2 * lcm, 2 * lcm + 1) if k != 0)
+    shifts = (0,) if lcm is None else (0, lcm)
+    indices = {0} | {s * (d + t) for d in reduced for t in shifts for s in (1, -1)}
+    ok = ok and all(
+        fam.get(k).add(CtsFun.indicator(sys.space, fix_interior(sys, k)).scale(-1))
+        .sup_norm() == 0 for k in sorted(indices))
     out.append(CheckRecord("commutant", "indicator-family-continuous", ok))
 
     dev_idem = dev_fix = dev_inv = dev_contr = dev_bi = dev_e1 = 0.0

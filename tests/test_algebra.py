@@ -29,14 +29,16 @@ from dyncross.algebra import (
     random_positive_element,
     zero,
 )
-from dyncross.dynamics import minimal_interior_order, reduced_indices
+from dyncross.commutant import commutes_oracle
+from dyncross.dynamics import make_dynsys, minimal_interior_order, reduced_indices
 from dyncross.errors import SpaceMismatch, WindowOverflow
 from dyncross.fixtures import FIXTURES
-from dyncross.sampling import random_ctsfun, random_element
+from dyncross.sampling import random_ctsfun, random_element, random_rows
 from dyncross.serialize import element_to_json
 from dyncross.space import (
     CtsFun,
     FinitePoint,
+    FunRows,
     IntShiftSpace,
     PairSwapTailsSpace,
     TailPoint,
@@ -463,6 +465,93 @@ class TestReferenceModel:
                         ref_adjoint(x)
                 else:
                     assert_matches(x.adjoint(), ref_adjoint(x))
+
+
+def merged_linear_combine(a, x, b, y):
+    """The sum through the union of the indices: the path of a sum whose
+    index tuples differ, taken here on any pair."""
+    ks = tuple(sorted(set(x.degrees).union(y.degrees)))
+    at = {k: i for i, k in enumerate(ks)}
+    places = ([at[k] for k in x.degrees], [at[k] for k in y.degrees])
+    return Element.from_rows(x.space, ks, x.rows.combine(a, y.rows, b, places, len(ks)))
+
+
+@st.composite
+def aligned_pairs(draw):
+    """A random element x and an element y on the same index tuple, each
+    row of y a fresh random row, x's row (which ``x - y`` cancels) or zero."""
+    name = draw(st.sampled_from(sorted(REFERENCE_SPACES)))
+    sp = REFERENCE_SPACES[name]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    x = random_element(sp, rng, draw(st.integers(0, 3)), multiply_slack=2,
+                       sparse_prob=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    if draw(st.booleans()):
+        x = zero(sp)
+    n = len(x.degrees)
+    fresh = random_rows(sp, rng, n, radius=sp.room(6))
+    pick = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
+    rows = x.rows.concat(fresh).concat(FunRows.zeros(sp, n)).select(
+        np.array([c * n + i for i, c in enumerate(pick)], dtype=np.intp))
+    return x, Element.from_rows(sp, x.degrees, rows, prune=False)
+
+
+def row_bits(elem):
+    return elem.rows.vals.tobytes(), elem.row_sups().tobytes()
+
+
+class TestPerCallPaths:
+    """The shortcuts of sums and products give what the general paths give."""
+
+    @given(aligned_pairs(), st.one_of(st.just((1.0, -1.0)), st.tuples(_SCALARS, _SCALARS)))
+    def test_aligned_sum_matches_the_merge(self, pair, scalars):
+        x, y = pair
+        a, b = scalars
+        assert x.degrees == y.degrees
+        for got, want in ((linear_combine(a, x, b, y), merged_linear_combine(a, x, b, y)),
+                          (x - y, merged_linear_combine(1.0, x, -1.0, y))):
+            assert got.degrees == want.degrees
+            assert row_bits(got) == row_bits(want)
+
+    @pytest.fixture
+    def radius_spy(self, monkeypatch):
+        calls = []
+        real = FunRows.data_radius
+
+        def spy(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(FunRows, "data_radius", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", ["one_point", "swap2", "cycle3", "tails8", "tails256"])
+    def test_no_data_radius_without_a_window(self, name, radius_spy):
+        sp = REFERENCE_SPACES[name]
+        sys = make_dynsys(sp)
+        rng = random.Random(11)
+        x, y = (random_element(sp, rng, 3) for _ in range(2))
+        assert multiply(x, y).degrees and not multiply(x, zero(sp)).degrees
+        commutes_oracle(sys, x)
+        assert radius_spy == []
+
+    def test_data_radius_on_the_window(self, int_shift8, radius_spy):
+        x = random_element(int_shift8.space, random.Random(11), 2, multiply_slack=2)
+        multiply(x, x)
+        commutes_oracle(int_shift8, x)
+        assert len(radius_spy) == 2
+
+    def test_window_overflow_before_any_row(self, monkeypatch):
+        sp = IntShiftSpace(8)
+        y = embed(CtsFun(sp, {TailPoint("", 8): 1.0}, {"inf": 0.5}))
+        x = delta(sp, 1)
+        built = []
+        for cls, attr in ((FunRows, "convolve"), (FunRows, "zeros"), (Element, "from_rows")):
+            real = getattr(cls, attr)
+            monkeypatch.setattr(cls, attr, lambda *args, _real=real, **kw: (
+                built.append(args), _real(*args, **kw))[1])
+        with pytest.raises(WindowOverflow):
+            multiply(x, y)
+        assert built == []
 
 
 class TestRandomDraws:

@@ -14,7 +14,7 @@ from conftest import functions_supported_in
 from hypothesis import given, strategies as st
 from test_space import RefSet, finite_spaces, ref_closure, ref_interior
 
-from dyncross import commutant
+from dyncross import commutant, verify
 from dyncross.algebra import EPS_SUPP, EPS_ZERO, coefficient, delta, embed, identity, zero
 from dyncross.commutant import (
     _oracle_family,
@@ -34,7 +34,7 @@ from dyncross.dynamics import (
 )
 from dyncross.errors import ProjectionUnavailable, WindowOverflow
 from dyncross.fixtures import FIXTURES
-from dyncross.sampling import random_ctsfun, random_element, random_value
+from dyncross.sampling import random_ctsfun, random_element
 from dyncross.space import (
     CtsFun,
     FinitePoint,
@@ -217,6 +217,37 @@ class TestIndicatorFamily:
         assert fam.get(3).sup_norm() == 1
         assert fam.get(-6).sup_norm() == 1
 
+    @staticmethod
+    def _check_record(sys):
+        recs = verify.commutant_projection(sys, random.Random(1), 0, CircleGrid(8),
+                                           squares=0, samples=())
+        return {r.name: r for r in recs}["indicator-family-continuous"]
+
+    def test_check_catches_a_family_that_ignores_the_gcd(self, swap2, monkeypatch):
+        """A ``get`` that reads every nonzero index at the lcm is continuous
+        and constant on each residue class, but wrong at odd k."""
+        assert self._check_record(swap2).passed
+        monkeypatch.setattr(commutant.IndicatorFamily, "get",
+                            lambda fam, k: fam._table[k and fam.sys.lcm_period])
+        assert not self._check_record(swap2).passed
+
+    def test_check_reads_at_most_four_indices_per_reduced_index(self, monkeypatch):
+        """Pair cycles of lengths 4, 6 and 9 (lcm 36, nine divisors): the
+        family is compared at 0, ±d and ±(d + 36), not at every k in -72..72."""
+        sys = paired([4, 6, 9], 0)
+        read = set()
+        real = verify.fix_interior
+
+        def spy(system, k):
+            read.add(k)
+            return real(system, k)
+
+        monkeypatch.setattr(verify, "fix_interior", spy)
+        assert self._check_record(sys).passed
+        reduced = reduced_indices(sys)
+        assert read == {0} | {s * (d + t) for d in reduced for t in (0, 36) for s in (1, -1)}
+        assert len(read) == 4 * len(reduced) + 1
+
 
 class TestProjection:
     def test_two_point_swap_drops_odd_terms(self, swap2):
@@ -384,12 +415,17 @@ def same_element(x, y):
     return x.coeffs.keys() == y.coeffs.keys() and (x - y).ell1_norm() == 0
 
 
+def reference_value(rng):
+    return complex(rng.choice((-1, 1)) * rng.uniform(0.5, 1.5),
+                   rng.choice((-1, 1)) * rng.uniform(0.5, 1.5))
+
+
 def reference_draw(space, rng, basis):
     """A random commutant element as the sum of scaled basis elements
     taken one after another."""
     out = zero(space)
     for b in rng.sample(basis, rng.randint(1, min(6, len(basis)))):
-        out = out + b.scale(random_value(rng))
+        out = out + b.scale(reference_value(rng))
     return out
 
 
