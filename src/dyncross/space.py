@@ -1189,7 +1189,7 @@ class FunRows:
         if sups is None:
             sups = self.row_sups()
         small = sups <= eps
-        if not small.any():
+        if not np.count_nonzero(small):     # on a few rows, cheaper than small.any()
             return None, self, sups
         kept = np.flatnonzero(~small)
         return kept, self.select(kept), sups[kept]
