@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import functions_supported_in
 from hypothesis import given, strategies as st
+from test_sampling import reference_values
 from test_space import RefSet, finite_spaces, ref_closure, ref_interior
 
 from dyncross import commutant, verify
@@ -415,17 +416,12 @@ def same_element(x, y):
     return x.coeffs.keys() == y.coeffs.keys() and (x - y).ell1_norm() == 0
 
 
-def reference_value(rng):
-    return complex(rng.choice((-1, 1)) * rng.uniform(0.5, 1.5),
-                   rng.choice((-1, 1)) * rng.uniform(0.5, 1.5))
-
-
 def reference_draw(space, rng, basis):
     """A random commutant element as the sum of scaled basis elements
     taken one after another."""
     out = zero(space)
     for b in rng.sample(basis, rng.randint(1, min(6, len(basis)))):
-        out = out + b.scale(reference_value(rng))
+        out = out + b.scale(reference_values(rng, 1)[0])
     return out
 
 
