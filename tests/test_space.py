@@ -230,8 +230,8 @@ def finite_spaces(draw):
 
 
 @st.composite
-def space_and_set(draw):
-    space = draw(st.sampled_from(["finite", "int_shift", "pair_swap", "blocks"]))
+def space_and_set(draw, kinds=("finite", "int_shift", "pair_swap", "blocks")):
+    space = draw(st.sampled_from(kinds))
     if space == "finite":
         sp = draw(finite_spaces())
     elif space == "int_shift":
@@ -366,10 +366,10 @@ class TestInteriorClosure:
         assert sp.closure(outer) == outer
         assert outer == sp.interior(s.complement()).complement()
 
-    @given(space_and_set())
+    @given(space_and_set(kinds=("finite",)))
     def test_finite_backend_matches_brute_force(self, pair):
         sp, s = pair
-        assume(isinstance(sp, FiniteSpace))
+        assert isinstance(sp, FiniteSpace)
         assert sp.interior(s) == brute_interior(sp, s)
         assert sp.closure(s) == brute_closure(sp, s)
 
