@@ -30,9 +30,12 @@ shift models lie on both sides of ``gns.LANCZOS_MIN_SIZE`` (the bundled
 fixtures' models are all far below it).  ``scripts/sweep_norms/cases.json``
 holds full-size torus sweeps: ``pair_swap_tails`` W=256 (stacks of 258
 period-1 and 129 period-2 models) with a general element of degree 4 at
-grid 1024 and a commutant one of degree bound 8 at grid 256, and a 60-cycle
-with a general element of degree 4 at grid 256 (the bundled fixtures
-sweep W=8 stacks).  With ``COLUMNS=80``, so that argparse wraps its text
+grid 1024 and a commutant one of degree bound 8 at grid 256,
+``pair_swap_tails`` W=1024 with general elements of degree 2 at grid 256
+and of degree 8 at grid 1024 (a pruned sweep, see ``gns.COARSE_STRIDE``)
+and a commutant one of degree bound 8 at grid 256, a 60-cycle with a
+general element of degree 4 at grid 256 and a 300-cycle with one of
+degree 2 at grid 64 (the bundled fixtures sweep W=8 stacks).  With ``COLUMNS=80``, so that argparse wraps its text
 at a fixed width, it records the exit code, standard output and standard
 error of the top-level and per-verb ``-h`` and of the usage errors in
 ``USAGE_CASES``.  ``--src`` names the

@@ -178,6 +178,28 @@ def _render(doc, as_json: bool) -> str:
 
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
+    # A call that starts with a verb is parsed by that verb's parser alone,
+    # as the full tree would hand it every later argument: the same prog,
+    # options, help and errors.  Any other call (no verb, an unknown one,
+    # -h or an option first), or arguments left over, goes to the full tree,
+    # whose top-level usage and errors are then printed.
+    takes_element = {verb: element for verb, _, element in VERBS}.get(argv[0] if argv else None)
+    if takes_element is not None:
+        own = argparse.ArgumentParser(prog=f"dyncross {argv[0]}")
+        _add_options(own, argv[0], takes_element)
+        args, extra = own.parse_known_args(argv[1:])
+        args.verb = argv[0]
+    if takes_element is None or extra:
+        args = _parser(argv).parse_args(argv)
+    try:
+        return _dispatch(args)
+    except DyncrossError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
+
+
+def _parser(argv: list) -> argparse.ArgumentParser:
+    """The full tree: the top-level parser and one subparser per verb."""
     parser = argparse.ArgumentParser(
         prog="dyncross",
         description="crossed-product algebra computations for desk-scale "
@@ -193,13 +215,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(verb, help=help_text, add_help=verb == named)
         if verb == named:
             _add_options(p, verb, element)
-
-    args = parser.parse_args(argv)
-    try:
-        return _dispatch(args)
-    except DyncrossError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
+    return parser
 
 
 def _add_options(p, verb: str, element: bool) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -130,7 +130,19 @@ def periodic_orbit_reps(sys: DynSys) -> List[tuple]:
 @lru_cache(maxsize=None)
 def fix_set(sys: DynSys, k: int) -> SetRep:
     """The set of points fixed by the k-th power of the homeomorphism: the
-    set slots whose period divides k."""
+    set slots whose period divides k.  Cached per system and index;
+    :func:`fix_masks` reads many indices once and caches none."""
+    return _fix_set(sys, k)
+
+
+def fix_masks(sys: DynSys, ks: Iterable[int]) -> np.ndarray:
+    """The masks of ``fix_set(sys, k)`` for each k of ``ks``, as the rows of
+    one new boolean array, built afresh: a check that reads each of 2L+1
+    indices once would otherwise keep them all in the cache."""
+    return sys.space.set_rows(_fix_set(sys, k) for k in ks)
+
+
+def _fix_set(sys: DynSys, k: int) -> SetRep:
     sp = sys.space
     if k == 0:
         return sp.full_set()

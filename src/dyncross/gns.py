@@ -58,7 +58,18 @@ sum ceil(|k|/p)^2 sup|f_k|, larger by about p/|k| on a long cycle.  So
 each period sweeps the coarsest sub-grid (a divisor G' of the grid
 resolution G, at least 4 unless the element has degree 0) whose certified
 excess is at most that of the full grid in the lam gauge; the models
-evaluated are the lam-models at the sub-grid angles.
+evaluated are the lam-models at the sub-grid angles.  A period whose
+sweep spans more than one batch, over two points or more, is pruned: every
+``COARSE_STRIDE``-th sub-grid angle is evaluated first at every point,
+and the same stationary-point argument, on one point's norm function,
+bounds its sup over the circle by its coarse max plus the mu-gauge excess
+of the coarse spacing.  A point whose bound, widened by 1e-10 relative
+for rounding, lies below the best coarse value (itself a sub-grid value)
+can neither attain the sub-grid max nor tie with it, so only the other
+points sweep every sub-grid angle, and the sub-grid max, its argmax and
+the certificate are those of the full sweep, bit for bit.  The work limit
+``MAX_SWEEP_WORK`` prices the unpruned sweep: the pruning depends on the
+data, and a refusal comes before any model is built.
 :func:`~dyncross.numerics.bracket_max` then polishes the best point of
 every period whose sub-grid max plus excess exceeds the value attained so
 far, each over its own sub-grid spacing.
@@ -115,6 +126,14 @@ MAX_MODEL_ENTRIES = 1 << 23
 # delta + 1 has 1119 points (4 sub-grid and at most 45 refinement angles),
 # and a 1500-cycle needs 2.4 times it
 MAX_SWEEP_WORK = 1 << 36
+# a torus sweep of more than one batch first evaluates every COARSE_STRIDE-th
+# angle of its sub-grid at every point of the period, and sweeps every angle
+# only at the points that can attain the max (_pruned_sweep).  cstar_norm on
+# the 15 perfbench norms cases took 126 ms unpruned and 89, 82 and 87 ms at
+# strides 8, 16 and 32 (sums of per-case minimums over 8 runs, one BLAS
+# thread, 2-vCPU container); the coarse angles' values were not reused in
+# the full sweep, which was no faster
+COARSE_STRIDE = 16
 # truncated shift models larger than this are normed by Lanczos on their
 # band (_lanczos_norm), the others by one dense SVD.  One BLAS thread: the
 # SVD takes 3.5, 8.6, 17, 28 and 47 ms at sizes 147, 211, 275, 339 and 403,
@@ -475,9 +494,13 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     sub-grid max plus excess, exceeds the value attained so far, the
     periods taken in decreasing order of their sub-grid max, each over
     2 pi/G' either side of its best sub-grid angle; ``refine=False``
-    returns the sub-grid max.  Where aperiodic orbits exist and the element
-    has positive degree, the truncated norms are certified lower bounds
-    only, and the series norm caps the excess.
+    returns the sub-grid max.  A sweep of more than one batch first
+    evaluates every ``COARSE_STRIDE``-th angle and sweeps in full only the
+    points whose coarse max plus the coarse excess, times 1 + 1e-10,
+    reaches the best coarse value (:func:`_pruned_sweep`), with the same
+    result bit for bit.  Where aperiodic orbits exist and the element has
+    positive degree, the truncated norms are certified lower bounds only,
+    and the series norm caps the excess.
     """
     if not x_elem.coeffs:
         return NormEstimate(0.0, 0.0)
@@ -498,17 +521,11 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
     # point, best angle, half-spacing of the sub-grid)
     swept = []
     for p, plan in plans.items():
-        sub, excess = sub_grids[p]
+        sub, excess, coarse_excess = sub_grids[p]
         stride = g // sub
-        count = plan.values.shape[1]
         # each wrap of the plan to each sub-grid parameter, U x G'
         table = np.array([grid.powers(w)[::stride] for w in plan.wraps])
-        # the models of one period, a slice of torus parameters at a time;
-        # the plan's values (I p per point and parameter) and the models
-        # (p * p) each stay within BATCH_ENTRIES
-        step = max(1, BATCH_ENTRIES // (count * max(p * p, len(plan.values))))
-        norms = np.concatenate([_batched_norms(_cyclic_matrices(plan, table[:, lo:lo + step]))
-                                for lo in range(0, sub, step)], axis=1)
+        norms = _pruned_sweep(plan, table, coarse_excess)
         grid_max = float(np.max(norms))
         upper = max(upper, grid_max + excess)
         value = max(value, grid_max)
@@ -544,17 +561,20 @@ def cstar_norm(sys: DynSys, x_elem: Element, grid: CircleGrid,
 
 
 def _sub_grid(sups: list, p: int, g: int) -> tuple:
-    """The sub-grid that the sweep of period p evaluates, as (G', excess):
-    the smallest divisor G' of the resolution g whose mu-gauge excess at
-    half-spacing pi/G' is at most the lam-gauge excess of the full grid,
-    and G' >= 4 (the least resolution of a :class:`CircleGrid`) unless that
-    excess is 0.  ``sups`` pairs each |k| with sup|f_k|; the constants of
-    both gauges are in the module docstring, and the stationary-point
-    argument of :func:`~dyncross.numerics.grid_excess` holds in either.
-    The refinement searches 2 pi/G' either side of the best sub-grid
-    angle; below four angles its bracket would span the circle and its
-    first parabola would come from spacings of pi/4 or more.  A degree-0
-    element has no torus dependence and gets G' = 1, excess 0."""
+    """The sub-grid that the sweep of period p evaluates, as (G', excess,
+    coarse excess): the smallest divisor G' of the resolution g whose
+    mu-gauge excess at half-spacing pi/G' is at most the lam-gauge excess
+    of the full grid, and G' >= 4 (the least resolution of a
+    :class:`CircleGrid`) unless that excess is 0.  The coarse excess is the
+    mu-gauge excess at half-spacing pi ``COARSE_STRIDE``/G', that of every
+    ``COARSE_STRIDE``-th sub-grid angle (:func:`_pruned_sweep`).  ``sups``
+    pairs each |k| with sup|f_k|; the constants of both gauges are in the
+    module docstring, and the stationary-point argument of
+    :func:`~dyncross.numerics.grid_excess` holds in either.  The
+    refinement searches 2 pi/G' either side of the best sub-grid angle;
+    below four angles its bracket would span the circle and its first
+    parabola would come from spacings of pi/4 or more.  A degree-0 element
+    has no torus dependence and gets G' = 1, excess 0."""
     target = grid_excess(sum(math.ceil(k / p) * sup for k, sup in sups),
                          sum(math.ceil(k / p) ** 2 * sup for k, sup in sups),
                          math.pi / g)
@@ -563,9 +583,57 @@ def _sub_grid(sups: list, p: int, g: int) -> tuple:
     for sub in divisors(g)[:-1]:
         excess = grid_excess(lip, curv, math.pi / sub)
         if excess <= target and (sub >= 4 or excess == 0):
-            return sub, float(excess)
-    # the full grid: each mu-gauge constant is at most its lam-gauge one
-    return g, float(grid_excess(lip, curv, math.pi / g))
+            break
+    else:
+        # the full grid: each mu-gauge constant is at most its lam-gauge one
+        sub, excess = g, grid_excess(lip, curv, math.pi / g)
+    return sub, float(excess), float(grid_excess(lip, curv, math.pi * COARSE_STRIDE / sub))
+
+
+def _pruned_sweep(plan: "_EntryPlan", table: np.ndarray, coarse_excess: float) -> np.ndarray:
+    """The norms of the models of the plan's points at the torus parameters
+    of ``table`` (U x G', see :func:`_cyclic_matrices`), points x G', with
+    -inf for each point that cannot attain their maximum.
+
+    Where the sweep spans more than one batch (:func:`_swept_norms`) and
+    the plan has two points or more, every ``COARSE_STRIDE``-th angle is
+    evaluated first.  The sup of a point's norm over the circle is at most
+    its coarse max plus ``coarse_excess`` (the stationary-point argument of
+    :func:`~dyncross.numerics.grid_excess`, on one point's norm function),
+    so a point whose bound, widened by 1e-10 relative for rounding, lies
+    below the best coarse value stays below the sweep's max everywhere: it
+    is neither the max nor a tie with it, and is dropped.  The kept points
+    sweep every angle.  A non-finite value or excess drops nothing.  The
+    coarse pass is skipped for a stride that does not divide G' or leaves
+    fewer than two coarse angles."""
+    count, sub = plan.values.shape[1], table.shape[1]
+    if (count < 2 or sub % COARSE_STRIDE or sub < 2 * COARSE_STRIDE
+            or count * sub * _batch_width(plan) <= BATCH_ENTRIES):
+        return _swept_norms(plan, table)
+    coarse = _swept_norms(plan, table[:, ::COARSE_STRIDE])
+    tops = coarse.max(axis=1)
+    bound = (tops + coarse_excess) * (1 + 1e-10)
+    # a non-finite value or excess keeps every point
+    keep = ~(bound < tops.max()) | (not np.isfinite(bound).all())
+    norms = np.full((count, sub), -math.inf)
+    norms[keep] = _swept_norms(plan._replace(values=plan.values[:, keep]), table)
+    return norms
+
+
+def _batch_width(plan: "_EntryPlan") -> int:
+    """Entries per point and parameter of one batch: the plan's values
+    (I p) or the p x p model, whichever is larger."""
+    return max(plan.period ** 2, len(plan.values))
+
+
+def _swept_norms(plan: "_EntryPlan", table: np.ndarray) -> np.ndarray:
+    """The norms of the models of all the plan's points at the torus
+    parameters of ``table``, points x parameters, a slice of parameters at
+    a time: the plan's values and the models of one slice each stay within
+    ``BATCH_ENTRIES``."""
+    step = max(1, BATCH_ENTRIES // (plan.values.shape[1] * _batch_width(plan)))
+    return np.concatenate([_batched_norms(_cyclic_matrices(plan, table[:, lo:lo + step]))
+                           for lo in range(0, table.shape[1], step)], axis=1)
 
 
 def _check_sweep_work(plans: dict, sub_grids: dict, refine: bool) -> None:
@@ -576,7 +644,7 @@ def _check_sweep_work(plans: dict, sub_grids: dict, refine: bool) -> None:
     (BRACKET_ROUNDS + BRACKET_SHIFTS)`` angles at one point."""
     work = 0
     for p, plan in plans.items():
-        sub, excess = sub_grids[p]
+        sub, excess, _ = sub_grids[p]
         evaluations = plan.values.shape[1] * sub
         if refine and excess > 0:
             evaluations += BRACKET_POINTS * (BRACKET_ROUNDS + BRACKET_SHIFTS)

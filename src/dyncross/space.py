@@ -287,8 +287,10 @@ class _SpaceOps:
 
     def set_rows(self, sets) -> np.ndarray:
         """The masks of ``sets`` (over this space) as the rows of one new
-        boolean array, for set calculus on all of them at once."""
-        return np.array([s.mask for s in sets])
+        boolean array, for set calculus on all of them at once.  The sets
+        are read one at a time: from a generator, none need outlive its
+        row."""
+        return np.fromiter((s.mask for s in sets), dtype=(bool, len(self.slot_periods())))
 
     def first_holding(self, sets) -> np.ndarray:
         """For each set slot, the position of the first of ``sets`` (over

@@ -61,6 +61,7 @@ from .commutant import (
 from .dynamics import (
     DynSys,
     fix_interior,
+    fix_masks,
     fix_set,
     freeness_report,
     interior_closure_reports,
@@ -721,7 +722,8 @@ def _gcd_law_holds(sys: DynSys) -> bool:
     where no lcm exists), from two checks:
 
     (i)  F(k) == F(gcd(k, L)) for k in 1..2L+1, one comparison of the
-         stacked masks;
+         stacked masks, read through :func:`fix_masks` so that the
+         2L+1 sets stay out of the cache of :func:`fix_set`;
     (ii) the law for m, n in D = {0} u divisors(L).
 
     They imply the law, and read F at 2L+1 indices where the law reads
@@ -738,7 +740,7 @@ def _gcd_law_holds(sys: DynSys) -> bool:
     same."""
     lcm = sys.lcm_period or 1
     ks = range(1, 2 * lcm + 2)
-    masks = sys.space.set_rows(fix_set(sys, k) for k in ks)
+    masks = fix_masks(sys, ks)
     reduced = np.gcd(np.array(ks), lcm) - 1
     if not (masks == masks[reduced]).all():
         return False

@@ -540,6 +540,31 @@ class TestArgumentContract:
         assert main(["describe", "--spa", "one_point", "--js"]) == 0
         assert json.loads(capsys.readouterr().out)["projection_exists"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["describe", "--space", "cycle3", "extra"],         # an extra positional
+        ["describe", "--space", "cycle3", "--", "x"],
+        ["describe", "--", "--space", "cycle3"],
+        ["describe", "--space", "cycle3", "-h"],            # a late -h
+        ["describe", "--space", "cycle3", "--bogus", "-h"],
+        ["describe", "norms", "--space", "cycle3"],         # two verbs
+        ["verify", "all", "extra", "--space", "swap2"],
+        ["describe", "--grid", "x", "--space", "cycle3"],
+        [""], ["desc", "--space", "cycle3"],                # an empty and a prefix verb
+        ["--bogus", "-h"], ["-h", "describe"], ["--json", "describe"]])
+    def test_a_verb_first_call_prints_what_the_full_tree_prints(self, argv, capsys):
+        """A call that starts with a verb is parsed by that verb's parser
+        alone; its help and usage errors are the full tree's, byte for byte."""
+        code, out, err = _help_and_exit(argv, capsys)
+        with pytest.raises(SystemExit) as full:
+            cli._parser(argv).parse_args(argv)
+        assert (code, out, err) == (full.value.code, *capsys.readouterr())
+
+    def test_arguments_left_over_get_the_top_level_usage(self, capsys):
+        code, out, err = _help_and_exit(["describe", "--space", "cycle3", "extra"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: dyncross [-h] {describe,")
+        assert err.splitlines()[-1] == "dyncross: error: unrecognized arguments: extra"
+
 
 @pytest.mark.parametrize("k, grid", [(1, 5), (5, 9)])
 def test_norms_near_the_double_maximum_warn_nothing(tmp_path, k, grid):

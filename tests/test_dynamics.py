@@ -3,6 +3,7 @@ projection criterion, and the interior/closure and freeness reports."""
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,20 +364,50 @@ def _gcd_record(system):
     return next(r for r in verify.appendix_suite(system) if r.name == "fixed-sets-gcd-law")
 
 
+def _plant_fix_set_defect(monkeypatch, k, slot):
+    """Flip one slot of F(k) wherever the appendix suite reads it: through
+    the cached ``fix_set`` and through the builder behind ``fix_masks``."""
+    for module, name in ((verify, "fix_set"), (dynamics, "_fix_set")):
+        def planted(sys, m, true=getattr(module, name)):
+            s = true(sys, m)
+            flip = sys.space.set_of([sys.space.window_points[slot]])
+            return s.difference(flip).union(flip.difference(s)) if m == k else s
+
+        monkeypatch.setattr(module, name, planted)
+
+
 @pytest.mark.parametrize("k", [1, 7, 12, 60, 61, 127, 420, 839, 840, 841])
 def test_a_planted_fix_set_defect_fails_the_gcd_law(k, monkeypatch):
     """Cycles of lengths 3, 4, 5 and 7 (L = 420): one slot of F(k) flipped
     at any k in 1..2L+1 fails the law, and the unplanted system passes."""
     system = _cycles([3, 4, 5, 7])
     assert _gcd_record(system).passed
-    true_fix_set = verify.fix_set
+    _plant_fix_set_defect(monkeypatch, k, k % 19)
+    assert not _gcd_record(system).passed
 
-    def fix_set(sys, m):
-        s = true_fix_set(sys, m)
-        flip = sys.space.set_of([sys.space.window_points[k % 19]])
-        return s.difference(flip).union(flip.difference(s)) if m == k else s
 
-    monkeypatch.setattr(verify, "fix_set", fix_set)
+def test_the_gcd_law_caches_no_index_beyond_the_divisors():
+    """One cycle of each length 1..12 (78 points, L = 27,720): the law
+    reads F(k) at the 2L+1 indices 1..2L+1 without caching them, where it
+    used to leave 55,442 fixed-point sets in the cache and peak at 32 MB
+    (tracemalloc)."""
+    system = _cycles(range(1, 13))
+    before = dynamics.fix_set.cache_info().currsize
+    tracemalloc.start()
+    try:
+        assert _gcd_record(system).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dynamics.fix_set.cache_info().currsize - before <= 2 * len(reduced_indices(system)) + 2
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("k", [27_721, 41_580, 55_441])
+def test_a_planted_defect_beyond_the_lcm_fails_the_gcd_law(k, monkeypatch):
+    """F(k) flipped at an index k > L = 27,720 that no other check reads."""
+    system = _cycles(range(1, 13))
+    _plant_fix_set_defect(monkeypatch, k, 40)
     assert not _gcd_record(system).passed
 
 

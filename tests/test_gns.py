@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import block_tails
 from hypothesis import example, given, strategies as st
 
 from dyncross.algebra import Element, cesaro_mean, delta, embed, identity
@@ -48,6 +49,7 @@ from dyncross.space import (
     FinitePoint,
     IntShiftSpace,
     LimitPoint,
+    PairSwapTailsSpace,
     TailPoint,
     finite_space,
 )
@@ -1109,3 +1111,102 @@ class TestRefinement:
         if x_elem.support():
             assert spy.call_count == 1
             assert est.value >= _dense_max(spy.call_args) - 1e-14 * est.value
+
+
+# -- the pruned torus sweep ------------------------------------------------------
+
+
+@st.composite
+def _multi_batch_systems(draw):
+    """Systems with several orbit representatives of one period: the tail
+    backend's rays (pair_swap_tails and block tails) and finite systems of
+    at least three cycles of one length, so that sweeps at the larger grids
+    span more than one batch."""
+    kind = draw(st.sampled_from(["pair_swap_tails", "block_tails", "cycles"]))
+    if kind == "pair_swap_tails":
+        return make_dynsys(PairSwapTailsSpace(2 * draw(st.integers(9, 100))))
+    if kind == "block_tails":
+        periods = draw(st.sampled_from([(1, 2, 3), (1, 2), (2, 3), (3,), (1, 3)]))
+        step = math.lcm(*periods)
+        return make_dynsys(block_tails(periods)(step * draw(st.integers(24 // step, 120 // step))))
+    length = draw(st.integers(1, 6))
+    return _cycles(*[length] * draw(st.integers(3, 40 // length + 2)),
+                   *draw(st.lists(st.integers(1, 7), max_size=3)))
+
+
+def _model_count(call, *args, **kwargs):
+    """The number of cyclic models ``cstar_norm`` evaluates in a call."""
+    seen = []
+
+    def spy(stack):
+        seen.append(math.prod(stack.shape[1:]))
+        return batched(stack)
+
+    batched = gns._batched_norms
+    with mock.patch.object(gns, "_batched_norms", spy):
+        result = call(*args, **kwargs)
+    return result, sum(seen)
+
+
+class TestPrunedSweep:
+    """A sweep of more than one batch evaluates every ``COARSE_STRIDE``-th
+    angle first and sweeps in full only the representatives whose coarse
+    max plus the coarse excess reaches the best coarse value: the estimate
+    stays bit for bit the one of the full sweep."""
+
+    @given(system=_multi_batch_systems(), commutant=st.booleans(),
+           degree=st.integers(1, 8), grid=st.sampled_from([64, 128, 256, 512, 1024, 1024]),
+           seed=st.integers(0, 2 ** 32))
+    @example(system=make_dynsys(PairSwapTailsSpace(200)), commutant=False, degree=8,
+             grid=1024, seed=7)
+    def test_the_estimate_is_the_full_sweeps(self, system, commutant, degree, grid, seed):
+        rng = random.Random(seed)
+        x_elem = (random_commutant_element(system, rng, degree) if commutant
+                  else random_element(system.space, rng, degree))
+        got = cstar_norm(system, x_elem, CircleGrid(grid))
+        # one batch per period: nothing is pruned
+        with mock.patch.object(gns, "BATCH_ENTRIES", 2 ** 40):
+            assert cstar_norm(system, x_elem, CircleGrid(grid)) == got
+
+    @pytest.mark.parametrize("scale", [1e300, 2e307])
+    def test_values_near_the_double_maximum_give_the_full_sweeps_estimate(self, scale):
+        """Near the top of the double range, where bounds and excesses may
+        overflow: at 2e307 the excess is inf."""
+        system = make_dynsys(PairSwapTailsSpace(64))
+        x_elem = random_element(system.space, random.Random(3), 4).scale(scale)
+        got = cstar_norm(system, x_elem, CircleGrid(1024))
+        with mock.patch.object(gns, "BATCH_ENTRIES", 2 ** 40):
+            assert cstar_norm(system, x_elem, CircleGrid(1024)) == got
+
+    def test_a_tail_space_sweeps_a_quarter_of_the_models(self):
+        """pair_swap_tails W=256 (258 period-1 and 129 period-2
+        representatives), a general element of degree 4, G = 1024."""
+        system = make_dynsys(PairSwapTailsSpace(256))
+        x_elem = random_element(system.space, random.Random(7), 4)
+        pruned, work = _model_count(cstar_norm, system, x_elem, CircleGrid(1024))
+        # a stride above every sub-grid skips the coarse pass
+        with mock.patch.object(gns, "COARSE_STRIDE", 2 ** 20):
+            full, full_work = _model_count(cstar_norm, system, x_elem, CircleGrid(1024))
+        assert pruned == full
+        assert work <= full_work / 4
+
+    def test_tied_representatives_keep_the_refinement_start(self):
+        """1 + 1_S + delta^2 / 2 on pair_swap_tails W=64 is in the
+        commutant, and its representatives on the fixed ray tie: those in S
+        at the max, the others below it, dropped.  The refinement starts
+        from the first point of S, as the full sweep's argmax does."""
+        system = make_dynsys(PairSwapTailsSpace(64))
+        sp = system.space
+        bump = CtsFun.indicator(sp, sp.set_of([TailPoint("a", n) for n in (40, 41, 7)]))
+        x_elem = embed(CtsFun.constant(sp, 1.0).add(bump)) + delta(sp, 2).scale(0.5)
+        starts = []
+        for stride in (gns.COARSE_STRIDE, 2 ** 20):
+            with mock.patch.object(gns, "COARSE_STRIDE", stride), \
+                    mock.patch.object(gns, "bracket_max", wraps=gns.bracket_max) as spy:
+                est, work = _model_count(cstar_norm, system, x_elem, CircleGrid(1024))
+            fn, centre, half_width = spy.call_args.args
+            starts.append((est, centre, half_width, fn(np.array([centre])).tolist(), work))
+        (est, centre, half_width, at_start, work), full = starts
+        assert (est, centre, half_width, at_start) == full[:4]
+        assert est.value == pytest.approx(2.5)
+        assert work < full[4] / 2
