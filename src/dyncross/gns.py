@@ -131,8 +131,8 @@ MAX_SWEEP_WORK = 1 << 36
 # only at the points that can attain the max (_pruned_sweep).  cstar_norm on
 # the 15 perfbench norms cases took 126 ms unpruned and 89, 82 and 87 ms at
 # strides 8, 16 and 32 (sums of per-case minimums over 8 runs, one BLAS
-# thread, 2-vCPU container); the coarse angles' values were not reused in
-# the full sweep, which was no faster
+# thread, 2-vCPU container); reusing the coarse angles' values in the full
+# sweep was slower on 7 of 8 periods measured
 COARSE_STRIDE = 16
 # truncated shift models larger than this are normed by Lanczos on their
 # band (_lanczos_norm), the others by one dense SVD.  One BLAS thread: the
